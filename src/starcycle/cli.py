@@ -189,9 +189,15 @@ def _cmd_graphs_enumerate(args):
     }
 
 
-def _cmd_weights_compute(args):
-    if args.samples > 0 and args.seed is None:
+def _check_sampling(args):
+    if args.samples < 1:
+        raise InputError("--samples must be at least 1, got %d" % args.samples)
+    if args.seed is None:
         raise InputError("--seed is required when --samples > 0")
+
+
+def _cmd_weights_compute(args):
+    _check_sampling(args)
     if args.out_table and os.path.exists(args.out_table):
         try:
             table = WeightTable.load(args.out_table)
@@ -289,8 +295,7 @@ def _cmd_check(args):
     else:  # alpha
         vol, vol_meta = _load_vol(args.vol, pi.dim)
         inputs["vol"] = vol_meta
-        if args.seed is None:
-            raise InputError("--seed is required when --samples > 0")
+        _check_sampling(args)
         a1 = _parse_alpha(args.alpha, 3)
         a2 = _parse_alpha(args.alpha2, 3)
         options.update({"order": args.order, "alpha": args.alpha, "alpha2": args.alpha2,

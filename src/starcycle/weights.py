@@ -8,11 +8,22 @@ over the n interior points only; for m > 3 the extra boundary points
 are integrated over their ordered arc; for m = 2 the classical
 half-plane slice is used (boundary at 0 and 1, plain harmonic angle).
 
+One row kernel, _disk_rows, serves both routes.  The half-plane slice is
+the disk chart with boundary angles (pi, 3pi/2, 0) and weight (0, 0, 1):
+the Cayley map at xi = 1, i(1+w)/(1-w), sends those points to 0, 1 and
+infinity, and a determinant taken in disk coordinates already carries
+the area factor prod 4/|1-w|^4.
+
 Stored table values carry no symmetry prefactors: the 1/n! and
 1/(#Star(k))! factors are applied at operator assembly.  Determinism
-contract: sampling is split into fixed chunks of 65536 samples, chunk c
+contract: sampling is split into fixed chunks of CHUNK samples, chunk c
 is seeded from (seed, c), and the reduction runs in chunk order, so
-results are byte-identical for any thread count.
+results are byte-identical for any thread count.  Inside a chunk, rows
+and determinants are built in sub-blocks of BLOCK samples, small enough
+to stay in cache; a sample's value does not depend on its block.  A
+chunk in which every determinant is below ZERO_RATIO times its Hadamard
+bound (the product of its row norms) holds a form that vanishes
+pointwise, and contributes exactly 0 rather than roundoff.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +43,14 @@ from .angles import TWO_PI, AngleContext
 from .graphs import AdmissibleGraph, top_edge_count
 
 CHUNK = 65536
+BLOCK = 4096
 MIN_DIST = 1e-9
+ZERO_RATIO = 1e-12
+
+# Gauge of the half-plane slice (see the module docstring).  Its angles are
+# not increasing, so it is not an AngleContext; the sampler reads only
+# these two fields.
+_HALFPLANE = SimpleNamespace(alphas=(0.0, 0.0, 1.0), boundary_angles=(math.pi, 1.5 * math.pi, 0.0))
 
 
 def default_threads() -> int:
@@ -155,128 +174,135 @@ class WeightTable:
         return kinds
 
 
-# -- disk-model sampler (m >= 3) ----------------------------------------------
-
-def _chunk_plan(samples: int):
-    out = []
-    c = 0
-    left = samples
-    while left > 0:
-        take = min(CHUNK, left)
-        out.append((c, take))
-        left -= take
-        c += 1
-    return out
-
-
-def _cayley(z, xi):
-    return 1j * (xi + z) / (xi - z)
-
+# -- sampler -------------------------------------------------------------------
 
 def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
     """Jacobian rows of all edge angle functions.
 
     p: (S, n) complex interior points; th_free: (S, m-3) free boundary
-    angles (may be None).  Returns (S, E, D) with D = 2n + max(m-3, 0);
-    column layout: x_1, y_1, .., x_n, y_n, th_4, .., th_m.
+    angles (unused, and may be None, when m <= 3).  Returns an (S, E, D) view of an
+    (E, D, S) array, D = 2n + max(m-3, 0); column layout: x_1, y_1, ..,
+    x_n, y_n, th_4, .., th_m.
+
+    Edge v -> w carries sum_k alpha_k arg((P-Q)(P-conj Q)), with P and Q
+    the images of v and w under the Cayley map that sends xi_k to
+    infinity.  Each image and its derivatives are computed once per
+    (point, xi_k) and shared by every edge.
     """
     S = p.shape[0]
     n = graph.n
-    m = graph.m
-    nfree = max(0, m - 3)
     edges = graph.edges()
-    D = 2 * n + nfree
-    rows = np.zeros((S, len(edges), D))
+    base = 2 * n - 4  # column of th_k is base + k
+    rows = np.zeros((len(edges), 2 * n + max(0, graph.m - 3), S))
+    xis = {}
+    images = {}
 
-    def theta_of(k):
-        """Angle array of boundary point k (1-based), or scalar if pinned."""
-        if k <= 3 or nfree == 0:
-            return boundary_angles[k - 1]
-        return th_free[:, k - 4]
+    def xi(k):
+        """Boundary point k (1-based): a scalar when pinned, else an (S,) array."""
+        if k not in xis:
+            xis[k] = np.exp(1j * (th_free[:, k - 4] if k > 3 else boundary_angles[k - 1]))
+        return xis[k]
+
+    def image(v, k):
+        """(P, dP/dp, dP/dth_k or None) for interior point v with xi_k at infinity."""
+        if (v, k) not in images:
+            x = xi(k)
+            pv = p[:, v - 1]
+            inv = 1.0 / (x - pv)
+            T = 2j * x * inv * inv
+            images[v, k] = (1j * (x + pv) * inv, T, -1j * pv * T if k > 3 else None)
+        return images[v, k]
 
     for row, (v, w) in enumerate(edges):
-        pv = p[:, v - 1]
+        out = rows[row]
         cv = 2 * (v - 1)
         for k, alpha in enumerate(edge_alphas[row], start=1):
             if alpha == 0.0:
                 continue
-            xi = np.exp(1j * np.asarray(theta_of(k)))
-            P = _cayley(pv, xi)
-            tpv = 2j * xi / (xi - pv) ** 2
-            k_free = k > 3
-            if k_free:
-                dP = 2 * pv * xi / (xi - pv) ** 2
+            P, T, dP = image(v, k)
             if w <= n:
                 # interior target
-                pw = p[:, w - 1]
-                Q = _cayley(pw, xi)
-                tqw = 2j * xi / (xi - pw) ** 2
-                s1 = P - Q
-                s2 = P - np.conj(Q)
-                c = tpv * (1.0 / s1 + 1.0 / s2)
-                rows[:, row, cv] += alpha * c.imag
-                rows[:, row, cv + 1] += alpha * c.real
+                Q, U, dQ = image(w, k)
+                r1 = 1.0 / (P - Q)
+                r2 = 1.0 / (P - np.conj(Q))
+                c = alpha * T * (r1 + r2)
+                out[cv] += c.imag
+                out[cv + 1] += c.real
+                A = U * r1
+                B = np.conj(U) * r2
                 cw = 2 * (w - 1)
-                rows[:, row, cw] += alpha * ((-tqw / s1).imag + (-np.conj(tqw) / s2).imag)
-                rows[:, row, cw + 1] += alpha * ((-1j * tqw / s1).imag + (1j * np.conj(tqw) / s2).imag)
-                if k_free:
-                    dQ = 2 * pw * xi / (xi - pw) ** 2
-                    rows[:, row, 2 * n + (k - 4)] += alpha * (
-                        ((dP - dQ) / s1).imag + ((dP - np.conj(dQ)) / s2).imag
-                    )
+                out[cw] -= alpha * (A + B).imag
+                out[cw + 1] += alpha * (B - A).real
+                if dP is not None:
+                    out[base + k] += alpha * ((dP - dQ) * r1 + (dP - np.conj(dQ)) * r2).imag
             else:
                 j = w - n
                 if j == k:
                     continue  # angle to the reference point itself: zero form
-                xij = np.exp(1j * np.asarray(theta_of(j)))
-                Qj = (_cayley(xij, xi)).real
-                s = P - Qj
-                rows[:, row, cv] += alpha * 2 * (tpv / s).imag
-                rows[:, row, cv + 1] += alpha * 2 * (tpv / s).real
-                if j > 3 and nfree:
-                    dQj = (2j * xi / (xi - xij) ** 2 * 1j * xij).real
-                    rows[:, row, 2 * n + (j - 4)] += alpha * 2 * (-dQj / s).imag
-                if k_free:
-                    dQk = (2 * xij * xi / (xi - xij) ** 2).real
-                    rows[:, row, 2 * n + (k - 4)] += alpha * 2 * ((dP - dQk) / s).imag
-    return rows
+                xj, xk = xi(j), xi(k)
+                inv = 1.0 / (xk - xj)
+                r = 1.0 / (P - (1j * (xk + xj) * inv).real)
+                c = 2 * alpha * T * r
+                out[cv] += c.imag
+                out[cv + 1] += c.real
+                # dQ/dth_j = -dQ/dth_k = -2 Re(xi_j xi_k / (xi_k - xi_j)^2)
+                dQk = (2 * xj * xk * inv * inv).real
+                if j > 3:
+                    out[base + j] += 2 * alpha * dQk * r.imag
+                if k > 3:
+                    out[base + k] += 2 * alpha * ((dP - dQk) * r).imag
+    return rows.transpose(2, 0, 1)
 
 
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
+    """(sum, sum of squares, rejected) of one chunk's determinants.
+
+    ctx supplies boundary_angles (at least three); rows and determinants
+    are built BLOCK samples at a time."""
     n = graph.n
-    m = graph.m
-    nfree = max(0, m - 3)
+    nfree = max(0, graph.m - 3)
+    angles = ctx.boundary_angles
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     u = rng.random((size, n))
     v = rng.random((size, n))
     p = np.sqrt(u) * np.exp(1j * TWO_PI * v)
-    th_free = None
-    if nfree:
-        arc0 = ctx.boundary_angles[2]
-        arc1 = ctx.boundary_angles[0] + TWO_PI
-        th_free = arc0 + (arc1 - arc0) * np.sort(rng.random((size, nfree)), axis=1)
+    arc0, arc1 = angles[2], angles[0] + TWO_PI
+    th_free = arc0 + (arc1 - arc0) * np.sort(rng.random((size, nfree)), axis=1)
 
     reject = np.zeros(size, dtype=bool)
     for i in range(n):
         for jj in range(i + 1, n):
             reject |= np.abs(p[:, i] - p[:, jj]) < MIN_DIST
-    pinned = [np.exp(1j * t) for t in ctx.boundary_angles[: min(m, 3)]]
+    pinned = [np.exp(1j * t) for t in angles[:3]]
     for i in range(n):
         for xi in pinned:
             reject |= np.abs(p[:, i] - xi) < MIN_DIST
         if nfree:
             reject |= np.min(np.abs(p[:, i, None] - np.exp(1j * th_free)), axis=1) < MIN_DIST
 
-    rows = _disk_rows(graph, ctx.boundary_angles, edge_alphas, p, th_free)
-    dets = np.linalg.det(rows)
-    bad = ~np.isfinite(dets)
-    reject |= bad
-    dets = np.where(reject, 0.0, dets)
+    dets = np.empty(size)
+    vanishing = True
+    for lo in range(0, size, BLOCK):
+        block = slice(lo, lo + BLOCK)
+        rows = _disk_rows(graph, angles, edge_alphas, p[block], th_free[block])
+        dets[block] = d = np.linalg.det(rows)
+        if vanishing:
+            hadamard = np.prod(np.sqrt(np.sum(rows * rows, axis=2)), axis=1)
+            vanishing = not np.any(np.abs(d) > ZERO_RATIO * hadamard)
+    reject |= ~np.isfinite(dets)
     rej = int(np.count_nonzero(reject))
+    if vanishing:
+        return 0.0, 0.0, rej
+    dets = np.where(reject, 0.0, dets)
     return float(np.sum(dets)), float(np.sum(dets * dets)), rej
 
 
-def _reduce_chunks(worker, plan, threads):
+def _sample(graph, ctx, edge_alphas, norm, alphas, samples, seed, threads):
+    """WeightEntry from all chunks, reduced in chunk order."""
+    if threads is None:
+        threads = default_threads()
+    plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(-(-samples // CHUNK))]
+    worker = lambda c, size: _disk_chunk(graph, ctx, edge_alphas, seed, c, size)
     if threads <= 1:
         results = [worker(c, size) for c, size in plan]
     else:
@@ -289,24 +315,19 @@ def _reduce_chunks(worker, plan, threads):
         s1 += a
         s2 += b
         rej += r
-    return s1, s2, rej
-
-
-def _finalize(graph_key, alphas, norm, s1, s2, samples, seed, rejected):
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     if samples > 1:
         var *= samples / (samples - 1)
-    std_error = norm * math.sqrt(var / samples)
     return WeightEntry(
-        graph_key=graph_key,
+        graph_key=graph.canonical_key(),
         alphas=tuple(alphas),
         value=norm * mean,
-        std_error=std_error,
+        std_error=norm * math.sqrt(var / samples),
         samples=samples,
         seed=seed,
         exact=None,
-        rejected=rejected,
+        rejected=rej,
     )
 
 
@@ -322,8 +343,6 @@ def compute_weight(graph: AdmissibleGraph, ctx: AngleContext, samples: int, seed
         raise ValueError("context boundary count %d != graph %d" % (ctx.m, graph.m))
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if threads is None:
-        threads = default_threads()
     if graph.m == 2:
         if edge_alphas is not None:
             raise ValueError("edge_alphas is only supported on the disk route (m >= 3)")
@@ -343,57 +362,7 @@ def compute_weight(graph: AdmissibleGraph, ctx: AngleContext, samples: int, seed
     if nfree > 0:
         arc = ctx.boundary_angles[0] + TWO_PI - ctx.boundary_angles[2]
         norm *= arc ** nfree / math.factorial(nfree)
-
-    plan = _chunk_plan(samples)
-    worker = lambda c, size: _disk_chunk(graph, ctx, edge_alphas, seed, c, size)
-    s1, s2, rej = _reduce_chunks(worker, plan, threads)
-    return _finalize(graph.canonical_key(), ctx.alphas, norm, s1, s2, samples, seed, rej)
-
-
-# -- half-plane sampler (m = 2 cross-check route) ------------------------------
-
-def _halfplane_chunk(graph, seed, chunk_index, size):
-    n = graph.n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    u = rng.random((size, n))
-    v = rng.random((size, n))
-    w = np.sqrt(u) * np.exp(1j * TWO_PI * v)
-    z = 1j * (1 + w) / (1 - w)  # disk -> upper half-plane, area factor |dz/dw|^2
-    jac = np.prod(4.0 / np.abs(1 - w) ** 4, axis=1)
-
-    reject = np.zeros(size, dtype=bool)
-    for i in range(n):
-        for jj in range(i + 1, n):
-            reject |= np.abs(z[:, i] - z[:, jj]) < MIN_DIST
-        reject |= np.abs(z[:, i] - 0.0) < MIN_DIST
-        reject |= np.abs(z[:, i] - 1.0) < MIN_DIST
-        reject |= z[:, i].imag < MIN_DIST
-
-    edges = graph.edges()
-    rows = np.zeros((size, len(edges), 2 * n))
-    for row, (vv, ww) in enumerate(edges):
-        pv = z[:, vv - 1]
-        cv = 2 * (vv - 1)
-        if ww <= n:
-            q = z[:, ww - 1]
-            s1 = pv - q
-            s2 = pv - np.conj(q)
-            c = 1.0 / s1 + 1.0 / s2
-            rows[:, row, cv] += c.imag
-            rows[:, row, cv + 1] += c.real
-            cw = 2 * (ww - 1)
-            rows[:, row, cw] += (-1.0 / s1).imag + (-1.0 / s2).imag
-            rows[:, row, cw + 1] += (-1j / s1).imag + (1j / s2).imag
-        else:
-            q = 0.0 if ww == n + 1 else 1.0
-            s = pv - q
-            rows[:, row, cv] += 2 * (1.0 / s).imag
-            rows[:, row, cv + 1] += 2 * (1.0 / s).real
-    dets = np.linalg.det(rows) * jac
-    bad = ~np.isfinite(dets)
-    reject |= bad
-    dets = np.where(reject, 0.0, dets)
-    return float(np.sum(dets)), float(np.sum(dets * dets)), int(np.count_nonzero(reject))
+    return _sample(graph, ctx, edge_alphas, norm, ctx.alphas, samples, seed, threads)
 
 
 def halfplane_weight(graph: AdmissibleGraph, samples: int, seed: int,
@@ -405,13 +374,11 @@ def halfplane_weight(graph: AdmissibleGraph, samples: int, seed: int,
         raise ValueError("halfplane_weight needs m == 2")
     if graph.edge_count != 2 * graph.n:
         raise ValueError("graph has %d edges; the half-plane slice needs %d" % (graph.edge_count, 2 * graph.n))
-    if threads is None:
-        threads = default_threads()
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
-    plan = _chunk_plan(samples)
-    worker = lambda c, size: _halfplane_chunk(graph, seed, c, size)
-    s1, s2, rej = _reduce_chunks(worker, plan, threads)
-    return _finalize(graph.canonical_key(), (), norm, s1, s2, samples, seed, rej)
+    edge_alphas = [_HALFPLANE.alphas] * graph.edge_count
+    return _sample(graph, _HALFPLANE, edge_alphas, norm, (), samples, seed, threads)
 
 
 def mixed_edge_integral(graph: AdmissibleGraph, ctx: AngleContext, replacement: AngleContext,

@@ -187,6 +187,20 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("weights", "compute", "--n", "1", "--m", "2"),
+    ("weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,0,1"),
+    ("check", "alpha", "--pi", "so3", "--alpha", "0,0,1", "--alpha2", "1,0,0"),
+])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("seed", [(), ("--seed", "1")])
+def test_nonpositive_samples_exit_2(capsys, argv, samples, seed):
+    code, out, err = run(capsys, *argv, "--samples", samples, *seed)
+    assert code == 2
+    assert "--samples must be at least 1" in err
+    assert out == ""
+
+
 def test_report_is_deterministic(capsys, monkeypatch):
     argv = ["weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,0,1",
             "--samples", "65536", "--seed", "12", "--format", "json"]

@@ -1,9 +1,11 @@
 """Monte Carlo graph weights: anchors, symmetries, determinism, tables."""
 
+import cmath
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from starcycle import (
@@ -12,9 +14,13 @@ from starcycle import (
     WeightEntry,
     WeightTable,
     compute_weight,
+    default_threads,
     halfplane_weight,
     mixed_edge_integral,
+    star_graphs,
 )
+from starcycle.angles import harmonic_angle_halfplane, to_halfplane, wrap_angle
+from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows
 
 CTX = AngleContext.standard((0.0, 0.0, 1.0))
 
@@ -186,3 +192,140 @@ def test_chunked_seeding_is_sample_count_stable():
     big = compute_weight(g, CTX, 2 * 65536, 123)
     assert small.value != big.value
     assert small.samples == 65536 and big.samples == 2 * 65536
+
+
+def test_default_threads_is_one_unless_set(monkeypatch):
+    monkeypatch.delenv("STARCYCLE_THREADS", raising=False)
+    assert default_threads() == 1
+    for bad in ("0", "-3", "four", "2.5"):
+        monkeypatch.setenv("STARCYCLE_THREADS", bad)
+        assert default_threads() == 1
+    monkeypatch.setenv("STARCYCLE_THREADS", "3")
+    assert default_threads() == 3
+
+
+def test_nonpositive_samples_rejected():
+    g = AdmissibleGraph.from_key("1;2;b1,b2")
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            halfplane_weight(g, samples, 1)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            compute_weight(g.add_boundary_vertex(), CTX, samples, 1)
+
+
+def test_tail_chunk_and_block_are_thread_count_stable():
+    # one full chunk, then a tail chunk shorter than one sub-block
+    samples = CHUNK + 1000
+    g = AdmissibleGraph.from_key("2;2;b1,2|b2,1")
+    routes = (lambda t: compute_weight(g.add_boundary_vertex(), CTX, samples, 8, threads=t),
+              lambda t: halfplane_weight(g, samples, 8, threads=t))
+    for run in routes:
+        one, two = run(1), run(2)
+        assert one.samples == samples
+        assert json.dumps(one.to_json()) == json.dumps(two.to_json())
+
+
+# Each vertex aims at the other and at the same boundary point: the wedge
+# of the four edge forms vanishes at every configuration.
+POINTWISE_VANISHING = {
+    "2;2;2,b1|1,b1", "2;2;2,b1|b1,1", "2;2;b1,2|1,b1", "2;2;b1,2|b1,1",
+    "2;2;2,b2|1,b2", "2;2;2,b2|b2,1", "2;2;b2,2|1,b2", "2;2;b2,2|b2,1",
+}
+
+
+def test_pointwise_vanishing_graphs_are_exactly_zero():
+    graphs = star_graphs(2, 2)
+    assert POINTWISE_VANISHING <= {g.canonical_key() for g in graphs}
+    for k, g in enumerate(graphs):
+        for w in (compute_weight(g.add_boundary_vertex(), CTX, 4096, k),
+                  halfplane_weight(g, 4096, k)):
+            if g.canonical_key() in POINTWISE_VANISHING:
+                assert (w.value, w.std_error) == (0.0, 0.0)
+            else:
+                assert w.std_error > 0.0
+
+
+# -- the row kernel against finite differences of the closed-form angle -------
+
+def _disk_edge_angles(graph, angles, edge_alphas, coords):
+    """Angle of every edge, sum_k alpha_k arg((P-Q)(P-conj Q)) with P, Q the
+    images under the map sending xi_k to infinity.  coords holds x_1, y_1,
+    .., x_n, y_n and then the free boundary angles th_4, .., th_m."""
+    n = graph.n
+    theta = list(angles[:3]) + list(coords[2 * n:])
+    points = [complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)]
+    out = []
+    for (v, w), alphas in zip(graph.edges(), edge_alphas):
+        total = 0.0
+        for k, a in enumerate(alphas, start=1):
+            if a == 0.0 or w == n + k:
+                continue
+            q = points[w - 1] if w <= n else cmath.exp(1j * theta[w - n - 1])
+            P = to_halfplane(points[v - 1], theta[k - 1])
+            Q = to_halfplane(q, theta[k - 1])
+            total += a * cmath.phase((P - Q) * (P - Q.conjugate()))
+        out.append(total)
+    return out
+
+
+def _halfplane_edge_angles(graph, coords):
+    """The half-plane slice's plain harmonic angle, with the interior
+    points given in disk coordinates w and mapped by i(1+w)/(1-w)."""
+    n = graph.n
+    z = [1j * (1 + w) / (1 - w) for w in (complex(coords[2 * i], coords[2 * i + 1]) for i in range(n))]
+    return [harmonic_angle_halfplane(z[v - 1], z[w - 1] if w <= n else (0j if w == n + 1 else 1 + 0j))
+            for v, w in graph.edges()]
+
+
+def _fd_rows(angle_fn, coords, step=1e-6):
+    cols = []
+    for i in range(len(coords)):
+        hi, lo = list(coords), list(coords)
+        hi[i] += step
+        lo[i] -= step
+        cols.append([wrap_angle(a - b) / (2 * step) for a, b in zip(angle_fn(hi), angle_fn(lo))])
+    return np.array(cols).T
+
+
+def _kernel_rows(graph, angles, edge_alphas, coords):
+    n = graph.n
+    p = np.array([[complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)]])
+    th_free = np.array([coords[2 * n:]], dtype=float)
+    return _disk_rows(graph, angles, edge_alphas, p, th_free)[0]
+
+
+CONFIGS = ((0.31 - 0.22j, -0.45 + 0.38j), (0.05 + 0.61j, 0.52 - 0.47j), (-0.7 - 0.1j, 0.2 + 0.15j))
+
+
+@pytest.mark.parametrize("key, angles, alphas, th_free", [
+    # interior and pinned boundary targets, the sampler's default weighting
+    ("2;3;b1,2|b2,1", (0.0, 2.0, 4.0), (0.0, 0.0, 1.0), ()),
+    # every reference point in play, including one that is also a target
+    ("2;3;b3,2|b2,1", (0.3, 2.0, 4.5), (0.4, -0.7, 1.3), ()),
+    # m = 4: the free boundary angle th_4 as reference point and as target
+    ("2;4;b4,2|b2,1", (0.0, 1.5, 3.0, 4.5), (0.5, 0.0, 0.25, 1.0), (4.4,)),
+    ("2;4;2,b4|b1,b4", (0.0, 1.5, 3.0, 4.5), (0.2, 0.3, 0.0, -0.8), (5.1,)),
+])
+def test_kernel_rows_match_finite_differences(key, angles, alphas, th_free):
+    g = AdmissibleGraph.from_key(key)
+    edge_alphas = [alphas] * g.edge_count
+    for points in CONFIGS:
+        coords = [c for z in points for c in (z.real, z.imag)] + list(th_free)
+        rows = _kernel_rows(g, angles, edge_alphas, coords)
+        fd = _fd_rows(lambda c: _disk_edge_angles(g, angles, edge_alphas, c), coords)
+        assert rows.shape == fd.shape == (g.edge_count, len(coords))
+        assert np.allclose(rows, fd, rtol=1e-6, atol=1e-6)
+        assert np.any(rows[:, 2 * g.n:] != 0.0) == bool(th_free)
+
+
+def test_halfplane_gauge_rows_match_finite_differences():
+    # rows in disk coordinates for the half-plane slice: the disk kernel at
+    # boundary angles (pi, 3pi/2, 0), weight on the point sent to infinity
+    for key in ("2;2;b1,2|b2,1", "2;2;2,b2|b1,b2"):
+        g = AdmissibleGraph.from_key(key)
+        edge_alphas = [_HALFPLANE.alphas] * g.edge_count
+        for points in CONFIGS:
+            coords = [c for z in points for c in (z.real, z.imag)]
+            rows = _kernel_rows(g, _HALFPLANE.boundary_angles, edge_alphas, coords)
+            fd = _fd_rows(lambda c: _halfplane_edge_angles(g, c), coords)
+            assert np.allclose(rows, fd, rtol=1e-6, atol=1e-6)
