@@ -157,15 +157,11 @@ def _text_summary(report: dict):
             yield "  [pi,pi]_{%s} = %s" % (key, text)
     elif cmd == "check divergence":
         yield "  div(pi) = %s" % (result["divergence"] or "0")
-    elif cmd in ("check cyclic", "check closed"):
-        field = "cyclic" if cmd == "check cyclic" else "closed"
+    elif cmd in ("check cyclic", "check closed", "check assoc"):
+        field = result["check"]
         for row in result["orders"]:
             status = "ok" if row[field] else "residual: %s" % row["residual"]
             yield "  order %d: %s" % (row["order"], status)
-    elif cmd == "check assoc":
-        yield "  trials: %d, failures: %d" % (result["trials"], len(result["failures"]))
-        for f in result["failures"][:5]:
-            yield "    trial %d order %d: %s" % (f["trial"], f["order"], f["residual"])
     elif cmd == "check alpha":
         yield "  divergence-free: %s" % result["divergence_free"]
         for row in result["coefficients"]:
@@ -285,10 +281,10 @@ def _cmd_check(args):
     elif args.which == "assoc":
         table, table_meta = _load_table(args.table)
         inputs["table"] = table_meta
-        options.update({"order": args.order, "trials": args.trials, "seed": args.seed})
+        options["order"] = args.order
         try:
             s = assemble_star(pi, table, args.order)
-            result = check_associative(s, trials=args.trials, seed=args.seed)
+            result = check_associative(s)
         except ValueError as e:
             raise InputError(str(e))
         passed = result["passed"]
@@ -377,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=2)
             p.add_argument("--table", help="weight table JSON (default: bundled exact table)")
         if which == "assoc":
-            p.add_argument("--trials", type=int, default=20)
-            p.add_argument("--seed", type=int, default=0)
+            ignored = "ignored: associativity is checked as an exact operator identity"
+            p.add_argument("--trials", type=int, default=20, help=ignored)
+            p.add_argument("--seed", type=int, default=0, help=ignored)
         if which == "alpha":
             p.add_argument("--order", type=int, default=1)
             p.add_argument("--alpha", required=True)

@@ -224,8 +224,8 @@ def test_criterion_5_associativity():
     neg = check_associative(assemble_star(moyal(), bad, order=2),
                             trials=5, seed=0)
     ok = ok and not neg["passed"]
-    report(5, ok, "exact associativity through second order on 20 triples "
-           "(both structures); corrupted weight fails")
+    report(5, ok, "associativity through second order as an exact operator "
+           "identity (both structures); corrupted weight fails")
 
 
 def test_criterion_6_cyclicity():

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, text output, canonical JSON reports."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -95,6 +96,26 @@ def test_check_assoc(capsys):
                        "--trials", "5", "--seed", "3")
     assert code == 0
     assert "check assoc: PASS" in out
+    assert "  order 0: ok\n  order 1: ok\n  order 2: ok\n" in out
+
+
+def test_check_assoc_corrupted_table_reports_residual(capsys, tmp_path):
+    table = json.loads((resources.files("starcycle") / "data/weights_exact.json").read_text())
+    for entry in table["entries"]:
+        if entry["graph"] == "2;3;b1,b2|b1,b2":
+            entry["exact"], entry["value"] = "0/1", 0.0
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps(table))
+    code, out, _ = run(capsys, "check", "assoc", "--pi", "moyal", "--table", str(path))
+    assert code == 1
+    assert "check assoc: FAIL\n  order 0: ok\n  order 1: ok\n  order 2: residual: (" in out
+    code, out, _ = run(capsys, "check", "assoc", "--pi", "moyal", "--table", str(path),
+                       "--format", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["check"] == "associative" and not result["passed"]
+    assert [o["associative"] for o in result["orders"]] == [True, True, False]
+    assert result["orders"][2]["residual"] and result["orders"][1]["residual"] is None
 
 
 def test_check_alpha(capsys):

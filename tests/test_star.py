@@ -25,6 +25,7 @@ from starcycle import (
     star_apply,
     star_graphs,
 )
+from starcycle.star import assoc_defect
 
 P = Polynomial
 D = PolyDiffOperator
@@ -180,12 +181,69 @@ def test_assemble_star_validation():
         assemble_star(moyal(), TABLE, order=-1)
 
 
+def casimir(c):
+    """pi^{ij} = eps^{ijk} d_k C on R^3: Poisson and divergence-free for any C."""
+    d1, d2, d3 = (c.derive(tuple(int(a == k) for a in range(3))) for k in range(3))
+    return PolyVector(3, 1, {(1, 2): d3, (1, 3): -d2, (2, 3): d1})
+
+
+def x(dim, i):
+    return P.variable(dim, i)
+
+
+# the derive script's d = 2, 3, 4 structures, a Casimir structure with
+# quadratic coefficients and a planar one that is not divergence-free
+ASSOC_STRUCTURES = {
+    "lin2": PolyVector(2, 1, {(1, 2): x(2, 1)}),
+    "quad3": PolyVector(3, 1, {(1, 2): x(3, 3) * x(3, 3)}),
+    "mix3": PolyVector(3, 1, {(1, 2): x(3, 3), (2, 3): x(3, 3) * x(3, 3)}),
+    "pi4": PolyVector(4, 1, {(1, 2): x(4, 2), (3, 4): P.one(4)}),
+    "casimir3": casimir(P.parse("37*x1^2*x2 - 52*x2^2*x3 + 81*x3^2*x1", 3)),
+    "planar2": PolyVector(2, 1, {(1, 2): P.parse(
+        "23 - 41*x1 + 17*x2 + 66*x1^2 - 29*x1*x2 + 58*x2^2", 2)}),
+}
+
+
+def assoc_rows(rep):
+    return [(o["order"], o["associative"], o["residual"]) for o in rep["orders"]]
+
+
 def test_check_associative_passes():
     for pi, seed in ((moyal(), 0), (so3(), 1)):
         s = assemble_star(pi, TABLE, order=2)
         rep = check_associative(s, trials=20, seed=seed)
-        assert rep["passed"] and rep["failures"] == []
-        assert rep["trials"] == 20
+        assert rep["passed"]
+        assert assoc_rows(rep) == [(0, True, None), (1, True, None), (2, True, None)]
+        assert rep["order"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_STRUCTURES))
+def test_check_associative_exact_on_poisson_structures(name):
+    s = assemble_star(ASSOC_STRUCTURES[name], TABLE, order=2)
+    rep = check_associative(s)
+    assert rep["check"] == "associative" and rep["passed"]
+    assert assoc_rows(rep) == [(0, True, None), (1, True, None), (2, True, None)]
+
+
+def test_check_associative_ignores_trials_and_seed():
+    s = assemble_star(so3(), corrupted_table("2;2;b1,2|b1,b2"), order=2)
+    assert check_associative(s, trials=1, seed=9) == check_associative(s)
+
+
+def test_assoc_defect_is_the_operator_identity():
+    # the defect is trilinear and, applied to a triple, gives the
+    # order-n coefficient of (f*g)*h - f*(g*h)
+    s = assemble_star(so3(), corrupted_table("2;2;b1,2|b1,b2"), order=2)
+    f, g, h = P.parse("x1^2*x3 + 2*x2", 3), P.parse("x2*x3 - x1", 3), P.parse("x3^2 + x1*x2", 3)
+    for n in range(3):
+        direct = P.zero(3)
+        for k in range(n + 1):
+            bk, bl = s.levels[k], s.levels[n - k]
+            direct = direct + bk.apply((bl.apply((f, g)), h)) - bk.apply((f, bl.apply((g, h))))
+        defect = assoc_defect(s, n)
+        assert defect.arity == 3
+        assert defect.apply((f, g, h)) == direct
+    assert not assoc_defect(s, 2).apply((f, g, h)).is_zero()
 
 
 def test_check_associative_corrupted_table_fails():
@@ -199,6 +257,10 @@ def test_check_associative_corrupted_table_fails():
     badB = corrupted_table("2;2;b1,2|b1,b2")
     repB = check_associative(assemble_star(so3(), badB, order=2), trials=5, seed=0)
     assert not repB["passed"]
+    for rep in (repA, repB):
+        assert assoc_rows(rep)[:2] == [(0, True, None), (1, True, None)]
+        assert rep["orders"][2]["associative"] is False
+        assert rep["orders"][2]["residual"] is not None
     repM = check_associative(assemble_star(moyal(), badB, order=2), trials=5, seed=0)
     assert repM["passed"]
 
