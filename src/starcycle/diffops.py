@@ -56,6 +56,16 @@ def _splits(a, parts):
             yield (first,) + rest
 
 
+def _accumulate(terms, key, c):
+    """terms[key] += c in place, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 def _multinomial(a, split):
     """Multinomial coefficient for a = sum(split), componentwise."""
     total = 1
@@ -142,12 +152,7 @@ class PolyDiffOperator:
             raise ValueError("dim/arity mismatch in operator sum")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, c)
         return PolyDiffOperator(self.dim, self.arity, out)
 
     def __neg__(self):
@@ -201,20 +206,12 @@ class PolyDiffOperator:
         work = dict(self.terms)
         done = {}
 
-        def merge(d, key, c):
-            s = d.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                d.pop(key, None)
-            else:
-                d[key] = s
-
         while work:
             key = min(work)
             c = work.pop(key)
             i1 = key[0]
             if sum(i1) == 0:
-                merge(done, key[1:], c)
+                _accumulate(done, key[1:], c)
                 continue
             a = next(ax for ax in range(self.dim) if i1[ax] > 0)
             i1m = list(i1)
@@ -222,11 +219,11 @@ class PolyDiffOperator:
             i1m = tuple(i1m)
             nc = -(c.partial(a + 1) + c * rho.partial(a + 1))
             if not nc.is_zero():
-                merge(work, (i1m,) + key[1:], nc)
+                _accumulate(work, (i1m,) + key[1:], nc)
             for j in range(1, len(key)):
                 ij = list(key[j])
                 ij[a] += 1
-                merge(work, (i1m,) + key[1:j] + (tuple(ij),) + key[j + 1:], -c)
+                _accumulate(work, (i1m,) + key[1:j] + (tuple(ij),) + key[j + 1:], -c)
         return PolyDiffOperator(self.dim, self.arity - 1, done)
 
     def extended_by_slot(self) -> "PolyDiffOperator":
@@ -262,24 +259,16 @@ class PolyDiffOperator:
         z = _mi_zero(self.dim)
         out = {}
 
-        def merge(key, c):
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
         end_sign = -1 if (k + 1) % 2 else 1
         for key, c in self.terms.items():
-            merge((z,) + key, c)
-            merge(key + (z,), end_sign * c)
+            _accumulate(out, (z,) + key, c)
+            _accumulate(out, key + (z,), end_sign * c)
             for i in range(k):
                 sign = -1 if (i + 1) % 2 else 1
                 I = key[i]
                 for J in _mi_below(I):
                     b = _mi_binom(I, J)
-                    merge(key[:i] + (J, _mi_sub(I, J)) + key[i + 1:], (sign * b) * c)
+                    _accumulate(out, key[:i] + (J, _mi_sub(I, J)) + key[i + 1:], (sign * b) * c)
         return PolyDiffOperator(self.dim, k + 1, out)
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
@@ -290,14 +279,6 @@ class PolyDiffOperator:
             raise ValueError("slot out of range")
         k2 = other.arity
         out = {}
-
-        def merge(key, c):
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
 
         for key1, c1 in self.terms.items():
             I = key1[slot - 1]
@@ -312,7 +293,7 @@ class PolyDiffOperator:
                     if dc2.is_zero():
                         continue
                     mid = tuple(_mi_add(j, s) for j, s in zip(key2, split[1:]))
-                    merge(pre + mid + post, (mult * c1) * dc2)
+                    _accumulate(out, pre + mid + post, (mult * c1) * dc2)
         return PolyDiffOperator(self.dim, self.arity + k2 - 1, out)
 
     def circ(self, other: "PolyDiffOperator") -> "PolyDiffOperator":

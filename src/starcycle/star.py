@@ -18,7 +18,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .diffops import PolyDiffOperator
+from .diffops import PolyDiffOperator, _accumulate
 from .graphs import AdmissibleGraph, star_graphs
 from .poly import Polynomial
 from .polyvector import PolyVector, VolumeForm
@@ -178,11 +178,14 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
     A trilinear operator; the product is associative at order n exactly
     when it is zero.
     """
-    total = PolyDiffOperator.zero(s.pi.dim, 3)
+    terms = {}
     for k in range(n + 1):
         bk, bl = s.levels[k], s.levels[n - k]
-        total = total + bk.insert(bl, 1) - bk.insert(bl, 2)
-    return total
+        for key, c in bk.insert(bl, 1).terms.items():
+            _accumulate(terms, key, c)
+        for key, c in bk.insert(bl, 2).terms.items():
+            _accumulate(terms, key, -c)
+    return PolyDiffOperator(s.pi.dim, 3, terms)
 
 
 def check_associative(s: StarProduct, trials: int = 20, seed: int = 0) -> dict:

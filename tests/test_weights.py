@@ -20,7 +20,8 @@ from starcycle import (
     star_graphs,
 )
 from starcycle.angles import harmonic_angle_halfplane, to_halfplane, wrap_angle
-from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows
+from starcycle import weights
+from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
 
 CTX = AngleContext.standard((0.0, 0.0, 1.0))
 
@@ -291,7 +292,7 @@ def _kernel_rows(graph, angles, edge_alphas, coords):
     n = graph.n
     p = np.array([[complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)]])
     th_free = np.array([coords[2 * n:]], dtype=float)
-    return _disk_rows(graph, angles, edge_alphas, p, th_free)[0]
+    return _disk_rows(graph, angles, edge_alphas, p, th_free)[:, :, 0]
 
 
 CONFIGS = ((0.31 - 0.22j, -0.45 + 0.38j), (0.05 + 0.61j, 0.52 - 0.47j), (-0.7 - 0.1j, 0.2 + 0.15j))
@@ -329,3 +330,68 @@ def test_halfplane_gauge_rows_match_finite_differences():
             rows = _kernel_rows(g, _HALFPLANE.boundary_angles, edge_alphas, coords)
             fd = _fd_rows(lambda c: _halfplane_edge_angles(g, c), coords)
             assert np.allclose(rows, fd, rtol=1e-6, atol=1e-6)
+
+
+# -- the determinant against LAPACK ------------------------------------------
+
+def _lapack_det(a):
+    return np.linalg.det(a.transpose(2, 0, 1))
+
+
+def _hadamard(a):
+    return np.prod(np.sqrt(np.sum(a * a, axis=1)), axis=0)
+
+
+def _stacks(D, S=512, seed=0):
+    """(name, (D, D, S) stack): dense, with structural zero entries as in the
+    kernel (each edge row touches only its endpoints' columns), and with a
+    repeated row."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, D)))
+    dense = rng.standard_normal((D, D, S)) * rng.uniform(0.1, 10.0, (D, 1, S))
+    point = np.arange(D) // 2  # columns x_v, y_v of point v; an odd last one is th_4
+    ends = rng.integers(0, (D + 1) // 2, (D, 2, 1))
+    keep = np.any(point == ends, axis=1)
+    yield "dense", dense
+    yield "sparse", np.where(keep[:, :, None], dense, 0.0)
+    if D >= 2:
+        singular = dense.copy()
+        singular[D - 1] = singular[rng.integers(0, D - 1)]
+        yield "repeated row", singular
+
+
+@pytest.mark.parametrize("D", range(7))
+def test_laplace_det_matches_lapack(D):
+    for name, a in _stacks(D):
+        det = _laplace_det(a)
+        assert det.shape == (a.shape[2],), name
+        bound = 1e-14 * _hadamard(a)
+        assert np.all(np.abs(det - _lapack_det(a)) <= bound), name
+        if name == "repeated row":
+            assert np.all(np.abs(det) <= bound)
+
+
+@pytest.mark.parametrize("D", (2, 4, 6))
+def test_laplace_det_nonfinite_entry_marks_only_its_sample(D):
+    a = next(_stacks(D, S=8))[1]
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(D):
+            for j in range(D):
+                b = a.copy()
+                b[i, j, 3] = bad
+                with np.errstate(invalid="ignore"):
+                    det = _laplace_det(b)
+                assert list(np.flatnonzero(~np.isfinite(det))) == [3]
+
+
+def test_order_three_weight_matches_lapack_determinants(monkeypatch):
+    # n = 3, m = 3: 6x6 Jacobians; two sub-blocks and a second, short chunk
+    g = AdmissibleGraph.from_key("3;3;2,b1|3,b2|1,b3")
+    ctx = AngleContext.standard((0.3, -0.5, 1.2))
+    samples = CHUNK + 5000
+    new = compute_weight(g, ctx, samples, 17)
+    monkeypatch.setattr(weights, "_laplace_det", _lapack_det)
+    ref = compute_weight(g, ctx, samples, 17)
+    assert new.rejected == ref.rejected
+    assert ref.std_error > 0.0
+    assert abs(new.value - ref.value) <= 1e-12 * abs(ref.value)
+    assert abs(new.std_error - ref.std_error) <= 1e-12 * ref.std_error
