@@ -30,7 +30,6 @@ from .star import (
     check_closed,
     check_cyclic,
     graph_to_operator,
-    star_apply,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "halfplane_weight",
     "key_lemma_residual",
     "mixed_edge_integral",
-    "star_apply",
     "star_graphs",
     "top_edge_count",
     "__version__",

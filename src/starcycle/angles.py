@@ -1,11 +1,15 @@
 """Harmonic angle functions on the hyperbolic disk.
 
 geodesic_angle(p, q, xi) is the angle at p between the hyperbolic
-geodesic to q and the one running to the boundary point xi.  It is
-computed by mapping the disk to the upper half-plane with xi at
-infinity, where the angle has the closed form arg((P-Q)(P-conj(Q))).
-Everything is defined modulo 2*pi; gradients are exact complex-analytic
-expressions, with central finite differences available as a cross-check.
+geodesic to q and the one running to the boundary point xi.  The Cayley
+map T(z) = i(xi+z)/(xi-z) sends the disk to the upper half-plane and xi
+to infinity; there the angle is arg((P-Q)(P-conj Q)) of the images
+(Kontsevich, q-alg/9709040, section 2).  That chart and the angle's
+derivatives are written once, in cayley and angle_form; the scalar API
+here and the sampler's row kernel (weights._disk_rows) both call them,
+with Python complex numbers and numpy arrays respectively.  Everything
+is defined modulo 2*pi; central finite differences are available as a
+cross-check of the gradients.
 """
 
 from __future__ import annotations
@@ -26,54 +30,70 @@ def wrap_angle(x: float) -> float:
     return y - math.pi
 
 
-def to_halfplane(z: complex, xi_angle: float) -> complex:
-    """Cayley-type map T(z) = i(xi+z)/(xi-z) sending the disk to the upper
-    half-plane and the boundary point xi = exp(i xi_angle) to infinity."""
-    xi = cmath.exp(1j * xi_angle)
-    return 1j * (xi + z) / (xi - z)
+def cayley(z, xi):
+    """(T(z), T'(z)) for the Cayley map T(z) = i(xi+z)/(xi-z), which sends
+    the unit disk to the upper half-plane and the boundary point xi to
+    infinity.  As xi = exp(i theta) moves, T(z) moves at -i z T'(z)."""
+    inv = 1.0 / (xi - z)
+    return 1j * (xi + z) * inv, 2j * xi * inv * inv
 
 
-def halfplane_map_derivative(z: complex, xi_angle: float) -> complex:
-    """dT/dz = 2i xi / (xi - z)^2."""
-    xi = cmath.exp(1j * xi_angle)
-    return 2j * xi / (xi - z) ** 2
+def harmonic_angle_halfplane(p: complex, q: complex) -> float:
+    """arg((p-q)(p-conj(q))) for p in the open upper half-plane, in
+    [0, 2*pi); q may lie on the real axis (a boundary target)."""
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    if p.imag <= 0:
+        raise ValueError("p must lie in the open upper half-plane")
+    return cmath.phase((p - q) * (p - q.conjugate())) % TWO_PI
 
 
-def _check_interior(z: complex, name: str):
-    if abs(z) >= 1.0:
-        raise ValueError("%s must lie strictly inside the unit disk" % name)
+def angle_form(alpha, P, T, Q, U, dP=None, dQ=None):
+    """Derivatives of alpha * arg((P-Q)(P-conj Q)), the angle of an edge
+    p -> q in the chart that sends its reference point to infinity.
+
+    P is the image of p and T its chart derivative, so P moves by T and
+    iT as p moves along x and y.  Q is the image of q; q moves it by U
+    and iU, or U is None when q is not a coordinate.  A real Q (a
+    boundary target) is its own conjugate and takes one division.  dP and
+    dQ are the images' motion as the reference point moves, or None when
+    it is pinned.  Returns (d/dx_p, d/dy_p, d/dx_q, d/dy_q, d/dxi), each
+    None when its motion is.
+    """
+    r1 = 1.0 / (P - Q)
+    r2 = r1 if isinstance(Q, float) else 1.0 / (P - Q.conjugate())
+    c = alpha * T * (r1 + r2)
+    g_qx = g_qy = g_xi = None
+    if U is not None:
+        A = U * r1
+        B = U.conjugate() * r2
+        g_qx = -alpha * (A + B).imag
+        g_qy = alpha * (B - A).real
+    if dP is not None:
+        g_xi = alpha * ((dP - dQ) * r1 + (dP - dQ.conjugate()) * r2).imag
+    return c.imag, c.real, g_qx, g_qy, g_xi
+
+
+def _check_pair(p: complex, q: complex):
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    for z, name in ((p, "p"), (q, "q")):
+        if abs(z) >= 1.0:
+            raise ValueError("%s must lie strictly inside the unit disk" % name)
 
 
 def geodesic_angle(p: complex, q: complex, xi_angle: float) -> float:
     """Harmonic angle phi_xi(p, q), returned in [0, 2*pi)."""
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    _check_interior(p, "p")
-    _check_interior(q, "q")
-    P = to_halfplane(p, xi_angle)
-    Q = to_halfplane(q, xi_angle)
-    val = cmath.phase(P - Q) + cmath.phase(P - Q.conjugate())
-    return val % TWO_PI
+    _check_pair(p, q)
+    xi = cmath.exp(1j * xi_angle)
+    return harmonic_angle_halfplane(cayley(p, xi)[0], cayley(q, xi)[0])
 
 
 def geodesic_angle_gradient(p: complex, q: complex, xi_angle: float):
     """(d/dx_p, d/dy_p, d/dx_q, d/dy_q) of the harmonic angle."""
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    _check_interior(p, "p")
-    _check_interior(q, "q")
-    P = to_halfplane(p, xi_angle)
-    Q = to_halfplane(q, xi_angle)
-    tp = halfplane_map_derivative(p, xi_angle)
-    tq = halfplane_map_derivative(q, xi_angle)
-    s1 = P - Q
-    s2 = P - Q.conjugate()
-    both = tp * (1.0 / s1 + 1.0 / s2)
-    g_px = both.imag
-    g_py = both.real
-    g_qx = (-tq / s1).imag + (-tq.conjugate() / s2).imag
-    g_qy = (-1j * tq / s1).imag + (1j * tq.conjugate() / s2).imag
-    return (g_px, g_py, g_qx, g_qy)
+    _check_pair(p, q)
+    xi = cmath.exp(1j * xi_angle)
+    return angle_form(1.0, *cayley(p, xi), *cayley(q, xi))[:4]
 
 
 def geodesic_angle_gradient_fd(p: complex, q: complex, xi_angle: float, step: float = 1e-6):
@@ -146,8 +166,7 @@ def alpha_angle_gradient(ctx: AngleContext, p: complex, q: complex):
     return tuple(out)
 
 
-def key_lemma_residual(ctx: AngleContext, ctx2: AngleContext, p: complex, q_points,
-                       scheme: str = "analytic", step: float = 1e-6) -> float:
+def key_lemma_residual(ctx: AngleContext, ctx2: AngleContext, p: complex, q_points) -> float:
     """Max q-gradient norm of alpha_angle(ctx,p,q) - alpha_angle(ctx2,p,q).
 
     Near zero iff the difference is independent of q, which holds whenever
@@ -155,50 +174,8 @@ def key_lemma_residual(ctx: AngleContext, ctx2: AngleContext, p: complex, q_poin
     """
     if ctx.m != ctx2.m or ctx.boundary_angles != ctx2.boundary_angles:
         raise ValueError("contexts must share boundary data")
-    if scheme not in ("analytic", "fd"):
-        raise ValueError("scheme must be 'analytic' or 'fd'")
     q_points = list(q_points)
     if not q_points:
         raise ValueError("degenerate grid: no q points")
-    deltas = [a - b for a, b in zip(ctx.alphas, ctx2.alphas)]
-    worst = 0.0
-    for q in q_points:
-        gx = gy = 0.0
-        for d, t in zip(deltas, ctx.boundary_angles):
-            if d == 0.0:
-                continue
-            if scheme == "analytic":
-                _, _, qx, qy = geodesic_angle_gradient(p, q, t)
-            elif scheme == "fd":
-                qx = wrap_angle(geodesic_angle(p, q + step, t) - geodesic_angle(p, q - step, t)) / (2 * step)
-                qy = wrap_angle(geodesic_angle(p, q + 1j * step, t) - geodesic_angle(p, q - 1j * step, t)) / (2 * step)
-            else:
-                raise ValueError("scheme must be 'analytic' or 'fd'")
-            gx += d * qx
-            gy += d * qy
-        worst = max(worst, math.hypot(gx, gy))
-    return worst
-
-
-# -- upper half-plane forms (the m=2 cross-check route) ----------------------
-
-def harmonic_angle_halfplane(p: complex, q: complex) -> float:
-    """arg((p-q)(p-conj(q))) for p in the open upper half-plane; q may lie
-    on the real axis (a boundary target)."""
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    if p.imag <= 0:
-        raise ValueError("p must lie in the open upper half-plane")
-    return cmath.phase((p - q) * (p - q.conjugate())) % TWO_PI
-
-
-def harmonic_angle_halfplane_gradient(p: complex, q: complex):
-    """(d/dx_p, d/dy_p, d/dx_q, d/dy_q) of the half-plane harmonic angle."""
-    s1 = p - q
-    s2 = p - q.conjugate()
-    both = 1.0 / s1 + 1.0 / s2
-    g_px = both.imag
-    g_py = both.real
-    g_qx = (-1.0 / s1).imag + (-1.0 / s2).imag
-    g_qy = (-1j / s1).imag + (1j / s2).imag
-    return (g_px, g_py, g_qx, g_qy)
+    diff = AngleContext(tuple(a - b for a, b in zip(ctx.alphas, ctx2.alphas)), ctx.boundary_angles)
+    return max(math.hypot(*alpha_angle_gradient(diff, p, q)[2:]) for q in q_points)

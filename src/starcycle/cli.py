@@ -31,7 +31,6 @@ from .star import (
     check_associative,
     check_closed,
     check_cyclic,
-    star_apply,
 )
 from .weights import WeightTable, compute_weight
 
@@ -240,7 +239,7 @@ def _cmd_star_apply(args):
         s = assemble_star(pi, table, args.order)
     except ValueError as e:
         raise InputError(str(e))
-    levels = star_apply(s, f, g)
+    levels = s.apply(f, g)
     return {
         "command": "star apply",
         "inputs": {"pi": pi_meta, "table": table_meta},

@@ -118,6 +118,7 @@ class StarProduct:
         return self.weight_source.get("kind") == "exact"
 
     def apply(self, f: Polynomial, g: Polynomial):
+        """Coefficients of hbar^0..hbar^order of f * g."""
         if f.dim != self.pi.dim or g.dim != self.pi.dim:
             raise ValueError("argument dimension mismatch")
         return [level.apply((f, g)) for level in self.levels]
@@ -162,11 +163,6 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     return StarProduct(pi, order, levels, source)
 
 
-def star_apply(s: StarProduct, f: Polynomial, g: Polynomial):
-    """Coefficients of hbar^0..hbar^order of f * g."""
-    return s.apply(f, g)
-
-
 def _require_exact(s: StarProduct, what: str):
     if not s.is_exact:
         raise ValueError("%s needs an exact weight table (got Monte Carlo entries)" % what)
@@ -188,26 +184,30 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
     return PolyDiffOperator(s.pi.dim, 3, terms)
 
 
-def check_associative(s: StarProduct, trials: int = 20, seed: int = 0) -> dict:
+def _order_report(check: str, s: StarProduct, residuals) -> dict:
+    """Report of an exact per-order check from (n, residual operator)
+    pairs; order n passes when its residual is zero."""
+    orders = []
+    for n, residual in residuals:
+        ok = residual.is_zero()
+        orders.append({"order": n, check: ok,
+                       "residual": None if ok else residual.render()})
+    return {
+        "check": check,
+        "order": s.order,
+        "orders": orders,
+        "passed": all(o[check] for o in orders),
+    }
+
+
+def check_associative(s: StarProduct) -> dict:
     """(f*g)*h == f*(g*h) through hbar^order as an exact operator identity.
 
     Decided on the defect operator of each order, so it holds for every
-    triple of functions; `trials` and `seed` are accepted for callers of
-    the sampled check this replaced and do not change the result.
+    triple of functions.
     """
     _require_exact(s, "associativity check")
-    orders = []
-    for n in range(s.order + 1):
-        defect = assoc_defect(s, n)
-        ok = defect.is_zero()
-        orders.append({"order": n, "associative": ok,
-                       "residual": None if ok else defect.render()})
-    return {
-        "check": "associative",
-        "order": s.order,
-        "orders": orders,
-        "passed": all(o["associative"] for o in orders),
-    }
+    return _order_report("associative", s, ((n, assoc_defect(s, n)) for n in range(s.order + 1)))
 
 
 def check_cyclic(s: StarProduct, vol: VolumeForm) -> dict:
@@ -219,19 +219,8 @@ def check_cyclic(s: StarProduct, vol: VolumeForm) -> dict:
     _require_exact(s, "cyclicity check")
     if vol.dim != s.pi.dim:
         raise ValueError("volume form dimension mismatch")
-    orders = []
-    for n, level in enumerate(s.levels):
-        nf = level.extended_by_slot().ibp_normal_form(vol)
-        residual = nf - level
-        ok = residual.is_zero()
-        orders.append({"order": n, "cyclic": ok,
-                       "residual": None if ok else residual.render()})
-    return {
-        "check": "cyclic",
-        "order": s.order,
-        "orders": orders,
-        "passed": all(o["cyclic"] for o in orders),
-    }
+    return _order_report("cyclic", s, ((n, level.extended_by_slot().ibp_normal_form(vol) - level)
+                                       for n, level in enumerate(s.levels)))
 
 
 def check_closed(s: StarProduct, vol: VolumeForm) -> dict:
@@ -239,20 +228,8 @@ def check_closed(s: StarProduct, vol: VolumeForm) -> dict:
     _require_exact(s, "closedness check")
     if vol.dim != s.pi.dim:
         raise ValueError("volume form dimension mismatch")
-    orders = []
-    for n, level in enumerate(s.levels):
-        if n == 0:
-            continue
-        nf = level.ibp_normal_form(vol)
-        ok = nf.is_zero()
-        orders.append({"order": n, "closed": ok,
-                       "residual": None if ok else nf.render()})
-    return {
-        "check": "closed",
-        "order": s.order,
-        "orders": orders,
-        "passed": all(o["closed"] for o in orders),
-    }
+    return _order_report("closed", s, ((n, level.ibp_normal_form(vol))
+                                       for n, level in enumerate(s.levels) if n))
 
 
 def assemble_trilinear(pi: PolyVector, alphas, table: WeightTable, order: int) -> PolyDiffOperator:

@@ -50,7 +50,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .angles import TWO_PI, AngleContext
+from .angles import TWO_PI, AngleContext, angle_form, cayley
 from .graphs import AdmissibleGraph, top_edge_count
 
 CHUNK = 65536
@@ -197,8 +197,10 @@ def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
 
     Edge v -> w carries sum_k alpha_k arg((P-Q)(P-conj Q)), with P and Q
     the images of v and w under the Cayley map that sends xi_k to
-    infinity.  Each image and its derivatives are computed once per
-    (point, xi_k) and shared by every edge.
+    infinity.  The chart is angles.cayley and each term's derivatives are
+    angles.angle_form, the same code the scalar angle API runs.  Each
+    image and its derivatives are computed once per (vertex, xi_k) and
+    shared by every edge.
     """
     S = p.shape[0]
     n = graph.n
@@ -215,53 +217,42 @@ def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
         return xis[k]
 
     def image(v, k):
-        """(P, dP/dp, dP/dth_k or None) for interior point v with xi_k at infinity."""
+        """(Z, dZ, dZ_k) for vertex v with xi_k at infinity: the image Z, its
+        motion along v's own coordinate (x for an interior point, th_j for
+        a free boundary point, None for a pinned one) and its motion along
+        th_k (read only when k > 3), by the rule in angles.cayley."""
         if (v, k) not in images:
-            x = xi(k)
-            pv = p[:, v - 1]
-            inv = 1.0 / (x - pv)
-            T = 2j * x * inv * inv
-            images[v, k] = (1j * (x + pv) * inv, T, -1j * pv * T if k > 3 else None)
+            if v <= n:
+                z = p[:, v - 1]
+                Z, dZ = cayley(z, xi(k))
+                images[v, k] = (Z, dZ, -1j * z * dZ if k > 3 else None)
+            else:
+                # boundary point xi_j: Z is real and depends on th_k - th_j,
+                # so it moves along th_j opposite to its motion along th_k
+                j = v - n
+                Z, dZ = cayley(xi(j), xi(k))
+                dZ_k = -1j * xi(j) * dZ
+                images[v, k] = (Z.real, -dZ_k if j > 3 else None, dZ_k)
         return images[v, k]
 
     for row, (v, w) in enumerate(edges):
         out = rows[row]
         cv = 2 * (v - 1)
+        cw = 2 * (w - 1) if w <= n else base + w - n  # x_w, or th_j for w = b_j
         for k, alpha in enumerate(edge_alphas[row], start=1):
-            if alpha == 0.0:
-                continue
+            if alpha == 0.0 or w == n + k:
+                continue  # w == n + k: the angle to the reference point itself, a zero form
             P, T, dP = image(v, k)
-            if w <= n:
-                # interior target
-                Q, U, dQ = image(w, k)
-                r1 = 1.0 / (P - Q)
-                r2 = 1.0 / (P - np.conj(Q))
-                c = alpha * T * (r1 + r2)
-                out[cv] += c.imag
-                out[cv + 1] += c.real
-                A = U * r1
-                B = np.conj(U) * r2
-                cw = 2 * (w - 1)
-                out[cw] -= alpha * (A + B).imag
-                out[cw + 1] += alpha * (B - A).real
-                if dP is not None:
-                    out[base + k] += alpha * ((dP - dQ) * r1 + (dP - np.conj(dQ)) * r2).imag
-            else:
-                j = w - n
-                if j == k:
-                    continue  # angle to the reference point itself: zero form
-                xj, xk = xi(j), xi(k)
-                inv = 1.0 / (xk - xj)
-                r = 1.0 / (P - (1j * (xk + xj) * inv).real)
-                c = 2 * alpha * T * r
-                out[cv] += c.imag
-                out[cv + 1] += c.real
-                # dQ/dth_j = -dQ/dth_k = -2 Re(xi_j xi_k / (xi_k - xi_j)^2)
-                dQk = (2 * xj * xk * inv * inv).real
-                if j > 3:
-                    out[base + j] += 2 * alpha * dQk * r.imag
-                if k > 3:
-                    out[base + k] += 2 * alpha * ((dP - dQk) * r).imag
+            Q, U, dQ = image(w, k)
+            g_px, g_py, g_qx, g_qy, g_xi = angle_form(alpha, P, T, Q, U, dP, dQ)
+            out[cv] += g_px
+            out[cv + 1] += g_py
+            if U is not None:
+                out[cw] += g_qx
+                if w <= n:
+                    out[cw + 1] += g_qy
+            if g_xi is not None:
+                out[base + k] += g_xi
     return rows
 
 

@@ -25,7 +25,6 @@ from starcycle import (
     check_cyclic,
     compute_weight,
     key_lemma_residual,
-    star_apply,
     star_graphs,
 )
 
@@ -189,7 +188,7 @@ def test_criterion_4_second_order_weights():
     })
     pattern_ok = (s.levels[2] - b2).is_zero()
     x1, x2 = P.variable(2, 1), P.variable(2, 2)
-    h2 = star_apply(s, x1 * x1, x2 * x2)[2]
+    h2 = s.apply(x1 * x1, x2 * x2)[2]
     pattern_ok = pattern_ok and h2 == P.constant(2, Fraction(1, 2))
 
     ctx = AngleContext.standard((0.0, 0.0, 1.0))
@@ -213,16 +212,14 @@ def test_criterion_4_second_order_weights():
 
 def test_criterion_5_associativity():
     ok = True
-    for pi, seed in ((moyal(), 0), (so3(), 1)):
-        rep = check_associative(assemble_star(pi, TABLE, order=2),
-                                trials=20, seed=seed)
+    for pi in (moyal(), so3()):
+        rep = check_associative(assemble_star(pi, TABLE, order=2))
         ok = ok and rep["passed"]
     bad = WeightTable.from_json(TABLE.to_json())
     e = bad.lookup_star(AdmissibleGraph.from_key("2;2;b1,b2|b1,b2"))
     bad.add(WeightEntry(e.graph_key, e.alphas, 0.0, 0.0, 0, 0,
                         exact=Fraction(0)))
-    neg = check_associative(assemble_star(moyal(), bad, order=2),
-                            trials=5, seed=0)
+    neg = check_associative(assemble_star(moyal(), bad, order=2))
     ok = ok and not neg["passed"]
     report(5, ok, "associativity through second order as an exact operator "
            "identity (both structures); corrupted weight fails")
@@ -256,7 +253,7 @@ def test_criterion_7_closedness_and_unitality():
         s = assemble_star(pi, TABLE, order=2)
         one = P.one(pi.dim)
         f = P.parse("x1^2*x2 - 2*x1", pi.dim)
-        left, right = star_apply(s, one, f), star_apply(s, f, one)
+        left, right = s.apply(one, f), s.apply(f, one)
         ok = ok and left[0] == f and right[0] == f
         ok = ok and all(p.is_zero() for p in left[1:] + right[1:])
     report(7, ok, "closedness exact at orders 1-2 for both structures; "

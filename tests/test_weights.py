@@ -19,7 +19,7 @@ from starcycle import (
     mixed_edge_integral,
     star_graphs,
 )
-from starcycle.angles import harmonic_angle_halfplane, to_halfplane, wrap_angle
+from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
 from starcycle import weights
 from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
 
@@ -246,6 +246,35 @@ def test_pointwise_vanishing_graphs_are_exactly_zero():
                 assert w.std_error > 0.0
 
 
+# Sampled values pinned across commits: a change to the RNG draw order, the
+# seeding or the normalization shows here even when it is far below 3 sigma.
+# A change to the estimator itself updates these figures on purpose.
+# key: ((disk seed, value, std_error, rejected), (half-plane seed, ...))
+PINNED = {
+    "2;2;b1,2|b2,1": ((11, -0.051210325069900496, 0.005465524688034106, 0),
+                      (21, -0.03601975417013544, 0.005800068312942249, 0)),
+    "2;2;b1,b2|b1,b2": ((12, 0.25218109996407895, 0.001903685413312072, 0),
+                        (22, 0.24771735395963038, 0.0026934477979758445, 0)),
+    "2;2;2,b1|1,b1": ((13, 0.0, 0.0, 0), (23, 0.0, 0.0, 0)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_sampled_values_are_pinned(key):
+    g = AdmissibleGraph.from_key(key)
+    samples = CHUNK + 1000
+    (ds, *disk), (hs, *half) = PINNED[key]
+    runs = ((compute_weight(g.add_boundary_vertex(), CTX, samples, ds), disk),
+            (halfplane_weight(g, samples, hs), half))
+    for w, (value, std_error, rejected) in runs:
+        assert w.rejected == rejected
+        if key in POINTWISE_VANISHING:
+            assert (w.value, w.std_error) == (0.0, 0.0)
+        else:
+            assert abs(w.value - value) <= 1e-9 * std_error
+            assert abs(w.std_error - std_error) <= 1e-9 * std_error
+
+
 # -- the row kernel against finite differences of the closed-form angle -------
 
 def _disk_edge_angles(graph, angles, edge_alphas, coords):
@@ -262,8 +291,8 @@ def _disk_edge_angles(graph, angles, edge_alphas, coords):
             if a == 0.0 or w == n + k:
                 continue
             q = points[w - 1] if w <= n else cmath.exp(1j * theta[w - n - 1])
-            P = to_halfplane(points[v - 1], theta[k - 1])
-            Q = to_halfplane(q, theta[k - 1])
+            xi = cmath.exp(1j * theta[k - 1])
+            P, Q = cayley(points[v - 1], xi)[0], cayley(q, xi)[0]
             total += a * cmath.phase((P - Q) * (P - Q.conjugate()))
         out.append(total)
     return out
