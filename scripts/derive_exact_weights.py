@@ -1,114 +1,205 @@
-"""Regenerate the bundled exact weight table (orders 1 and 2).
+"""Regenerate the bundled exact weight table (orders 1 and 2) by an exact solve.
 
-Pipeline:
-  1. Monte Carlo every 2-boundary star graph at orders 1 and 2 (embedded at
-     m=3 under alpha=(0,0,1)), plus the four first-order 3-boundary graphs
-     with an edge into the weighted point (exact zeros), and snap each
-     estimate to the 1/24 grid, requiring a < 4 sigma pull and > 5 sigma
-     separation from the runner-up.
-  2. Check the structural symmetries the integral must satisfy exactly:
-     swapping the two slots of a vertex flips the sign (row swap in the
-     configuration determinant); relabeling internal vertices is invariant.
-  3. Validate the snapped table exactly over the rationals:
-       - B1 = (1/2) pi^{ij} d_i (x) d_j,
-       - Moyal B2 equals the 1/8 Moyal pattern,
-       - order-2 associativity holds as an operator identity for Poisson
-         structures in d = 2, 3, 4,
-       - B2(1, g) = B2(f, 1) = 0,
-       - B1 and B2 are cyclic for divergence-free structures with constant
-         volume.
-  4. Show each weight class is pinned: shifting the 1/24 class preserves
-     associativity but breaks cyclicity (it is a Hochschild coboundary
-     direction, fixed here by the measured integrals and the cyclicity
-     theorem); shifting any other class breaks associativity or the Moyal
-     pattern.
+Nothing is sampled.  Each weight of star_graphs(n, 2) is an unknown over
+Q.  Given the levels below n, each identity below is affine in the order-n
+unknowns, and each of its coefficients (slot multi-indices, monomial) on
+each test structure is one equation:
+  - symmetry: swapping a vertex's two slots negates the weight, and
+    swapping two internal labels keeps it;
+  - order 1: B1 = (1/2) pi^{ij} d_i (x) d_j;
+  - order n >= 2: the order-n associativity defect is zero;
+  - cyclicity: the level is cyclic for the divergence-free structures
+    with constant volume.
+Each order is solved by Fraction Gauss-Jordan elimination.  The script
+prints the equations, the rank and the weights, and the rank without the
+cyclicity rows: at order 2 associativity leaves one direction (the +-1/24
+graphs) free, and cyclicity pins it.  An inconsistent system or a free
+direction exits nonzero and writes nothing.  The four first-order
+3-boundary graphs with an edge into b3 are exact zeros: under
+alpha = (0, 0, 1) that edge's angle form vanishes.  Last, the table is
+re-validated through assemble_star and the package checks.  Its Monte
+Carlo cross-check against the harmonic-angle integrals is acceptance
+criterion 4 (tests/test_acceptance.py).
 
-Run from the repository root:
+Run from the repository root (the default output is the bundled table):
 
-    python3 scripts/derive_exact_weights.py [--samples N] [--threads T] [--out PATH]
-
-The default output path is the bundled data file.
+    python3 scripts/derive_exact_weights.py [--out PATH]
 """
 
 import argparse
 import os
 import sys
-import time
+from collections import Counter
 from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from starcycle.angles import AngleContext
 from starcycle.diffops import PolyDiffOperator
-from starcycle.graphs import star_graphs
+from starcycle.graphs import AdmissibleGraph, star_graphs
 from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
-from starcycle.star import assemble_star, assoc_defect, check_cyclic
-from starcycle.weights import WeightEntry, WeightTable, compute_weight, default_threads
+from starcycle.star import (StarProduct, _level_prefactor, assemble_star, assoc_defect,
+                            check_cyclic, graph_to_operator)
+from starcycle.weights import WeightEntry, WeightTable
 
 ALPHAS = (0.0, 0.0, 1.0)
+ORDERS = (1, 2)
+
+_x = Polynomial.variable
+STRUCTURES = {
+    "so3": PolyVector(3, 1, {(1, 2): _x(3, 3), (2, 3): _x(3, 1), (1, 3): -_x(3, 2)}),
+    "moyal": PolyVector(2, 1, {(1, 2): Polynomial.one(2)}),
+    "lin2": PolyVector(2, 1, {(1, 2): _x(2, 1)}),
+    "quad3": PolyVector(3, 1, {(1, 2): _x(3, 3) * _x(3, 3)}),
+    "mix3": PolyVector(3, 1, {(1, 2): _x(3, 3), (2, 3): _x(3, 3) * _x(3, 3)}),
+    "pi4": PolyVector(4, 1, {(1, 2): _x(4, 2), (3, 4): Polynomial.one(4)}),
+}
+# divergence-free for the constant volume
+CYCLIC = ("so3", "moyal", "quad3")
 
 
-def snap(value, sigma):
-    """Nearest multiple of 1/24 in [-1/2, 1/2] plus pull/separation in sigma."""
-    cands = sorted((Fraction(p, 24) for p in range(-12, 13)),
-                   key=lambda c: abs(value - float(c)))
-    sig = max(sigma, 1e-12)
-    pull = abs(value - float(cands[0])) / sig
-    gap = abs(value - float(cands[1])) / sig
-    return cands[0], pull, gap
+def table_key(g):
+    return g.add_boundary_vertex().canonical_key()
 
 
-def slot_swapped(stars, v):
-    s = [list(t) for t in stars]
-    s[v] = s[v][::-1]
-    return tuple(tuple(t) for t in s)
+def b1_pattern(pi):
+    """(1/2) pi^{ij} d_i (x) d_j."""
+    dims = range(1, pi.dim + 1)
+    e = [tuple(int(a == i) for a in dims) for i in dims]
+    return PolyDiffOperator(pi.dim, 2, {(e[i - 1], e[j - 1]): pi.coefficient((i, j)) * Fraction(1, 2)
+                                        for i in dims for j in dims})
 
 
-def vertex_relabeled(stars):
-    ren = {1: 2, 2: 1, 3: 3, 4: 4}
-    return (tuple(ren[t] for t in stars[1]), tuple(ren[t] for t in stars[0]))
+def symmetry_rows(graphs):
+    """x_G + x_G' = 0 for G' = G with one vertex's slots swapped, and
+    x_G - x_G' = 0 for G' = G with internal labels k, k+1 swapped."""
+    rows = []
+    for g in graphs:
+        for v in range(g.n):
+            stars = list(g.stars)
+            stars[v] = stars[v][::-1]
+            rows.append(("symmetry", {g: 1, AdmissibleGraph(g.n, g.m, stars): 1}))
+        for k in range(1, g.n):
+            ren = {k: k + 1, k + 1: k}
+            stars = [tuple(ren.get(t, t) for t in star) for star in g.stars]
+            stars[k - 1], stars[k] = stars[k], stars[k - 1]
+            h = AdmissibleGraph(g.n, g.m, stars)
+            if h != g:
+                rows.append(("symmetry", {g: 1, h: -1}))
+    return rows
 
 
-def measure(samples, threads):
-    """MC-estimate and snap all order-1 and order-2 weights.
+def coefficient_rows(kind, known, ops):
+    """One row per coefficient of known + sum_G x_G ops[G]; a row maps
+    each graph to its coefficient and None to the constant."""
+    cells = {}
+    for g, op in [(None, known), *ops.items()]:
+        for key, poly in op.terms.items():
+            for exps, c in poly.terms.items():
+                cells.setdefault((key, exps), {})[g] = c
+    return [(kind, row) for row in cells.values()]
 
-    The integrand's second moment is heavy-tailed near point collisions,
-    so a sweep occasionally draws an outlier batch with an inflated error
-    bar.  When the snap gates fail, the graph is re-measured with four
-    times the samples under a derived seed (deterministic escalation, not
-    seed shopping); two escalations failing aborts the run.
+
+def equations(n, lower):
+    """Rows of the order-n system, and each structure's per-graph level
+    operators.  lower[name] holds the solved levels B_0..B_{n-1}."""
+    graphs = star_graphs(n, 2)
+    rows = symmetry_rows(graphs)
+    units = {}
+    for name, pi in STRUCTURES.items():
+        zero = PolyDiffOperator.zero(pi.dim, 2)
+        units[name] = u = {g: graph_to_operator(g, [pi] * n) * _level_prefactor(n) for g in graphs}
+        if n == 1:
+            rows += coefficient_rows("B1", -b1_pattern(pi), u)
+        else:
+            blank = lower[name][:1] + [zero] * (n - 1)
+            rows += coefficient_rows(
+                "associativity",
+                assoc_defect(StarProduct(pi, n, lower[name] + [zero], {}), n),
+                {g: assoc_defect(StarProduct(pi, n, blank + [op], {}), n) for g, op in u.items()})
+        if name in CYCLIC:
+            vol = VolumeForm.constant(pi.dim)
+            rows += coefficient_rows("cyclicity", zero, {
+                g: op.extended_by_slot().ibp_normal_form(vol) - op for g, op in u.items()})
+    return rows, units
+
+
+def solve(rows, unknowns):
+    """Gauss-Jordan elimination over Q of the rows sum_G row[G] x_G + row[None] = 0.
+
+    Returns (rank, consistent, values, null): values puts the free graphs
+    at 0, and null maps each free graph to the homogeneous solution that
+    is 1 on it and 0 on the other free graphs.
     """
-    ctx = AngleContext.standard(ALPHAS)
-    # native 3-boundary graphs with an edge into the weighted point are
-    # also swept: their angle form vanishes identically, so they round to
-    # zero from an exactly-zero estimate; storing them makes first-order
-    # trilinear assembly at alpha=(0,0,1) fully table-driven
-    groups = [(1, star_graphs(1, 2)), (2, star_graphs(2, 2)),
-              (3, [g for g in star_graphs(1, 3) if any(4 in s for s in g.stars)])]
-    snapped = {}
-    for n, group in groups:
-        for k, g in enumerate(group):
-            size, seed = samples, 90_000 + 100 * n + k
-            for attempt in range(3):
-                e = compute_weight(g.add_boundary_vertex() if g.m == 2 else g,
-                                   ctx, samples=size, seed=seed, threads=threads)
-                w, pull, gap = snap(e.value, e.std_error)
-                note = "" if attempt == 0 else "  [escalated x%d]" % (4 ** attempt)
-                print("  %-22s %+.6f +- %.6f  -> %8s  (%.2f sigma, runner-up %.1f sigma)%s"
-                      % (g.canonical_key(), e.value, e.std_error, str(w), pull, gap, note))
-                if pull < 4.0 and gap > 5.0:
-                    break
-                size, seed = size * 4, seed + 50
-            else:
-                raise SystemExit("estimate for %s failed the snap gates" % g.canonical_key())
-            snapped[g] = w
-    return snapped
+    col = {g: j for j, g in enumerate(unknowns)}
+    width = len(unknowns)
+    pivots = {}
+    consistent = True
+    for _, row in rows:
+        r = [Fraction(0)] * (width + 1)
+        for g, c in row.items():
+            r[width if g is None else col[g]] += c
+        for j, p in pivots.items():
+            if r[j]:
+                f = r[j]
+                r = [a - f * b for a, b in zip(r, p)]
+        lead = next((j for j in range(width) if r[j]), None)
+        if lead is None:
+            consistent = consistent and not r[width]
+            continue
+        r = [a / r[lead] for a in r]
+        for j, p in pivots.items():
+            if p[lead]:
+                f = p[lead]
+                pivots[j] = [a - f * b for a, b in zip(p, r)]
+        pivots[lead] = r
+    values = {g: -pivots[j][width] if j in pivots else Fraction(0) for g, j in col.items()}
+    null = {g: {h: Fraction(j == f) if j not in pivots else -pivots[j][f]
+                for h, j in col.items()}
+            for g, f in col.items() if f not in pivots}
+    return len(pivots), consistent, values, null
 
 
-def build_table(snapped):
+def derive():
+    """Solve each order in turn; returns {2-boundary graph: Fraction}."""
+    print("structures: %s; cyclicity on %s (constant volume)"
+          % (", ".join(STRUCTURES), ", ".join(CYCLIC)))
+    lower = {name: [PolyDiffOperator.multiplication(pi.dim)] for name, pi in STRUCTURES.items()}
+    weights = {}
+    for n in ORDERS:
+        graphs = star_graphs(n, 2)
+        rows, units = equations(n, lower)
+        rank, consistent, values, null = solve(rows, graphs)
+        kinds = Counter(kind for kind, _ in rows)
+        print("order %d: %d unknowns, %d equations (%s), rank %d"
+              % (n, len(graphs), len(rows), ", ".join("%s %d" % kv for kv in kinds.items()), rank))
+        bare = solve([r for r in rows if r[0] != "cyclicity"], graphs)
+        print("  without cyclicity: rank %d" % bare[0])
+        for free, vec in bare[3].items():
+            print("    free direction at %s: %s" % (table_key(free), ", ".join(
+                "%s %s" % (table_key(g), c) for g, c in vec.items() if c)))
+        if not consistent:
+            raise SystemExit("order %d: the system is inconsistent" % n)
+        if null:
+            raise SystemExit("order %d: rank %d of %d, free graphs: %s"
+                             % (n, rank, len(graphs), ", ".join(map(table_key, null))))
+        for g in graphs:
+            print("  %-22s %s" % (table_key(g), values[g]))
+        weights.update(values)
+        for name, pi in STRUCTURES.items():
+            lower[name].append(sum((op * values[g] for g, op in units[name].items()),
+                                   PolyDiffOperator.zero(pi.dim, 2)))
+    return weights
+
+
+def build_table(weights):
+    """Exact entries under alpha = (0, 0, 1): each 2-boundary graph by its
+    3-boundary embedding, plus the first-order graphs with an edge into b3,
+    whose angle form vanishes identically under these alphas (the
+    w == n + k rule in weights._disk_rows)."""
+    zeros = [g for g in star_graphs(1, 3) if any(t == 4 for t in g.stars[0])]
     table = WeightTable()
-    for g, w in snapped.items():
+    for g, w in [*weights.items(), *((g, Fraction(0)) for g in zeros)]:
         g3 = g.add_boundary_vertex() if g.m == 2 else g
         table.add(WeightEntry(graph_key=g3.canonical_key(), alphas=ALPHAS,
                               value=float(w), std_error=0.0, samples=0, seed=0,
@@ -116,74 +207,23 @@ def build_table(snapped):
     return table
 
 
-def check_symmetries(snapped):
-    by_stars = {tuple(g.stars): w for g, w in snapped.items() if g.n == 2}
-    for stars, w in by_stars.items():
-        for v in (0, 1):
-            assert by_stars[slot_swapped(stars, v)] == -w, ("slot swap", stars, v)
-        assert by_stars[vertex_relabeled(stars)] == w, ("vertex relabel", stars)
-    ones = {tuple(g.stars): w for g, w in snapped.items() if g.n == 1}
-    assert ones[((2, 3),)] == -ones[((3, 2),)]
-    assert all(w == 0 for s, w in ones.items() if 4 in s[0])
-    print("slot-swap antisymmetry and vertex-relabel invariance: OK")
-
-
-def unit_defects(b):
-    dim = b.dim
-    z = tuple([0] * dim)
-    left, right = {}, {}
-    for (i1, i2), c in b.terms.items():
-        if i1 == z:
-            left[(i2,)] = left.get((i2,), Polynomial.zero(dim)) + c
-        if i2 == z:
-            right[(i1,)] = right.get((i1,), Polynomial.zero(dim)) + c
-    return PolyDiffOperator(dim, 1, left), PolyDiffOperator(dim, 1, right)
-
-
-def moyal_b2_pattern():
-    c = Fraction(1, 8)
-    return PolyDiffOperator(2, 2, {
-        ((2, 0), (0, 2)): Polynomial.constant(2, c),
-        ((1, 1), (1, 1)): Polynomial.constant(2, -2 * c),
-        ((0, 2), (2, 0)): Polynomial.constant(2, c),
-    })
-
-
 def validate(table):
-    x = lambda d, i: Polynomial.variable(d, i)
-    so3 = PolyVector(3, 1, {(1, 2): x(3, 3), (2, 3): x(3, 1), (1, 3): -x(3, 2)})
-    moyal = PolyVector(2, 1, {(1, 2): Polynomial.one(2)})
-    lin2 = PolyVector(2, 1, {(1, 2): x(2, 1)})
-    quad3 = PolyVector(3, 1, {(1, 2): x(3, 3) * x(3, 3)})
-    mix3 = PolyVector(3, 1, {(1, 2): x(3, 3), (2, 3): x(3, 3) * x(3, 3)})
-    pi4 = PolyVector(4, 1, {(1, 2): x(4, 2), (3, 4): Polynomial.one(4)})
-
     stars = {}
-    for name, pi in [("so3", so3), ("moyal", moyal), ("lin2", lin2),
-                     ("quad3", quad3), ("mix3", mix3), ("pi4", pi4)]:
+    for name, pi in STRUCTURES.items():
         s = assemble_star(pi, table, 2)
         stars[name] = s
-        b1 = s.levels[1]
-        dim = pi.dim
-        want = {}
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                c = pi.coefficient((i, j)) * Fraction(1, 2)
-                if c.is_zero():
-                    continue
-                ei = tuple(int(a == i - 1) for a in range(dim))
-                ej = tuple(int(a == j - 1) for a in range(dim))
-                want[(ei, ej)] = want.get((ei, ej), Polynomial.zero(dim)) + c
-        assert b1 == PolyDiffOperator(dim, 2, want), name
+        assert s.levels[1] == b1_pattern(pi), name
         assert assoc_defect(s, 2).is_zero(), name
-        ul, ur = unit_defects(s.levels[2])
-        assert ul.is_zero() and ur.is_zero(), name
+        # unitality, B2(1, g) = B2(f, 1) = 0: no term leaves a slot underived
+        assert all((0,) * pi.dim not in key for key in s.levels[2].terms), name
         print("B1 pattern, order-2 associativity, unitality for %s: OK" % name)
 
-    assert stars["moyal"].levels[2] == moyal_b2_pattern()
+    eighth = Fraction(1, 8)
+    assert stars["moyal"].levels[2] == PolyDiffOperator(2, 2, {
+        ((2, 0), (0, 2)): eighth, ((1, 1), (1, 1)): -2 * eighth, ((0, 2), (2, 0)): eighth})
     print("Moyal B2 == 1/8 pattern: OK")
 
-    for name in ("so3", "moyal", "quad3"):
+    for name in CYCLIC:
         s = stars[name]
         vol = VolumeForm.constant(s.pi.dim)
         assert s.pi.divergence(vol).is_zero(), name
@@ -193,66 +233,14 @@ def validate(table):
     return stars
 
 
-def check_pinning(table, stars):
-    """Shift each weight class off the table and watch a check break."""
-    def shifted_table(pred, delta):
-        out = WeightTable()
-        for e in table.entries.values():
-            w = e.exact
-            if pred(w):
-                w = w + (delta if w >= 0 else -delta)
-            out.add(WeightEntry(e.graph_key, e.alphas, float(w), 0.0, 0, 0, w))
-        return out
-
-    so3 = stars["so3"].pi
-    moyal = stars["moyal"].pi
-    vol3 = VolumeForm.constant(3)
-
-    t = shifted_table(lambda w: abs(w) == Fraction(1, 24), Fraction(1, 24))
-    s = assemble_star(so3, t, 2)
-    assert assoc_defect(s, 2).is_zero()
-    assert not check_cyclic(s, vol3)["passed"]
-    print("1/24 class: coboundary direction, pinned by the integrals + cyclicity: OK")
-
-    t = shifted_table(lambda w: abs(w) == Fraction(1, 12), Fraction(1, 12))
-    s = assemble_star(so3, t, 2)
-    assert not assoc_defect(s, 2).is_zero()
-    print("1/12 class: pinned by associativity: OK")
-
-    # shift a single zero-weight order-2 graph (its slot-swap partners stay zero)
-    zero_key = sorted(e.graph_key for e in table.entries.values()
-                      if e.exact == 0 and e.graph_key.startswith("2;"))[0]
-    t = WeightTable()
-    for e in table.entries.values():
-        w = e.exact + Fraction(1, 24) if e.graph_key == zero_key else e.exact
-        t.add(WeightEntry(e.graph_key, e.alphas, float(w), 0.0, 0, 0, w))
-    s = assemble_star(so3, t, 2)
-    assert not assoc_defect(s, 2).is_zero()
-    print("zero class: pinned by associativity (integrand vanishes pointwise): OK")
-
-    t = shifted_table(lambda w: abs(w) == Fraction(1, 4), Fraction(1, 4))
-    s = assemble_star(moyal, t, 2)
-    assert s.levels[2] != moyal_b2_pattern()
-    print("1/4 class: pinned by the Moyal pattern: OK")
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--samples", type=int, default=1 << 21)
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default=os.path.join(os.path.dirname(__file__), "..",
                                                   "src", "starcycle", "data",
                                                   "weights_exact.json"))
-    args = ap.parse_args()
-    threads = args.threads if args.threads is not None else default_threads()
-
-    t0 = time.time()
-    snapped = measure(args.samples, threads)
-    print("Monte Carlo sweep: %.1fs" % (time.time() - t0))
-    check_symmetries(snapped)
-    table = build_table(snapped)
-    stars = validate(table)
-    check_pinning(table, stars)
+    args = ap.parse_args(argv)
+    table = build_table(derive())
+    validate(table)
     table.save(args.out)
     print("wrote %s (%d exact entries, sha256 %s)"
           % (args.out, len(table.entries), table.fingerprint()))

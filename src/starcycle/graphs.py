@@ -12,6 +12,19 @@ from __future__ import annotations
 import itertools
 
 
+def _decode_stars(n, m, stars):
+    """Target names to vertex numbers: "k" is internal vertex k in 1..n,
+    "bK" is boundary vertex n+K for K in 1..m."""
+    def decode(name):
+        name = str(name)
+        boundary = name.startswith("b")
+        k = int(name[1:] if boundary else name)
+        if not 1 <= k <= (m if boundary else n):
+            raise ValueError("target %r out of range for n=%d, m=%d" % (name, n, m))
+        return n + k if boundary else k
+    return [tuple(decode(name) for name in star) for star in stars]
+
+
 class AdmissibleGraph:
     __slots__ = ("n", "m", "stars")
 
@@ -65,19 +78,8 @@ class AdmissibleGraph:
         if len(parts) != 3:
             raise ValueError("bad graph key %r" % key)
         n, m = int(parts[0]), int(parts[1])
-        stars = []
-        if parts[2]:
-            for chunk in parts[2].split("|"):
-                star = []
-                for name in chunk.split(","):
-                    if not name:
-                        continue
-                    if name.startswith("b"):
-                        star.append(n + int(name[1:]))
-                    else:
-                        star.append(int(name))
-                stars.append(tuple(star))
-        return cls(n, m, stars)
+        chunks = parts[2].split("|") if parts[2] else []
+        return cls(n, m, _decode_stars(n, m, ([t for t in c.split(",") if t] for c in chunks)))
 
     def to_json(self) -> dict:
         return {
@@ -89,17 +91,7 @@ class AdmissibleGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "AdmissibleGraph":
         n, m = int(obj["n"]), int(obj["m"])
-        stars = []
-        for star in obj.get("stars", []):
-            decoded = []
-            for name in star:
-                name = str(name)
-                if name.startswith("b"):
-                    decoded.append(n + int(name[1:]))
-                else:
-                    decoded.append(int(name))
-            stars.append(tuple(decoded))
-        return cls(n, m, stars)
+        return cls(n, m, _decode_stars(n, m, obj.get("stars", [])))
 
     def add_boundary_vertex(self) -> "AdmissibleGraph":
         """Append an unused boundary vertex; existing target codes survive."""

@@ -101,3 +101,20 @@ def test_enumerate_validation():
         enumerate_graphs(0, 2, 0)     # 2n + m must be at least 3
     assert enumerate_graphs(1, 2, -1) == []
     assert enumerate_graphs(1, 2, 99) == []
+
+
+@pytest.mark.parametrize("key", ["2;2;3,b2|1,b1", "2;2;b0,b1|1,b1", "3;3;b-1,b1|1,b1|1,2"])
+def test_out_of_range_target_names_are_rejected(key):
+    # internal names must lie in 1..n and boundary names in b1..bm
+    with pytest.raises(ValueError):
+        AdmissibleGraph.from_key(key)
+    n, m, body = key.split(";")
+    obj = {"n": int(n), "m": int(m), "stars": [chunk.split(",") for chunk in body.split("|")]}
+    with pytest.raises(ValueError):
+        AdmissibleGraph.from_json(obj)
+
+
+def test_every_star_graph_key_round_trips():
+    for g in star_graphs(2, 3):
+        assert AdmissibleGraph.from_key(g.canonical_key()) == g
+        assert AdmissibleGraph.from_json(g.to_json()) == g
