@@ -10,10 +10,13 @@ each test structure is one equation:
   - order n >= 2: the order-n associativity defect is zero;
   - cyclicity: the level is cyclic for the divergence-free structures
     with constant volume.
-Each order is solved by Fraction Gauss-Jordan elimination.  The script
-prints the equations, the rank and the weights, and the rank without the
-cyclicity rows: at order 2 associativity leaves one direction (the +-1/24
-graphs) free, and cyclicity pins it.  An inconsistent system or a free
+Each identity is linear in U_Gamma, and U_Gamma = sign U_rep on an orbit
+of graphs.star_orbits, so it is computed once per orbit and each graph's
+column is sign times its representative's.  Each order is solved by
+Fraction Gauss-Jordan elimination.  The script prints the equations, the
+rank and the weights, and the rank without the cyclicity rows: at order 2
+associativity leaves one direction (the +-1/24 graphs) free, and
+cyclicity pins it.  An inconsistent system or a free
 direction exits nonzero and writes nothing.  The four first-order
 3-boundary graphs with an edge into b3 are exact zeros: under
 alpha = (0, 0, 1) that edge's angle form vanishes.  Last, the table is
@@ -35,7 +38,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from starcycle.diffops import PolyDiffOperator
-from starcycle.graphs import AdmissibleGraph, star_graphs
+from starcycle.graphs import AdmissibleGraph, star_graphs, star_orbits
 from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
 from starcycle.star import (StarProduct, _level_prefactor, assemble_star, assoc_defect,
@@ -100,27 +103,40 @@ def coefficient_rows(kind, known, ops):
     return [(kind, row) for row in cells.values()]
 
 
+def per_graph(orbits, by_rep):
+    """Each graph's operator from its orbit representative's.  U_G =
+    sign U_rep and every column is linear in U_G, so a column is sign
+    times the representative's; a forced-zero graph has none."""
+    return {g: by_rep[rep] * sign for g, (rep, sign) in orbits.items() if sign}
+
+
 def equations(n, lower):
     """Rows of the order-n system, and each structure's per-graph level
-    operators.  lower[name] holds the solved levels B_0..B_{n-1}."""
+    operators.  lower[name] holds the solved levels B_0..B_{n-1}.  Each
+    identity is computed once per orbit of star_orbits(n, 2); the rows
+    keep one unknown per labeled graph."""
     graphs = star_graphs(n, 2)
+    orbits = star_orbits(n, 2)
+    reps = list(dict.fromkeys(rep for rep, sign in orbits.values() if sign))
     rows = symmetry_rows(graphs)
     units = {}
     for name, pi in STRUCTURES.items():
         zero = PolyDiffOperator.zero(pi.dim, 2)
-        units[name] = u = {g: graph_to_operator(g, [pi] * n) * _level_prefactor(n) for g in graphs}
+        u = {rep: graph_to_operator(rep, [pi] * n) * _level_prefactor(n) for rep in reps}
+        units[name] = per_graph(orbits, u)
         if n == 1:
-            rows += coefficient_rows("B1", -b1_pattern(pi), u)
+            rows += coefficient_rows("B1", -b1_pattern(pi), units[name])
         else:
             blank = lower[name][:1] + [zero] * (n - 1)
             rows += coefficient_rows(
                 "associativity",
                 assoc_defect(StarProduct(pi, n, lower[name] + [zero], {}), n),
-                {g: assoc_defect(StarProduct(pi, n, blank + [op], {}), n) for g, op in u.items()})
+                per_graph(orbits, {rep: assoc_defect(StarProduct(pi, n, blank + [op], {}), n)
+                                   for rep, op in u.items()}))
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)
-            rows += coefficient_rows("cyclicity", zero, {
-                g: op.extended_by_slot().ibp_normal_form(vol) - op for g, op in u.items()})
+            rows += coefficient_rows("cyclicity", zero, per_graph(orbits, {
+                rep: op.extended_by_slot().ibp_normal_form(vol) - op for rep, op in u.items()}))
     return rows, units
 
 

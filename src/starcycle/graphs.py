@@ -3,13 +3,17 @@
 Internal vertices are 1..n, boundary vertices n+1..n+m.  Edges leave
 internal vertices only; no self-loops; no repeated target inside one
 star (parallel edges wedge the same angle form to zero, so they are
-pruned at enumeration time).  Graphs stay fully labeled: symmetry is
-handled by 1/(#Star(k))! prefactors at assembly, not by quotienting.
+pruned at enumeration time).  Graphs stay fully labeled, and weight
+tables are keyed by labeled graphs.  Star graphs are also grouped into
+orbits under relabeling the internal vertices and swapping a vertex's two
+slots (`star_orbits`): assembly contracts one representative per orbit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
 
 
 def _decode_stars(n, m, stars):
@@ -78,7 +82,8 @@ class AdmissibleGraph:
         if len(parts) != 3:
             raise ValueError("bad graph key %r" % key)
         n, m = int(parts[0]), int(parts[1])
-        chunks = parts[2].split("|") if parts[2] else []
+        # n stars even when all are empty ("1;2;"); no stars only for n = 0
+        chunks = parts[2].split("|") if n or parts[2] else []
         return cls(n, m, _decode_stars(n, m, ([t for t in c.split(",") if t] for c in chunks)))
 
     def to_json(self) -> dict:
@@ -155,3 +160,38 @@ def star_graphs(n: int, m: int):
     ]
     pools = [itertools.permutations(a, 2) for a in allowed]
     return [AdmissibleGraph(n, m, stars) for stars in itertools.product(*pools)]
+
+
+@functools.lru_cache(maxsize=None)
+def star_orbits(n: int, m: int):
+    """Map each graph of star_graphs(n, m) to (representative, sign).
+
+    The group is S_n relabeling the internal vertices times a swap of the
+    two slots at each vertex, n! 2^n elements.  With the same bivector at
+    every vertex, relabeling leaves the contraction U_Gamma unchanged and
+    a swap negates it, so U_Gamma = sign * U_rep.  The representative is
+    the orbit's least `stars` tuple, and sign is (-1)^(swaps taking the
+    graph to it), or 0 on an orbit where an odd self-symmetry forces
+    U = 0.  Cached per (n, m) and read-only, in star_graphs order.
+    """
+    graphs = star_graphs(n, m)
+    found = {}
+    for g in graphs:
+        if g in found:
+            continue
+        parities = {}  # image stars -> swap parities that reach it from g
+        for perm in itertools.permutations(range(1, n + 1)):
+            ren = dict(zip(range(1, n + 1), perm))
+            moved = [None] * n
+            for k, star in enumerate(g.stars, start=1):
+                moved[ren[k] - 1] = tuple(ren.get(t, t) for t in star)
+            for swaps in itertools.product((0, 1), repeat=n):
+                image = tuple(s[::-1] if sw else s for s, sw in zip(moved, swaps))
+                parities.setdefault(image, set()).add(sum(swaps) % 2)
+        least = min(parities)
+        rep, to_rep = AdmissibleGraph(n, m, least), min(parities[least])
+        for image, ps in parities.items():
+            # an image reached with both parities has an odd self-symmetry
+            sign = 0 if len(ps) == 2 else (-1) ** (min(ps) ^ to_rep)
+            found[AdmissibleGraph(n, m, image)] = (rep, sign)
+    return MappingProxyType({g: found[g] for g in graphs})

@@ -10,6 +10,15 @@ U_Gamma is the Kontsevich contraction of the graph against n copies of the
 bivector.  With the harmonic angles this yields B_1 = (1/2) pi^{ij} d_i(f)
 d_j(g) and the Moyal 1/8-pattern at order 2.
 
+The sum is computed over the orbits of graphs.star_orbits: every Gamma
+in the orbit of rep has U_Gamma = sign_Gamma U_rep, so
+
+    B_n = (1/n!) (1/2^n) sum_{orbits} (sum_{Gamma in orbit} sign_Gamma w_Gamma) U_rep
+
+with one contraction per orbit whose signed weight sum is nonzero.  This
+uses only that identity of contractions, not any symmetry of the table,
+so it equals the per-graph sum for every table.
+
 Checks return JSON-friendly report dicts; exactness-critical checks
 (associativity, cyclicity, closedness) refuse Monte Carlo-backed tables.
 """
@@ -19,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .diffops import PolyDiffOperator, _accumulate
-from .graphs import AdmissibleGraph, star_graphs
+from .graphs import AdmissibleGraph, star_graphs, star_orbits
 from .poly import Polynomial
 from .polyvector import PolyVector, VolumeForm
 from .weights import WeightTable
@@ -78,6 +87,24 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
         prev = out.get(key)
         out[key] = coeff if prev is None else prev + coeff
     return PolyDiffOperator(dim, m, out)
+
+
+def _orbit_sum(pi: PolyVector, graphs, weights) -> PolyDiffOperator:
+    """(1/n! 2^n) sum_Gamma w_Gamma U_Gamma over star_graphs(n, m), given
+    as `graphs` with `weights` in the same order, by one contraction per
+    orbit with a nonzero signed weight sum."""
+    n, m = graphs[0].n, graphs[0].m
+    orbits = star_orbits(n, m)
+    sums = {}
+    for g, w in zip(graphs, weights):
+        rep, sign = orbits[g]
+        sums[rep] = sums.get(rep, 0) + sign * w
+    terms = {}
+    for rep, w in sums.items():
+        if w:
+            for key, c in graph_to_operator(rep, [pi] * n).terms.items():
+                _accumulate(terms, key, c * w)
+    return PolyDiffOperator(pi.dim, m, terms) * _level_prefactor(n)
 
 
 def _entry_weight(entry) -> Fraction:
@@ -151,13 +178,10 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     levels = [PolyDiffOperator.multiplication(dim)]
     all_exact = True
     for n in range(1, order + 1):
-        total = PolyDiffOperator.zero(dim, 2)
-        for g in star_graphs(n, 2):
-            w, exact = _table_weight(table, g)
-            all_exact = all_exact and exact
-            if w != 0:
-                total = total + graph_to_operator(g, [pi] * n) * w
-        levels.append(total * _level_prefactor(n))
+        graphs = star_graphs(n, 2)
+        weights = [_table_weight(table, g) for g in graphs]
+        all_exact = all_exact and all(exact for _, exact in weights)
+        levels.append(_orbit_sum(pi, graphs, [w for w, _ in weights]))
     source = {"kind": "exact" if all_exact else "monte_carlo",
               "table_sha256": table.fingerprint()}
     return StarProduct(pi, order, levels, source)
@@ -241,12 +265,9 @@ def assemble_trilinear(pi: PolyVector, alphas, table: WeightTable, order: int) -
     if pi.degree != 1:
         raise ValueError("pi must be a bivector")
     alphas = tuple(float(a) for a in alphas)
-    total = PolyDiffOperator.zero(pi.dim, 3)
-    for g in star_graphs(order, 3):
-        w, _ = _alpha_weight(table, g.canonical_key(), alphas)
-        if w != 0:
-            total = total + graph_to_operator(g, [pi] * order) * w
-    return total * _level_prefactor(order)
+    graphs = star_graphs(order, 3)
+    return _orbit_sum(pi, graphs, [_alpha_weight(table, g.canonical_key(), alphas)[0]
+                                   for g in graphs])
 
 
 def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable,

@@ -208,6 +208,14 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_missing_order_3_weight_exits_2_before_contracting(capsys):
+    # every labeled graph's weight is looked up before any contraction, so
+    # the first uncovered graph is named at once
+    code, _, err = run(capsys, "check", "cyclic", "--pi", "so3", "--order", "3")
+    assert code == 2
+    assert "3;2;2,3|1,3|1,2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("weights", "compute", "--n", "1", "--m", "2"),
     ("weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,0,1"),

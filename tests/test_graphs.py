@@ -3,6 +3,7 @@
 import pytest
 
 from starcycle import AdmissibleGraph, enumerate_graphs, star_graphs, top_edge_count
+from starcycle.graphs import star_orbits
 
 
 def test_basic_construction():
@@ -37,8 +38,17 @@ def test_validation():
         AdmissibleGraph(1, 2, [(2, 2)])     # parallel edge in one star
     with pytest.raises(ValueError):
         AdmissibleGraph(2, 2, [(3, 4)])     # one star per internal vertex
+
+
+def test_empty_stars_round_trip():
+    # an edgeless graph with n > 0 keeps its n empty stars through its key
+    g = AdmissibleGraph(1, 2, [()])
+    assert g.canonical_key() == "1;2;"
+    assert AdmissibleGraph.from_key("1;2;") == g
+    assert AdmissibleGraph.from_key("2;2;|") == AdmissibleGraph(2, 2, [(), ()])
+    assert AdmissibleGraph.from_key("0;3;").stars == ()
     with pytest.raises(ValueError):
-        AdmissibleGraph.from_key("1;2;")
+        AdmissibleGraph.from_key("0;3;b1")
 
 
 def test_enumeration_counts():
@@ -118,3 +128,35 @@ def test_every_star_graph_key_round_trips():
     for g in star_graphs(2, 3):
         assert AdmissibleGraph.from_key(g.canonical_key()) == g
         assert AdmissibleGraph.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("n, orbits, forced_zero", [(1, 1, 0), (2, 6, 0), (3, 44, 6)])
+def test_star_orbit_counts(n, orbits, forced_zero):
+    # S_n relabelings times per-vertex slot swaps acting on star_graphs(n, 2)
+    graphs = star_graphs(n, 2)
+    table = star_orbits(n, 2)
+    assert list(table) == graphs
+    reps = {rep for rep, _ in table.values()}
+    assert len(reps) == orbits
+    assert len({rep for rep, sign in table.values() if sign == 0}) == forced_zero
+    for g, (rep, sign) in table.items():
+        assert sign in (-1, 0, 1)
+        assert rep.stars <= g.stars
+        # a representative is its own, with sign +1 unless its orbit is forced to zero
+        assert table[rep] == (rep, 1 if sign else 0)
+    assert star_orbits(n, 2) is table
+    with pytest.raises(TypeError):
+        table[graphs[0]] = (graphs[0], 1)
+
+
+def test_star_orbit_signs_count_slot_swaps():
+    a = AdmissibleGraph.from_key("2;2;2,b1|1,b2")
+    rep, sign = star_orbits(2, 2)[a]
+    swapped = AdmissibleGraph.from_key("2;2;b1,2|1,b2")
+    relabeled = AdmissibleGraph.from_key("2;2;2,b2|1,b1")
+    assert star_orbits(2, 2)[swapped] == (rep, -sign)
+    assert star_orbits(2, 2)[relabeled] == (rep, sign)
+    # relabeling 1 <-> 2 and then swapping all three slots carries the
+    # triangle to itself: an odd self-symmetry, so U = -U = 0
+    tri = AdmissibleGraph.from_key("3;2;2,3|3,1|1,2")
+    assert star_orbits(3, 2)[tri][1] == 0

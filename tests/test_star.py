@@ -1,6 +1,8 @@
 """Star product assembly and the structural checks built on it."""
 
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,8 @@ from starcycle import (
     graph_to_operator,
     star_graphs,
 )
+from starcycle import star
+from starcycle.graphs import star_orbits
 from starcycle.star import assoc_defect
 
 P = Polynomial
@@ -389,3 +393,79 @@ def test_star_product_json():
     import json
 
     json.dumps(data)
+
+
+@pytest.mark.parametrize("name", ["so3", "casimir3"])
+def test_orbit_sign_relates_contractions(name):
+    pi = so3() if name == "so3" else ASSOC_STRUCTURES[name]
+    for g, (rep, sign) in star_orbits(2, 2).items():
+        assert graph_to_operator(g, [pi, pi]) == graph_to_operator(rep, [pi, pi]) * sign
+
+
+def test_forced_zero_orbits_contract_to_zero():
+    pi = so3()
+    reps = {rep for rep, sign in star_orbits(3, 2).values() if sign == 0}
+    assert len(reps) == 6
+    for rep in reps:
+        assert graph_to_operator(rep, [pi] * 3).is_zero()
+
+
+def per_graph_levels(pi, table, order):
+    """The reference: B_n as the sum over every labeled graph, one
+    contraction each."""
+    levels = [D.multiplication(pi.dim)]
+    for n in range(1, order + 1):
+        total = D.zero(pi.dim, 2)
+        for g in star_graphs(n, 2):
+            e = table.lookup_star(g)
+            w = e.exact if e.exact is not None else Fraction(e.value)
+            if w:
+                total = total + graph_to_operator(g, [pi] * n) * w
+        levels.append(total * Fraction(1, math.factorial(n) * 2 ** n))
+    return levels
+
+
+def monte_carlo_table():
+    """Float weights of every order-1 and order-2 graph from short runs;
+    their noise breaks the slot-swap and relabeling symmetry."""
+    ctx = AngleContext.standard((0.0, 0.0, 1.0))
+    t = WeightTable()
+    for k, g in enumerate(star_graphs(1, 2) + star_graphs(2, 2)):
+        t.add(compute_weight(g.add_boundary_vertex(), ctx, 1 << 10, 300 + k))
+    return t
+
+
+@pytest.mark.parametrize("kind", ["bundled", "corrupted", "monte_carlo"])
+def test_orbit_assembly_equals_per_graph_sum(kind):
+    table = {"bundled": lambda: TABLE,
+             "corrupted": lambda: corrupted_table("2;2;b1,2|b1,b2"),
+             "monte_carlo": monte_carlo_table}[kind]()
+    for pi in (so3(), ASSOC_STRUCTURES["casimir3"], ASSOC_STRUCTURES["planar2"]):
+        s = assemble_star(pi, table, order=2)
+        ref = per_graph_levels(pi, table, 2)
+        assert [json.dumps(b.to_json()) for b in s.levels] \
+            == [json.dumps(b.to_json()) for b in ref]
+        assert s.is_exact == (kind != "monte_carlo")
+
+
+def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
+    # bundled orders 1 and 2 (two order-2 orbits weigh 0) plus an order-3
+    # table that respects the symmetry: w = sign * w_rep, nonzero off the
+    # forced-zero orbits
+    table = WeightTable.from_json(TABLE.to_json())
+    reps = {}
+    for g, (rep, sign) in star_orbits(3, 2).items():
+        w = sign * reps.setdefault(rep, Fraction(len(reps) + 1, 97))
+        table.add(WeightEntry(g.add_boundary_vertex().canonical_key(), (0.0, 0.0, 1.0),
+                              float(w), 0.0, 0, 0, exact=w))
+    calls = []
+    contract = star.graph_to_operator
+
+    def counted(graph, gammas):
+        calls.append(graph.n)
+        return contract(graph, gammas)
+
+    monkeypatch.setattr(star, "graph_to_operator", counted)
+    s = assemble_star(so3(), table, order=3)
+    assert [calls.count(n) for n in (1, 2, 3)] == [1, 4, 38]
+    assert s.is_exact and not s.levels[3].is_zero()
