@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
+from operator import add
 
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 from .polyvector import VolumeForm
 
 
@@ -56,16 +57,6 @@ def _splits(a, parts):
             yield (first,) + rest
 
 
-def _accumulate(terms, key, c):
-    """terms[key] += c in place, dropping the key when the sum is zero."""
-    s = terms.get(key)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = s
-
-
 def _multinomial(a, split):
     """Multinomial coefficient for a = sum(split), componentwise."""
     total = 1
@@ -81,7 +72,9 @@ class PolyDiffOperator:
 
     terms maps tuples of k exponent multi-indices to Polynomial
     coefficients.  Arity 0 is allowed (a plain polynomial, the result of
-    integrating all slots away).
+    integrating all slots away).  The constructor validates; _trusted,
+    like Polynomial._trusted, only wraps the results of +, -, *, insert
+    and ibp_normal_form, whose coefficients are nonzero Polynomials.
     """
 
     __slots__ = ("dim", "arity", "terms")
@@ -112,6 +105,15 @@ class PolyDiffOperator:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, arity: int, terms: dict) -> "PolyDiffOperator":
+        """Wrap valid, unshared terms as they are (see the class docstring)."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "arity", arity)
+        object.__setattr__(op, "terms", terms)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffOperator is immutable")
@@ -153,10 +155,10 @@ class PolyDiffOperator:
         out = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(out, key, c)
-        return PolyDiffOperator(self.dim, self.arity, out)
+        return PolyDiffOperator._trusted(self.dim, self.arity, out)
 
     def __neg__(self):
-        return PolyDiffOperator(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
+        return PolyDiffOperator._trusted(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, PolyDiffOperator):
@@ -165,7 +167,9 @@ class PolyDiffOperator:
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Polynomial)):
-            return PolyDiffOperator(self.dim, self.arity, {k: c * scalar for k, c in self.terms.items()})
+            terms = {k: c * scalar for k, c in self.terms.items()}
+            # Q[x] has no zero divisors, so only a zero scalar empties a term
+            return PolyDiffOperator._trusted(self.dim, self.arity, terms if scalar else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -194,37 +198,40 @@ class PolyDiffOperator:
         """Move every derivative off slot 1; arity drops by one.
 
         Returns E with  int D(f1,..,fk) Omega = int f1 * E(f2,..,fk) Omega
-        for compactly supported arguments.  One step on axis a sends
-        c * d^{I1}f1 * R  to  -(d_a c + c d_a rho) d^{I1-e_a}f1 R
-        minus the Leibniz spill of d_a onto every other slot.
+        for compactly supported arguments.  One step on the first axis a of
+        I1 sends c * d^{I1}f1 * R  to  -(d_a c + c d_a rho) d^{I1-e_a}f1 R
+        minus the Leibniz spill of d_a onto every other slot.  A step lowers
+        |I1| by one, so terms are stepped level by level of |I1|, highest
+        first, each level summed in place; the normal form is unique.
         """
         if self.arity < 1:
             raise ValueError("ibp_normal_form needs arity >= 1")
         if self.dim != vol.dim:
             raise ValueError("dimension mismatch with volume form")
-        rho = vol.log_density
-        work = dict(self.terms)
-        done = {}
-
-        while work:
-            key = min(work)
-            c = work.pop(key)
-            i1 = key[0]
-            if sum(i1) == 0:
-                _accumulate(done, key[1:], c)
-                continue
-            a = next(ax for ax in range(self.dim) if i1[ax] > 0)
-            i1m = list(i1)
-            i1m[a] -= 1
-            i1m = tuple(i1m)
-            nc = -(c.partial(a + 1) + c * rho.partial(a + 1))
-            if not nc.is_zero():
-                _accumulate(work, (i1m,) + key[1:], nc)
-            for j in range(1, len(key)):
-                ij = list(key[j])
-                ij[a] += 1
-                _accumulate(work, (i1m,) + key[1:j] + (tuple(ij),) + key[j + 1:], -c)
-        return PolyDiffOperator(self.dim, self.arity - 1, done)
+        drho = [vol.log_density.partial(a + 1).terms for a in range(self.dim)]
+        levels = {}
+        for key, c in self.terms.items():
+            levels.setdefault(sum(key[0]), {})[key] = dict(c.terms)
+        for level in range(max(levels, default=0), 0, -1):
+            below = levels.setdefault(level - 1, {})
+            for key, c in levels.pop(level, {}).items():
+                i1 = key[0]
+                a = next(ax for ax in range(self.dim) if i1[ax])
+                head = (i1[:a] + (i1[a] - 1,) + i1[a + 1:],)
+                nc = below.setdefault(head + key[1:], {})
+                for e, v in c.items():
+                    if e[a]:
+                        _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a])
+                    for f, w in drho[a].items():
+                        _accumulate(nc, tuple(map(add, e, f)), -v * w)
+                for j in range(1, len(key)):
+                    ij = key[j]
+                    spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
+                    out = below.setdefault(spill, {})
+                    for e, v in c.items():
+                        _accumulate(out, e, -v)
+        done = {key[1:]: Polynomial._trusted(self.dim, c) for key, c in levels.get(0, {}).items() if c}
+        return PolyDiffOperator._trusted(self.dim, self.arity - 1, done)
 
     def extended_by_slot(self) -> "PolyDiffOperator":
         """D(f1,..,f_{k+1}) = self(f1,..,fk) * f_{k+1}."""
@@ -294,7 +301,7 @@ class PolyDiffOperator:
                         continue
                     mid = tuple(_mi_add(j, s) for j, s in zip(key2, split[1:]))
                     _accumulate(out, pre + mid + post, (mult * c1) * dc2)
-        return PolyDiffOperator(self.dim, self.arity + k2 - 1, out)
+        return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
 
     def circ(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
         """Gerstenhaber pre-Lie composition sum_i +- self o_i other."""

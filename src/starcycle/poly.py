@@ -10,6 +10,18 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import prod
+from operator import add
+
+
+def _accumulate(terms, key, c):
+    """terms[key] += c in place, dropping the key when the sum is zero.
+    Values are Fractions or Polynomials, which are false exactly at zero."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if not s:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 class Polynomial:
@@ -17,6 +29,7 @@ class Polynomial:
 
     terms maps exponent tuples (length dim) to nonzero Fractions.
     Instances are treated as immutable; all operations return new ones.
+    The constructor validates; _trusted does not (see there).
     """
 
     __slots__ = ("dim", "terms")
@@ -36,6 +49,17 @@ class Polynomial:
                 clean[exps] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
+        """Wrap terms as they are: only for results of the package's own
+        arithmetic, whose terms already map dim-tuples of non-negative ints
+        to nonzero Fractions and are held by no one else.  Outside input
+        goes through the constructor, parse or from_json."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -73,7 +97,8 @@ class Polynomial:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
 
-    def __add__(self, other):
+    def _merge(self, other, negate):
+        """self + other, or self - other when negate, in one pass."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
@@ -81,45 +106,35 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return Polynomial(self.dim, out)
+            _accumulate(out, exps, -c if negate else c)
+        return Polynomial._trusted(self.dim, out)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.dim, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
+            terms = {e: v * other for e, v in self.terms.items()} if other else {}
+            return Polynomial._trusted(self.dim, terms)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.dim, out)
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return Polynomial._trusted(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -143,6 +158,10 @@ class Polynomial:
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
+        one = (0,) * self.dim
+        if not self.terms or (len(self.terms) == 1 and one in self.terms):
+            return hash(self.terms.get(one, 0))
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -165,7 +184,7 @@ class Polynomial:
             e = list(exps)
             e[a] -= 1
             out[tuple(e)] = c * exps[a]
-        return Polynomial(self.dim, out)
+        return Polynomial._trusted(self.dim, out)
 
     def derive(self, multi_index) -> "Polynomial":
         """Iterated partial derivative for an exponent multi-index."""

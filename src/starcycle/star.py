@@ -27,9 +27,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .diffops import PolyDiffOperator, _accumulate
+from .diffops import PolyDiffOperator
 from .graphs import AdmissibleGraph, star_graphs, star_orbits
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 from .polyvector import PolyVector, VolumeForm
 from .weights import WeightTable
 
@@ -45,7 +45,8 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
     contributes the component of gammas[k-1] picked out by its ordered
     star; every edge pointing at k differentiates that factor; edges into
     boundary vertices become derivatives on the argument slots.  The
-    result has arity m.
+    result has arity m.  Only assignments that give every vertex a nonzero
+    component are visited, vertex by vertex, in the order of the edges.
     """
     gammas = list(gammas)
     if len(gammas) != graph.n:
@@ -60,32 +61,27 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
             raise ValueError("vertex %d has out-degree %d but its multivector needs %d"
                              % (k + 1, len(graph.stars[k]), g.degree + 1))
     n, m = graph.n, graph.m
-    edges = graph.edges()
+    choices = [[(idx, f) for idx in itertools.product(range(1, dim + 1), repeat=len(star))
+                for f in [g.coefficient(idx)] if not f.is_zero()]
+               for g, star in zip(gammas, graph.stars)]
+    derived = {}
     out = {}
-    for assign in itertools.product(range(1, dim + 1), repeat=len(edges)):
-        out_idx = {v: [] for v in range(1, n + 1)}
-        in_mi = {v: [0] * dim for v in range(1, n + 1)}
-        bnd_mi = [[0] * dim for _ in range(m)]
-        for (src, tgt), idx in zip(edges, assign):
-            out_idx[src].append(idx)
-            if tgt <= n:
-                in_mi[tgt][idx - 1] += 1
-            else:
-                bnd_mi[tgt - n - 1][idx - 1] += 1
-        coeff = Polynomial.one(dim)
-        for v in range(1, n + 1):
-            f = gammas[v - 1].coefficient(tuple(out_idx[v]))
-            if not f.is_zero():
-                f = f.derive(tuple(in_mi[v]))
+    for assign in itertools.product(*choices):
+        mi = [[0] * dim for _ in range(n + m)]
+        for star, (idx, _) in zip(graph.stars, assign):
+            for tgt, i in zip(star, idx):
+                mi[tgt - 1][i - 1] += 1
+        coeff = None
+        for v, (idx, f) in enumerate(assign):
+            key = (v, idx, tuple(mi[v]))
+            if key not in derived:
+                derived[key] = f.derive(key[2])
+            f = derived[key]
             if f.is_zero():
-                coeff = None
                 break
-            coeff = coeff * f
-        if coeff is None:
-            continue
-        key = tuple(tuple(mi) for mi in bnd_mi)
-        prev = out.get(key)
-        out[key] = coeff if prev is None else prev + coeff
+            coeff = f if coeff is None else coeff * f
+        else:
+            _accumulate(out, tuple(tuple(b) for b in mi[n:]), coeff)
     return PolyDiffOperator(dim, m, out)
 
 

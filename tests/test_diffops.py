@@ -251,3 +251,36 @@ def test_json_round_trip():
     assert data["dim"] == 2 and data["arity"] == 2
     assert data["terms"][0]["coeff"] == "x1"
     assert data["terms"][0]["indices"] == [[1, 0], [0, 1]]
+
+
+def ibp_by_min_key(op, vol):
+    """The reference: step the least remaining key until none has a
+    derivative on slot 1."""
+    rho = vol.log_density
+    work, done = dict(op.terms), {}
+    while work:
+        key = min(work)
+        c = work.pop(key)
+        if sum(key[0]) == 0:
+            done[key[1:]] = done.get(key[1:], P.zero(op.dim)) + c
+            continue
+        a = next(ax for ax in range(op.dim) if key[0][ax] > 0)
+        i1m = tuple(e - (ax == a) for ax, e in enumerate(key[0]))
+        spills = [(i1m,) + key[1:], -(c.partial(a + 1) + c * rho.partial(a + 1))]
+        for j in range(1, len(key)):
+            ij = tuple(e + (ax == a) for ax, e in enumerate(key[j]))
+            spills += [(i1m,) + key[1:j] + (ij,) + key[j + 1:], -c]
+        for k, v in zip(spills[::2], spills[1::2]):
+            work[k] = work.get(k, P.zero(op.dim)) + v
+    return D(op.dim, op.arity - 1, done)
+
+
+@pytest.mark.parametrize("volp", [None, "x1 - 2*x2^2 + 1/3*x1*x2"])
+def test_ibp_by_levels_equals_min_key_loop(volp):
+    rng = random.Random(11)
+    vol = VolumeForm(2, P.parse(volp, 2)) if volp else VolumeForm.constant(2)
+    for arity in (1, 2, 3):
+        for _ in range(12):
+            op = random_operator(2, arity, rng, n_terms=6)
+            op = op.insert(random_operator(2, 1, rng), 1)  # second derivatives on slot 1
+            assert op.ibp_normal_form(vol).to_json() == ibp_by_min_key(op, vol).to_json()

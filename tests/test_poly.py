@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcycle import Polynomial
+from starcycle import Polynomial, PolyDiffOperator, VolumeForm
 
 P = Polynomial
 
@@ -140,3 +140,43 @@ def test_leibniz_rule(f, g, i):
 @settings(max_examples=30, deadline=None)
 def test_partials_commute(f, i, j):
     assert f.partial(i).partial(j) == f.partial(j).partial(i)
+
+
+def assert_valid(r, dim):
+    """What the validating constructor guarantees, for a result built
+    without it."""
+    assert r.dim == dim
+    for exps, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(exps) is tuple and len(exps) == dim
+        assert all(type(e) is int and e >= 0 for e in exps)
+    assert P(dim, r.terms) == r
+
+
+@given(poly_strategy(), poly_strategy(), poly_strategy(), st.integers(-2, 2), st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_internal_results_keep_the_invariants(f, g, rho, k, i):
+    for r in (f + g, f - g, f - f, -f, f * g, f * k, k * f, f + k, k - f, f * Fraction(k, 3),
+              f.partial(i), f.derive((1, 0, 2))):
+        assert_valid(r, 3)
+    op = PolyDiffOperator(3, 2, {((1, 0, 0), (0, 1, 0)): f, ((2, 0, 1), (0, 0, 0)): g})
+    other = PolyDiffOperator(3, 2, {((0, 0, 1), (1, 0, 0)): g, ((0, 0, 0), (0, 0, 0)): rho})
+    for vol in (VolumeForm.constant(3), VolumeForm(3, rho)):
+        for r in (op + other, op - other, op - op, -op, op * f, op * k, op.insert(other, 1),
+                  op.insert(other, 2), op.ibp_normal_form(vol), other.insert(op, 2).ibp_normal_form(vol)):
+            for key, c in r.terms.items():
+                assert len(key) == r.arity
+                assert all(type(mi) is tuple and len(mi) == 3 for mi in key)
+                assert all(type(e) is int and e >= 0 for mi in key for e in mi)
+                assert_valid(c, 3)
+                assert not c.is_zero()
+            assert PolyDiffOperator(3, r.arity, r.terms) == r
+
+
+def test_hash_agrees_with_equality_on_constants():
+    assert P.constant(2, 3) == 3 and hash(P.constant(2, 3)) == hash(3)
+    assert 3 in {P.constant(2, 3)} and P.constant(2, 3) in {3}
+    assert P.constant(3, Fraction(-1, 2)) in {Fraction(-1, 2)}
+    assert P.zero(2) == 0 and hash(P.zero(2)) == hash(0) and 0 in {P.zero(2)}
+    assert (P.variable(2, 1) - P.variable(2, 1)) in {0}
+    assert len({P.one(2), P.parse("x1 - x1 + 1", 2), 1}) == 1

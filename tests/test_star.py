@@ -469,3 +469,36 @@ def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
     s = assemble_star(so3(), table, order=3)
     assert [calls.count(n) for n in (1, 2, 3)] == [1, 4, 38]
     assert s.is_exact and not s.levels[3].is_zero()
+
+
+def dense_graph_to_operator(graph, gammas):
+    """The reference contraction: every axis assignment of every edge."""
+    dim, n, m = gammas[0].dim, graph.n, graph.m
+    out = {}
+    for assign in itertools.product(range(1, dim + 1), repeat=len(graph.edges())):
+        out_idx = {v: [] for v in range(1, n + 1)}
+        mi = [[0] * dim for _ in range(n + m)]
+        for (src, tgt), idx in zip(graph.edges(), assign):
+            out_idx[src].append(idx)
+            mi[tgt - 1][idx - 1] += 1
+        coeff = P.one(dim)
+        for v in range(1, n + 1):
+            coeff = coeff * gammas[v - 1].coefficient(tuple(out_idx[v])).derive(tuple(mi[v - 1]))
+        key = tuple(tuple(b) for b in mi[n:])
+        out[key] = out.get(key, P.zero(dim)) + coeff
+    return D(dim, m, out)
+
+
+@pytest.mark.parametrize("name", ["so3", "casimir3", "planar2", "moyal"])
+def test_pruned_contraction_equals_dense_loop(name):
+    pi = {"so3": so3(), "moyal": moyal()}.get(name) or ASSOC_STRUCTURES[name]
+    for g in star_graphs(2, 2):
+        assert graph_to_operator(g, [pi, pi]).to_json() == dense_graph_to_operator(g, [pi, pi]).to_json()
+
+
+def test_pruned_contraction_equals_dense_loop_at_order_3():
+    pi = so3()
+    reps = {rep for rep, sign in star_orbits(3, 2).values() if sign}
+    assert len(reps) == 38
+    for rep in reps:
+        assert graph_to_operator(rep, [pi] * 3).to_json() == dense_graph_to_operator(rep, [pi] * 3).to_json()
