@@ -1,28 +1,28 @@
 """Regenerate the bundled exact weight table (orders 1 and 2) by an exact solve.
 
-Nothing is sampled.  Each weight of star_graphs(n, 2) is an unknown over
-Q.  Given the levels below n, each identity below is affine in the order-n
-unknowns, and each of its coefficients (slot multi-indices, monomial) on
-each test structure is one equation:
-  - symmetry: swapping a vertex's two slots negates the weight, and
-    swapping two internal labels keeps it;
+Nothing is sampled.  Weights obey w_Gamma = sign_Gamma w_rep on each orbit
+of graphs.star_orbits (internal relabelling times slot swaps), so the
+unknowns are one weight over Q per representative with nonzero sign.
+Each of its graphs adds sign^2 w_rep U_rep to the level, so a
+representative's column is |orbit| times its own.  Given the levels below
+n, each identity below is affine in the order-n unknowns, and each of its
+coefficients (slot multi-indices, monomial) on each test structure is one
+equation:
   - order 1: B1 = (1/2) pi^{ij} d_i (x) d_j;
   - order n >= 2: the order-n associativity defect is zero;
   - cyclicity: the level is cyclic for the divergence-free structures
     with constant volume.
-Each identity is linear in U_Gamma, and U_Gamma = sign U_rep on an orbit
-of graphs.star_orbits, so it is computed once per orbit and each graph's
-column is sign times its representative's.  Each order is solved by
-Fraction Gauss-Jordan elimination.  The script prints the equations, the
-rank and the weights, and the rank without the cyclicity rows: at order 2
-associativity leaves one direction (the +-1/24 graphs) free, and
-cyclicity pins it.  An inconsistent system or a free
-direction exits nonzero and writes nothing.  The four first-order
-3-boundary graphs with an edge into b3 are exact zeros: under
-alpha = (0, 0, 1) that edge's angle form vanishes.  Last, the table is
-re-validated through assemble_star and the package checks.  Its Monte
-Carlo cross-check against the harmonic-angle integrals is acceptance
-criterion 4 (tests/test_acceptance.py).
+Each order is solved by Fraction Gauss-Jordan elimination.  The script
+prints the equations, the rank and the weights, and the rank without the
+cyclicity rows: at order 2 associativity leaves one direction (the orbit
+of the +-1/24 graphs) free, and cyclicity pins it.  An inconsistent
+system or a free direction exits nonzero and writes nothing.  Each
+labelled graph's weight is sign times its representative's, and 0 on a
+forced-zero orbit.  The four first-order 3-boundary graphs with an edge
+into b3 are exact zeros: under alpha = (0, 0, 1) that edge's angle form
+vanishes.  Last, the table is re-validated through assemble_star and the
+package checks.  Its Monte Carlo cross-check against the harmonic-angle
+integrals is acceptance criterion 4 (tests/test_acceptance.py).
 
 Run from the repository root (the default output is the bundled table):
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from starcycle.diffops import PolyDiffOperator
-from starcycle.graphs import AdmissibleGraph, star_graphs, star_orbits
+from starcycle.graphs import star_graphs, star_orbits
 from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
 from starcycle.star import (StarProduct, _level_prefactor, assemble_star, assoc_defect,
@@ -73,25 +73,6 @@ def b1_pattern(pi):
                                         for i in dims for j in dims})
 
 
-def symmetry_rows(graphs):
-    """x_G + x_G' = 0 for G' = G with one vertex's slots swapped, and
-    x_G - x_G' = 0 for G' = G with internal labels k, k+1 swapped."""
-    rows = []
-    for g in graphs:
-        for v in range(g.n):
-            stars = list(g.stars)
-            stars[v] = stars[v][::-1]
-            rows.append(("symmetry", {g: 1, AdmissibleGraph(g.n, g.m, stars): 1}))
-        for k in range(1, g.n):
-            ren = {k: k + 1, k + 1: k}
-            stars = [tuple(ren.get(t, t) for t in star) for star in g.stars]
-            stars[k - 1], stars[k] = stars[k], stars[k - 1]
-            h = AdmissibleGraph(g.n, g.m, stars)
-            if h != g:
-                rows.append(("symmetry", {g: 1, h: -1}))
-    return rows
-
-
 def coefficient_rows(kind, known, ops):
     """One row per coefficient of known + sum_G x_G ops[G]; a row maps
     each graph to its coefficient and None to the constant."""
@@ -103,49 +84,42 @@ def coefficient_rows(kind, known, ops):
     return [(kind, row) for row in cells.values()]
 
 
-def per_graph(orbits, by_rep):
-    """Each graph's operator from its orbit representative's.  U_G =
-    sign U_rep and every column is linear in U_G, so a column is sign
-    times the representative's; a forced-zero graph has none."""
-    return {g: by_rep[rep] * sign for g, (rep, sign) in orbits.items() if sign}
-
-
 def equations(n, lower):
-    """Rows of the order-n system, and each structure's per-graph level
-    operators.  lower[name] holds the solved levels B_0..B_{n-1}.  Each
-    identity is computed once per orbit of star_orbits(n, 2); the rows
-    keep one unknown per labeled graph."""
-    graphs = star_graphs(n, 2)
+    """Rows of the order-n system, the unknowns (representatives of
+    star_orbits(n, 2) with nonzero sign, in star_graphs order) and each
+    structure's level column per unknown.  lower[name] holds the solved
+    levels B_0..B_{n-1}."""
     orbits = star_orbits(n, 2)
-    reps = list(dict.fromkeys(rep for rep, sign in orbits.values() if sign))
-    rows = symmetry_rows(graphs)
+    reps = [g for g, (rep, sign) in orbits.items() if g == rep and sign]
+    size = Counter(rep for rep, sign in orbits.values())
+    rows = []
     units = {}
     for name, pi in STRUCTURES.items():
         zero = PolyDiffOperator.zero(pi.dim, 2)
-        u = {rep: graph_to_operator(rep, [pi] * n) * _level_prefactor(n) for rep in reps}
-        units[name] = per_graph(orbits, u)
+        u = units[name] = {rep: graph_to_operator(rep, [pi] * n) * (size[rep] * _level_prefactor(n))
+                           for rep in reps}
         if n == 1:
-            rows += coefficient_rows("B1", -b1_pattern(pi), units[name])
+            rows += coefficient_rows("B1", -b1_pattern(pi), u)
         else:
             blank = lower[name][:1] + [zero] * (n - 1)
             rows += coefficient_rows(
                 "associativity",
                 assoc_defect(StarProduct(pi, n, lower[name] + [zero], {}), n),
-                per_graph(orbits, {rep: assoc_defect(StarProduct(pi, n, blank + [op], {}), n)
-                                   for rep, op in u.items()}))
+                {rep: assoc_defect(StarProduct(pi, n, blank + [op], {}), n)
+                 for rep, op in u.items()})
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)
-            rows += coefficient_rows("cyclicity", zero, per_graph(orbits, {
-                rep: op.extended_by_slot().ibp_normal_form(vol) - op for rep, op in u.items()}))
-    return rows, units
+            rows += coefficient_rows("cyclicity", zero, {
+                rep: op.cyclic_shift(vol) - op for rep, op in u.items()})
+    return rows, reps, units
 
 
 def solve(rows, unknowns):
     """Gauss-Jordan elimination over Q of the rows sum_G row[G] x_G + row[None] = 0.
 
-    Returns (rank, consistent, values, null): values puts the free graphs
-    at 0, and null maps each free graph to the homogeneous solution that
-    is 1 on it and 0 on the other free graphs.
+    Returns (rank, consistent, values, null): values puts the free
+    unknowns at 0, and null maps each free unknown to the homogeneous
+    solution that is 1 on it and 0 on the other free unknowns.
     """
     col = {g: j for j, g in enumerate(unknowns)}
     width = len(unknowns)
@@ -183,13 +157,12 @@ def derive():
     lower = {name: [PolyDiffOperator.multiplication(pi.dim)] for name, pi in STRUCTURES.items()}
     weights = {}
     for n in ORDERS:
-        graphs = star_graphs(n, 2)
-        rows, units = equations(n, lower)
-        rank, consistent, values, null = solve(rows, graphs)
+        rows, reps, units = equations(n, lower)
+        rank, consistent, values, null = solve(rows, reps)
         kinds = Counter(kind for kind, _ in rows)
         print("order %d: %d unknowns, %d equations (%s), rank %d"
-              % (n, len(graphs), len(rows), ", ".join("%s %d" % kv for kv in kinds.items()), rank))
-        bare = solve([r for r in rows if r[0] != "cyclicity"], graphs)
+              % (n, len(reps), len(rows), ", ".join("%s %d" % kv for kv in kinds.items()), rank))
+        bare = solve([r for r in rows if r[0] != "cyclicity"], reps)
         print("  without cyclicity: rank %d" % bare[0])
         for free, vec in bare[3].items():
             print("    free direction at %s: %s" % (table_key(free), ", ".join(
@@ -198,12 +171,13 @@ def derive():
             raise SystemExit("order %d: the system is inconsistent" % n)
         if null:
             raise SystemExit("order %d: rank %d of %d, free graphs: %s"
-                             % (n, rank, len(graphs), ", ".join(map(table_key, null))))
-        for g in graphs:
-            print("  %-22s %s" % (table_key(g), values[g]))
-        weights.update(values)
+                             % (n, rank, len(reps), ", ".join(map(table_key, null))))
+        for rep in reps:
+            print("  %-22s %s" % (table_key(rep), values[rep]))
+        weights.update((g, values[rep] * sign if sign else Fraction(0))
+                       for g, (rep, sign) in star_orbits(n, 2).items())
         for name, pi in STRUCTURES.items():
-            lower[name].append(sum((op * values[g] for g, op in units[name].items()),
+            lower[name].append(sum((op * values[rep] for rep, op in units[name].items()),
                                    PolyDiffOperator.zero(pi.dim, 2)))
     return weights
 

@@ -49,8 +49,9 @@ def _mi_below(a):
 
 def _splits(a, parts):
     """All ways to write a as an ordered sum of `parts` multi-indices."""
-    if parts == 1:
-        yield (a,)
+    if parts < 2:
+        if parts or not any(a):
+            yield (a,) * parts
         return
     for first in _mi_below(a):
         for rest in _splits(_mi_sub(a, first), parts - 1):
@@ -292,15 +293,14 @@ class PolyDiffOperator:
             pre, post = key1[:slot - 1], key1[slot:]
             for key2, c2 in other.terms.items():
                 # d^I applied to (c2 * prod d^{J_l} g_l): split I over c2 and the J's
-                for split in _splits(I, k2 + 1):
-                    mult = _multinomial(I, split)
-                    if mult == 0:
-                        continue
-                    dc2 = c2.derive(split[0])
+                for s0 in _mi_below(I):
+                    dc2 = c2.derive(s0)
                     if dc2.is_zero():
                         continue
-                    mid = tuple(_mi_add(j, s) for j, s in zip(key2, split[1:]))
-                    _accumulate(out, pre + mid + post, (mult * c1) * dc2)
+                    for rest in _splits(_mi_sub(I, s0), k2):
+                        mult = _multinomial(I, (s0,) + rest)
+                        mid = tuple(_mi_add(j, s) for j, s in zip(key2, rest))
+                        _accumulate(out, pre + mid + post, (mult * c1) * dc2)
         return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
 
     def circ(self, other: "PolyDiffOperator") -> "PolyDiffOperator":

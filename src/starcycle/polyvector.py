@@ -107,11 +107,11 @@ class PolyVector:
             return False
         if self.components != other.components:
             return False
-        # zero vectors compare equal across degrees only if degrees match
+        # zero vectors of any degree are equal, so __hash__ leaves out the degree
         return self.is_zero() or self.degree == other.degree
 
     def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.components.items())))
+        return hash((self.dim, frozenset(self.components.items())))
 
     def coefficient(self, indices) -> Polynomial:
         """Full skew tensor component for an arbitrary index tuple."""

@@ -183,9 +183,11 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     return StarProduct(pi, order, levels, source)
 
 
-def _require_exact(s: StarProduct, what: str):
+def _require_exact(s: StarProduct, what: str, vol: VolumeForm = None):
     if not s.is_exact:
         raise ValueError("%s needs an exact weight table (got Monte Carlo entries)" % what)
+    if vol is not None and vol.dim != s.pi.dim:
+        raise ValueError("volume form dimension mismatch")
 
 
 def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
@@ -233,21 +235,17 @@ def check_associative(s: StarProduct) -> dict:
 def check_cyclic(s: StarProduct, vol: VolumeForm) -> dict:
     """int B_n(f,g) h Omega == int f B_n(g,h) Omega, exactly, per order.
 
-    Per level this is nf(B_n(f,g)*h) == B_n, the arity-2 instance of the
-    cyclic-shift fixed-point condition.
+    Per level this is C(B_n) == B_n for the cyclic shift C of
+    PolyDiffOperator.cyclic_shift, whose sign is +1 at arity 2.
     """
-    _require_exact(s, "cyclicity check")
-    if vol.dim != s.pi.dim:
-        raise ValueError("volume form dimension mismatch")
-    return _order_report("cyclic", s, ((n, level.extended_by_slot().ibp_normal_form(vol) - level)
+    _require_exact(s, "cyclicity check", vol)
+    return _order_report("cyclic", s, ((n, level.cyclic_shift(vol) - level)
                                        for n, level in enumerate(s.levels)))
 
 
 def check_closed(s: StarProduct, vol: VolumeForm) -> dict:
     """int B_n(f,g) Omega == 0 for n >= 1, exactly, per order."""
-    _require_exact(s, "closedness check")
-    if vol.dim != s.pi.dim:
-        raise ValueError("volume form dimension mismatch")
+    _require_exact(s, "closedness check", vol)
     return _order_report("closed", s, ((n, level.ibp_normal_form(vol))
                                        for n, level in enumerate(s.levels) if n))
 
@@ -272,8 +270,8 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
     functionals, coefficient by coefficient.
 
     Tolerance per coefficient is max(3 * propagated std error, floor);
-    weight standard errors propagate linearly through the (exact)
-    per-graph normal forms.  Equal alpha sums are a precondition of the
+    weight standard errors propagate linearly through the (exact) normal
+    forms, one per orbit.  Equal alpha sums are a precondition of the
     underlying statement; differing sums are flagged as misuse.
     """
     if pi.dim != vol.dim:
@@ -284,18 +282,20 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
         raise ValueError("alpha sums differ (%.6g vs %.6g): the statement "
                          "compares equal-sum weight systems" % (sum(a1), sum(a2)))
     pref = _level_prefactor(order)
-    nfs = {}
-    for g in star_graphs(order, 3):
-        nfs[g.canonical_key()] = graph_to_operator(g, [pi] * order).ibp_normal_form(vol)
+    orbits = star_orbits(order, 3)
+    nfs = {rep: graph_to_operator(rep, [pi] * order).ibp_normal_form(vol)
+           for rep in dict.fromkeys(rep for rep, sign in orbits.values() if sign)}
 
     def side(al):
         acc = {}
-        for key, nf in nfs.items():
-            w, sig = _alpha_weight(table, key, al)
-            for opkey, cpoly in nf.terms.items():
+        for g, (rep, sign) in orbits.items():
+            w, sig = _alpha_weight(table, g.canonical_key(), al)
+            if not sign:
+                continue
+            for opkey, cpoly in nfs[rep].terms.items():
                 for exps, c in cpoly.terms.items():
                     cell = acc.setdefault((opkey, exps), [Fraction(0), 0.0])
-                    cell[0] += w * c
+                    cell[0] += sign * w * c
                     cell[1] += (float(c) * sig) ** 2
         return acc
 

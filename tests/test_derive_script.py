@@ -1,9 +1,10 @@
 """scripts/derive_exact_weights.py: the exact solve and its failure paths.
 
-The system's unknowns are the order-1 and order-2 star-graph weights; its
-rows are the symmetry, B1, associativity and cyclicity identities on the
-script's test structures.  The bundled table must be its unique solution,
-and each way of corrupting the table must break a named kind of row.
+The system's unknowns are one weight per orbit of star_orbits(n, 2) at
+orders 1 and 2, not forced to zero; its rows are the B1, associativity
+and cyclicity identities on the script's test structures.  The bundled
+table must be its unique solution, and each way of corrupting the table
+must break a named kind of row.
 """
 
 import importlib.util
@@ -13,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from starcycle import PolyDiffOperator, Polynomial, PolyVector, WeightTable, star_graphs
+from starcycle import (AdmissibleGraph, PolyDiffOperator, Polynomial, PolyVector, WeightEntry,
+                        WeightTable, star_graphs)
+from starcycle.graphs import star_orbits
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "derive_exact_weights.py")
 TABLE = WeightTable.builtin()
@@ -33,11 +36,12 @@ def derive():
 
 @pytest.fixture(scope="module")
 def order2(derive):
-    """Order-2 rows given the bundled B1, and the bundled order-2 weights."""
+    """Order-2 rows given the bundled B1, and the bundled weights of the
+    order-2 unknowns (the orbit representatives)."""
     lower = {name: [PolyDiffOperator.multiplication(pi.dim), derive.b1_pattern(pi)]
              for name, pi in derive.STRUCTURES.items()}
-    rows, _ = derive.equations(2, lower)
-    return rows, {g: TABLE.lookup_star(g).exact for g in star_graphs(2, 2)}
+    rows, reps, _ = derive.equations(2, lower)
+    return rows, {rep: TABLE.lookup_star(rep).exact for rep in reps}
 
 
 def violated(rows, values):
@@ -65,31 +69,45 @@ def test_bundled_table_validates_and_every_class_is_pinned(derive, order2):
         == {"associativity": 20, "cyclicity": 18}
     assert violated(rows, shifted(values, cls(Fraction(1, 4)), Fraction(1, 4))) \
         == {"associativity": 152, "cyclicity": 15}
-    # one zero graph off zero, its slot-swap partners left at zero
+    # one zero orbit off zero
     assert violated(rows, shifted(values, zero, Fraction(1, 24))) \
-        == {"symmetry": 4, "associativity": 12, "cyclicity": 6}
+        == {"associativity": 12, "cyclicity": 6}
+    # one graph of that orbit off zero, the rest of its orbit left at zero:
+    # the table breaks the orbit relation, and assembly catches it
+    bad = WeightTable.from_json(TABLE.to_json())
+    e = bad.get("2;3;2,b1|b1,1", (0.0, 0.0, 1.0))
+    assert e.exact == 0
+    assert star_orbits(2, 2)[AdmissibleGraph.from_key("2;2;2,b1|b1,1")][0].canonical_key() \
+        == "2;2;2,b1|1,b1"
+    bad.add(WeightEntry(e.graph_key, e.alphas, 1 / 24, 0.0, 0, 0, exact=Fraction(1, 24)))
+    with pytest.raises(AssertionError):
+        derive.validate(bad)
 
 
 def test_derived_table_is_the_bundled_table(derive, capsys):
     table = derive.build_table(derive.derive())
     assert table.fingerprint() == TABLE.fingerprint()
     out = capsys.readouterr().out
-    assert "order 1: 2 unknowns, 22 equations" in out and "rank 2\n" in out
-    assert "rank 36\n" in out and "without cyclicity: rank 35" in out
+    assert "order 1: 1 unknowns, 20 equations (B1 20), rank 1\n" in out
+    assert "order 2: 6 unknowns, 239 equations (associativity 206, cyclicity 33), rank 6\n" in out
+    assert "without cyclicity: rank 5\n" in out
 
 
 def test_cyclicity_pins_exactly_the_one_twenty_fourth_direction(derive, order2):
     rows, values = order2
-    graphs = star_graphs(2, 2)
-    rank, consistent, solved, null = derive.solve(rows, graphs)
-    assert (rank, consistent, null, solved) == (36, True, {}, values)
-    rank, consistent, _, null = derive.solve([r for r in rows if r[0] != "cyclicity"], graphs)
-    assert (rank, consistent, len(null)) == (35, True, 1)
+    reps = list(values)
+    rank, consistent, solved, null = derive.solve(rows, reps)
+    assert (rank, consistent, null, solved) == (6, True, {}, values)
+    rank, consistent, _, null = derive.solve([r for r in rows if r[0] != "cyclicity"], reps)
+    assert (rank, consistent, len(null)) == (5, True, 1)
     (vec,) = null.values()
-    support = {g for g, c in vec.items() if c}
-    assert support == {g for g, w in values.items() if abs(w) == Fraction(1, 24)}
-    assert len(support) == 8
-    assert len({vec[g] / values[g] for g in support}) == 1
+    (free,) = {rep for rep, c in vec.items() if c}
+    assert abs(values[free]) == Fraction(1, 24)
+    # its orbit is exactly the 8 graphs of weight +-1/24
+    orbit = {g for g, (rep, _) in star_orbits(2, 2).items() if rep == free}
+    assert orbit == {g for g in star_graphs(2, 2)
+                     if abs(TABLE.lookup_star(g).exact) == Fraction(1, 24)}
+    assert len(orbit) == 8
 
 
 def test_non_poisson_structure_makes_order_2_inconsistent(derive, monkeypatch, tmp_path):
@@ -110,6 +128,6 @@ def test_dropping_cyclicity_leaves_a_free_graph(derive, monkeypatch, tmp_path):
         derive.main(["--out", str(out)])
     assert not out.exists()
     message = str(exc.value.code)
-    assert message.startswith("order 2: rank 35 of 36, free graphs: ")
+    assert message.startswith("order 2: rank 5 of 6, free graphs: ")
     free = message.rsplit(": ", 1)[1]
     assert abs(TABLE.get(free, (0.0, 0.0, 1.0)).exact) == Fraction(1, 24)

@@ -231,6 +231,22 @@ def test_insert_composition():
         A.insert(B, 3)
 
 
+def test_insert_agrees_with_apply():
+    # (A o_slot B)(f..) = A(.., B(..), ..) for inner arities 0, 1 and 2,
+    # an inner arity 0 being a plain function
+    rng = random.Random(11)
+    fs = [P.parse(t, 2) for t in ("x1^3*x2 + 2*x2^2", "x1*x2^3 - x1", "x1^2 + 3*x1*x2^2")]
+    for k2 in (0, 1, 2):
+        for _ in range(5):
+            A = random_operator(2, 2, rng).insert(random_operator(2, 1, rng), 1)
+            B = random_operator(2, k2, rng)
+            for slot in (1, 2):
+                comp = A.insert(B, slot)
+                args = fs[:comp.arity]
+                inner = B.apply(args[slot - 1:slot - 1 + k2])
+                assert comp.apply(args) == A.apply(args[:slot - 1] + [inner] + args[slot - 1 + k2:])
+
+
 def test_extended_by_slot():
     b1 = D(2, 2, {((1, 0), (0, 1)): P.one(2)})
     ext = b1.extended_by_slot()

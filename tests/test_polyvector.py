@@ -248,3 +248,11 @@ def test_zero_polyvector():
     assert z.is_zero()
     assert z.schouten(so3_bivector()).is_zero()
     assert z.wedge(so3_bivector()).is_zero()
+
+
+def test_hash_agrees_with_equality_on_zero_polyvectors():
+    # zero multivectors of different degree are equal, so they must hash alike
+    assert PolyVector.zero(3, 0) == PolyVector.zero(3, 1)
+    assert PolyVector.zero(3, 1) in {PolyVector.zero(3, 0)}
+    assert so3_bivector() in {PolyVector(3, 1, dict(so3_bivector().components))}
+    assert so3_bivector() not in {PolyVector.zero(3, 1)}

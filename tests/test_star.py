@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,82 @@ def test_check_alpha_independence():
     with pytest.raises(ValueError, match="sums differ"):
         check_alpha_independence(so3(), (0.0, 0.0, 1.0), (2.0, 0.0, 0.0),
                                  t, 1, VolumeForm.constant(3))
+
+
+def per_graph_alpha_report(pi, alphas, alphas2, table, order, vol, floor=1e-3):
+    """The reference: check_alpha_independence with one contraction and
+    normal form per labeled graph."""
+    a1, a2 = tuple(map(float, alphas)), tuple(map(float, alphas2))
+    pref = Fraction(1, math.factorial(order) * 2 ** order)
+    nfs = {g.canonical_key(): graph_to_operator(g, [pi] * order).ibp_normal_form(vol)
+           for g in star_graphs(order, 3)}
+
+    def side(al):
+        acc = {}
+        for key, nf in nfs.items():
+            e = table.get(key, al)
+            w = e.exact if e.exact is not None else Fraction(e.value)
+            for opkey, cpoly in nf.terms.items():
+                for exps, c in cpoly.terms.items():
+                    cell = acc.setdefault((opkey, exps), [Fraction(0), 0.0])
+                    cell[0] += w * c
+                    cell[1] += (float(c) * e.std_error) ** 2
+        return acc
+
+    s1, s2 = side(a1), side(a2)
+    rows = []
+    for opkey, exps in sorted(set(s1) | set(s2)):
+        v1, var1 = s1.get((opkey, exps), (Fraction(0), 0.0))
+        v2, var2 = s2.get((opkey, exps), (Fraction(0), 0.0))
+        delta = abs(float(pref * (v1 - v2)))
+        tol = max(3.0 * float(pref) * math.sqrt(var1 + var2), floor)
+        rows.append({"slots": ["".join(str(e) for e in mi) for mi in opkey],
+                     "monomial": "".join(str(e) for e in exps),
+                     "delta": delta, "tolerance": tol, "ok": delta <= tol})
+    return {"check": "alpha", "order": order, "alphas": list(a1), "alphas2": list(a2),
+            "divergence_free": pi.divergence(vol).is_zero(), "coefficients": rows,
+            "passed": all(r["ok"] for r in rows)}
+
+
+def synthetic_alpha_table(order, alpha_pairs, seed):
+    """Float weights with error bars for every graph of star_graphs(order,
+    3); they break the orbit relation, so only the per-graph sum holds."""
+    rng = random.Random(seed)
+    t = WeightTable()
+    for alphas in alpha_pairs:
+        for g in star_graphs(order, 3):
+            t.add(WeightEntry(g.canonical_key(), alphas, rng.uniform(-0.1, 0.1),
+                              rng.uniform(0.0, 1e-3), 1 << 16, 0))
+    return t
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_alpha_check_contracts_one_graph_per_orbit(monkeypatch, order):
+    a1, a2 = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
+    if order == 1:
+        table = WeightTable()
+        for k, g in enumerate(star_graphs(1, 3)):
+            for alphas in (a1, a2):
+                table.add(compute_weight(g, AngleContext.standard(alphas), 1 << 12, 60 + k))
+    else:
+        table = synthetic_alpha_table(2, (a1, a2), 7)
+    cases = [(so3(), VolumeForm.constant(3)), (nondiv(), VolumeForm.constant(2))]
+    if order == 2:
+        cases.append((ASSOC_STRUCTURES["casimir3"], VolumeForm.constant(3)))
+    refs = [per_graph_alpha_report(pi, a1, a2, table, order, vol) for pi, vol in cases]
+    calls = []
+    contract = star.graph_to_operator
+
+    def counted(graph, gammas):
+        calls.append(graph)
+        return contract(graph, gammas)
+
+    monkeypatch.setattr(star, "graph_to_operator", counted)
+    for (pi, vol), ref in zip(cases, refs):
+        del calls[:]
+        rep = check_alpha_independence(pi, a1, a2, table, order, vol)
+        assert len(calls) == len(set(calls)) == {1: 3, 2: 21}[order]
+        assert json.dumps(rep) == json.dumps(ref)
 
 
 def test_star_product_json():

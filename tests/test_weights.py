@@ -20,6 +20,7 @@ from starcycle import (
     star_graphs,
 )
 from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
+from starcycle.graphs import star_orbits
 from starcycle import weights
 from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
 
@@ -184,6 +185,10 @@ def test_builtin_table_symmetries():
     assert w("2;2;b1,2|b2,1") == w("2;2;b2,2|b1,1")      # vertex relabel
     assert w("2;2;2,b1|b2,1") == -w("2;2;b1,2|b2,1")     # slot swap at vertex 1
     assert w("2;2;b1,2|1,b2") == -w("2;2;b1,2|b2,1")     # slot swap at vertex 2
+    # every graph of orders 1 and 2: sign times its orbit representative
+    for n in (1, 2):
+        for g, (rep, sign) in star_orbits(n, 2).items():
+            assert w(g.canonical_key()) == sign * w(rep.canonical_key()), g
 
 
 def test_chunked_seeding_is_sample_count_stable():
