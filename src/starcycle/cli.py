@@ -47,23 +47,30 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_pi(spec: str):
-    """Bivector from a JSON path or a bundled name (moyal, so3, nondiv)."""
-    name = spec[:-5] if spec.endswith(".json") else spec
+def _read(spec: str, what: str, from_json, bundled=()):
+    """(object, file bytes, label) of an input file: the bundled bivector
+    data/pi/SPEC.json when spec is one of `bundled`, else the file at path
+    spec.  A file that cannot be read or built is an InputError."""
     try:
-        if name in BUNDLED_PI:
-            blob = (resources.files("starcycle") / ("data/pi/%s.json" % name)).read_bytes()
-            label = "bundled:%s" % name
+        if spec in bundled:
+            blob = (resources.files("starcycle") / ("data/pi/%s.json" % spec)).read_bytes()
+            label = "bundled:%s" % spec
         else:
             with open(spec, "rb") as fh:
                 blob = fh.read()
             label = spec
     except OSError as e:
-        raise InputError("cannot read bivector %r: %s" % (spec, e))
+        raise InputError("cannot read %s %r: %s" % (what, spec, e))
     try:
-        pi = PolyVector.from_json(json.loads(blob))
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise InputError("bad bivector file %r: %s" % (spec, e))
+        return from_json(json.loads(blob)), blob, label
+    except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as e:
+        raise InputError("bad %s file %r: %s" % (what, spec, e))
+
+
+def _load_pi(spec: str):
+    """Bivector from a JSON path or a bundled name (moyal, so3, nondiv)."""
+    pi, blob, label = _read(spec, "bivector", PolyVector.from_json, BUNDLED_PI)
     if pi.degree != 1:
         raise InputError("%r is not a bivector (degree %d)" % (spec, pi.degree))
     return pi, {"path": label, "sha256": _sha256(blob)}
@@ -73,31 +80,17 @@ def _load_vol(spec, dim: int):
     """Volume form from a JSON path; default is the constant density."""
     if spec is None:
         return VolumeForm.constant(dim), {"path": "constant", "sha256": None}
-    try:
-        with open(spec, "rb") as fh:
-            blob = fh.read()
-        vol = VolumeForm.from_json(json.loads(blob))
-    except OSError as e:
-        raise InputError("cannot read volume form %r: %s" % (spec, e))
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
-        raise InputError("bad volume form file %r: %s" % (spec, e))
+    vol, blob, label = _read(spec, "volume form", VolumeForm.from_json)
     if vol.dim != dim:
         raise InputError("volume form dim %d does not match bivector dim %d" % (vol.dim, dim))
-    return vol, {"path": spec, "sha256": _sha256(blob)}
+    return vol, {"path": label, "sha256": _sha256(blob)}
 
 
 def _load_table(spec):
     if spec is None:
-        table = WeightTable.builtin()
-        label = "builtin"
+        table, label = WeightTable.builtin(), "builtin"
     else:
-        try:
-            table = WeightTable.load(spec)
-        except OSError as e:
-            raise InputError("cannot read weight table %r: %s" % (spec, e))
-        except (ValueError, KeyError, json.JSONDecodeError) as e:
-            raise InputError("bad weight table file %r: %s" % (spec, e))
-        label = spec
+        table, _, label = _read(spec, "weight table", WeightTable.from_json)
     return table, {"path": label, "sha256": table.fingerprint(),
                    "provenance": table.provenance()}
 
@@ -193,32 +186,27 @@ def _check_sampling(args):
 
 def _cmd_weights_compute(args):
     _check_sampling(args)
+    table = WeightTable()
     if args.out_table and os.path.exists(args.out_table):
-        try:
-            table = WeightTable.load(args.out_table)
-        except (OSError, ValueError, KeyError) as e:
-            raise InputError("cannot merge into %r: %s" % (args.out_table, e))
-    else:
-        table = WeightTable()
-    entries = []
+        table = _read(args.out_table, "weight table", WeightTable.from_json)[0]
     if args.m == 2:
         if args.alpha is not None:
             raise InputError("the 2-boundary route has no alpha weights; drop --alpha")
-        graphs = [(g, None) for g in star_graphs(args.n, 2)]
+        # looked up per command, so that a caller may rebind weights.halfplane_weight
+        from .weights import halfplane_weight as sample
     else:
         if args.alpha is None:
             raise InputError("--alpha is required for m >= 3")
-        alphas = _parse_alpha(args.alpha, args.m)
-        ctx = AngleContext.standard(alphas)
-        graphs = [(g, ctx) for g in star_graphs(args.n, args.m)]
-    from .weights import halfplane_weight
-    for k, (g, ctx) in enumerate(graphs):
-        if ctx is None:
-            entry = halfplane_weight(g, samples=args.samples, seed=args.seed + k)
-        else:
-            entry = compute_weight(g, ctx, samples=args.samples, seed=args.seed + k)
-        table.add(entry)
-        entries.append(entry.to_json())
+        ctx = AngleContext.standard(_parse_alpha(args.alpha, args.m))
+        sample = lambda g, **kw: compute_weight(g, ctx, **kw)
+    entries = []
+    try:
+        for k, g in enumerate(star_graphs(args.n, args.m)):
+            entry = sample(g, samples=args.samples, seed=args.seed + k)
+            table.add(entry)
+            entries.append(entry.to_json())
+    except ValueError as e:
+        raise InputError(str(e))
     if args.out_table:
         table.save(args.out_table)
     return {
@@ -230,16 +218,21 @@ def _cmd_weights_compute(args):
     }
 
 
-def _cmd_star_apply(args):
-    pi, pi_meta = _load_pi(args.pi)
+def _exact(pi, args, use):
+    """use(star product of pi through args.order from the --table weights),
+    and the table's input metadata; a ValueError is an InputError."""
     table, table_meta = _load_table(args.table)
-    f = _parse_poly(args.f, pi.dim)
-    g = _parse_poly(args.g, pi.dim)
     try:
-        s = assemble_star(pi, table, args.order)
+        return use(assemble_star(pi, table, args.order)), table_meta
     except ValueError as e:
         raise InputError(str(e))
-    levels = s.apply(f, g)
+
+
+def _cmd_star_apply(args):
+    pi, pi_meta = _load_pi(args.pi)
+    f = _parse_poly(args.f, pi.dim)
+    g = _parse_poly(args.g, pi.dim)
+    levels, table_meta = _exact(pi, args, lambda s: s.apply(f, g))
     return {
         "command": "star apply",
         "inputs": {"pi": pi_meta, "table": table_meta},
@@ -253,43 +246,25 @@ def _cmd_check(args):
     pi, pi_meta = _load_pi(args.pi)
     inputs = {"pi": pi_meta}
     options = {}
+    if "vol" in args:
+        vol, inputs["vol"] = _load_vol(args.vol, pi.dim)
     if args.which == "jacobi":
         jac = pi.schouten(pi)
         result = {"components": {",".join(map(str, k)): p.render()
                                  for k, p in sorted(jac.components.items())}}
         passed = jac.is_zero()
     elif args.which == "divergence":
-        vol, vol_meta = _load_vol(args.vol, pi.dim)
-        inputs["vol"] = vol_meta
         div = pi.divergence(vol)
         result = {"divergence": div.render() if not div.is_zero() else None}
         passed = div.is_zero()
-    elif args.which in ("cyclic", "closed"):
-        vol, vol_meta = _load_vol(args.vol, pi.dim)
-        table, table_meta = _load_table(args.table)
-        inputs["vol"] = vol_meta
-        inputs["table"] = table_meta
+    elif args.which in ("cyclic", "closed", "assoc"):
         options["order"] = args.order
-        try:
-            s = assemble_star(pi, table, args.order)
-            check = check_cyclic if args.which == "cyclic" else check_closed
-            result = check(s, vol)
-        except ValueError as e:
-            raise InputError(str(e))
-        passed = result["passed"]
-    elif args.which == "assoc":
-        table, table_meta = _load_table(args.table)
-        inputs["table"] = table_meta
-        options["order"] = args.order
-        try:
-            s = assemble_star(pi, table, args.order)
-            result = check_associative(s)
-        except ValueError as e:
-            raise InputError(str(e))
+        check = {"cyclic": check_cyclic, "closed": check_closed,
+                 "assoc": check_associative}[args.which]
+        use = (lambda s: check(s, vol)) if "vol" in args else check
+        result, inputs["table"] = _exact(pi, args, use)
         passed = result["passed"]
     else:  # alpha
-        vol, vol_meta = _load_vol(args.vol, pi.dim)
-        inputs["vol"] = vol_meta
         _check_sampling(args)
         a1 = _parse_alpha(args.alpha, 3)
         a2 = _parse_alpha(args.alpha2, 3)

@@ -324,8 +324,15 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     return float(np.sum(dets)), float(np.sum(dets * dets)), rej
 
 
-def _sample(graph, ctx, edge_alphas, norm, alphas, samples, seed, threads):
+def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     """WeightEntry from all chunks, reduced in chunk order."""
+    if samples <= 0:
+        raise ValueError("samples must be positive")
+    norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
+    nfree = graph.m - 3
+    if nfree > 0:  # the free boundary points run over their ordered arc
+        arc = ctx.boundary_angles[0] + TWO_PI - ctx.boundary_angles[2]
+        norm *= arc ** nfree / math.factorial(nfree)
     if threads is None:
         threads = default_threads()
     plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(-(-samples // CHUNK))]
@@ -359,37 +366,23 @@ def _sample(graph, ctx, edge_alphas, norm, alphas, samples, seed, threads):
 
 
 def compute_weight(graph: AdmissibleGraph, ctx: AngleContext, samples: int, seed: int,
-                   threads: int | None = None, edge_alphas=None) -> WeightEntry:
-    """Monte Carlo weight of a top-degree graph under ctx.
+                   threads: int | None = None) -> WeightEntry:
+    """Monte Carlo weight of a top-degree graph with m >= 3 boundary points
+    under ctx.  The 2-boundary route, over the half-plane slice, is
+    halfplane_weight."""
+    return _disk_weight(graph, ctx, [ctx.alphas] * graph.edge_count, samples, seed, threads)
 
-    edge_alphas optionally overrides the alpha vector edge by edge (used
-    by the mixed-form identity check); default is ctx.alphas for every
-    edge.
-    """
+
+def _disk_weight(graph, ctx, edge_alphas, samples, seed, threads):
+    """compute_weight with one alpha vector per edge in place of ctx.alphas."""
     if ctx.m != graph.m:
         raise ValueError("context boundary count %d != graph %d" % (ctx.m, graph.m))
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    if graph.m == 2:
-        if edge_alphas is not None:
-            raise ValueError("edge_alphas is only supported on the disk route (m >= 3)")
-        return halfplane_weight(graph, samples, seed, threads)
+    if graph.m < 3:
+        raise ValueError("the disk route needs m >= 3; use halfplane_weight for m == 2")
     E = graph.edge_count
     if E != top_edge_count(graph.n, graph.m):
         raise ValueError("graph has %d edges; top degree needs %d" % (E, top_edge_count(graph.n, graph.m)))
-    if edge_alphas is None:
-        edge_alphas = [ctx.alphas] * E
-    else:
-        edge_alphas = [tuple(float(a) for a in row) for row in edge_alphas]
-        if len(edge_alphas) != E or any(len(r) != ctx.m for r in edge_alphas):
-            raise ValueError("edge_alphas must give one length-m alpha vector per edge")
-
-    nfree = graph.m - 3
-    norm = math.pi ** graph.n / TWO_PI ** E
-    if nfree > 0:
-        arc = ctx.boundary_angles[0] + TWO_PI - ctx.boundary_angles[2]
-        norm *= arc ** nfree / math.factorial(nfree)
-    return _sample(graph, ctx, edge_alphas, norm, ctx.alphas, samples, seed, threads)
+    return _sample(graph, ctx, edge_alphas, ctx.alphas, samples, seed, threads)
 
 
 def halfplane_weight(graph: AdmissibleGraph, samples: int, seed: int,
@@ -401,11 +394,8 @@ def halfplane_weight(graph: AdmissibleGraph, samples: int, seed: int,
         raise ValueError("halfplane_weight needs m == 2")
     if graph.edge_count != 2 * graph.n:
         raise ValueError("graph has %d edges; the half-plane slice needs %d" % (graph.edge_count, 2 * graph.n))
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
     edge_alphas = [_HALFPLANE.alphas] * graph.edge_count
-    return _sample(graph, _HALFPLANE, edge_alphas, norm, (), samples, seed, threads)
+    return _sample(graph, _HALFPLANE, edge_alphas, (), samples, seed, threads)
 
 
 def mixed_edge_integral(graph: AdmissibleGraph, ctx: AngleContext, replacement: AngleContext,
@@ -424,4 +414,4 @@ def mixed_edge_integral(graph: AdmissibleGraph, ctx: AngleContext, replacement: 
         raise ValueError("contexts must share boundary data")
     edge_alphas = [ctx.alphas] * E
     edge_alphas[edge_index] = tuple(b - a for a, b in zip(ctx.alphas, replacement.alphas))
-    return compute_weight(graph, ctx, samples, seed, threads, edge_alphas=edge_alphas)
+    return _disk_weight(graph, ctx, edge_alphas, samples, seed, threads)

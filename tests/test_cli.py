@@ -191,6 +191,13 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "weights", "compute", "--n", "1", "--m", "3",
                        "--alpha", "0,1", "--samples", "4096", "--seed", "1")
     assert code == 2
+    # no star graph has top degree at m = 4, and none exists at n = 0
+    code, out, err = run(capsys, "weights", "compute", "--n", "1", "--m", "4",
+                         "--alpha", "0,0,1,0", "--samples", "16", "--seed", "1")
+    assert code == 2 and "top degree" in err and out == ""
+    code, out, err = run(capsys, "weights", "compute", "--n", "0", "--m", "2",
+                         "--samples", "16", "--seed", "1")
+    assert code == 2 and "n >= 1" in err and out == ""
     # unparsable polynomial
     code, _, err = run(capsys, "star", "apply", "--pi", "moyal",
                        "--f", "x1 +", "--g", "x2")
@@ -263,3 +270,46 @@ def test_custom_pi_and_volume_files(capsys, tmp_path):
     assert code == 1     # d(x2 d1^d2) has divergence -d1
     code, out, _ = run(capsys, "check", "jacobi", "--pi", str(pi_path))
     assert code == 0
+
+
+def test_bundled_names_match_exactly(capsys, tmp_path, monkeypatch):
+    # a local so3.json is a file like any other, not the bundled so3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "so3.json").write_text(json.dumps({
+        "dim": 3, "degree": 1, "components": {"1,2": "x1"}}))
+    for spec in ("so3.json", "./so3.json"):
+        code, out, _ = run(capsys, "check", "divergence", "--pi", spec, "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["inputs"]["pi"]["path"] == spec
+        assert report["result"]["divergence"] == "(1) d2"
+    code, out, _ = run(capsys, "check", "divergence", "--pi", "so3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["pi"]["path"] == "bundled:so3"
+
+
+_ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2"}
+
+
+@pytest.mark.parametrize("flag, text, argv", [
+    ("--pi", "[]", ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,2": 3}}), ("check", "jacobi")),
+    ("--pi", "[" * 100000, ("check", "jacobi")),
+    ("--vol", "[]", ("check", "divergence", "--pi", "so3")),
+    ("--vol", json.dumps({"dim": 3, "log_density": 1}), ("check", "cyclic", "--pi", "so3")),
+    ("--table", "[]", ("check", "assoc", "--pi", "so3")),
+    ("--table", json.dumps({"entries": [dict(_ENTRY, exact="1/0")]}),
+     ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2")),
+    ("--table", json.dumps({"entries": [dict(_ENTRY, value=None)]}),
+     ("check", "closed", "--pi", "so3")),
+    ("--out-table", "[]", ("weights", "compute", "--n", "1", "--m", "2",
+                           "--samples", "16", "--seed", "1")),
+], ids=["pi-list", "pi-int-component", "pi-nested-too-deep", "vol-list", "vol-int-density",
+        "table-list", "table-exact-div-zero", "table-value-null", "out-table-list"])
+def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert code == 2
+    assert err.startswith("error: bad ")
+    assert out == ""
