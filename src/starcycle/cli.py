@@ -186,6 +186,12 @@ def _check_sampling(args):
 
 def _cmd_weights_compute(args):
     _check_sampling(args)
+    try:
+        graphs = star_graphs(args.n, args.m)
+    except ValueError as e:
+        raise InputError(str(e))
+    if not graphs:
+        raise InputError("there are no star graphs with n=%d, m=%d" % (args.n, args.m))
     table = WeightTable()
     if args.out_table and os.path.exists(args.out_table):
         table = _read(args.out_table, "weight table", WeightTable.from_json)[0]
@@ -201,7 +207,7 @@ def _cmd_weights_compute(args):
         sample = lambda g, **kw: compute_weight(g, ctx, **kw)
     entries = []
     try:
-        for k, g in enumerate(star_graphs(args.n, args.m)):
+        for k, g in enumerate(graphs):
             entry = sample(g, samples=args.samples, seed=args.seed + k)
             table.add(entry)
             entries.append(entry.to_json())

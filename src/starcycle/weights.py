@@ -20,10 +20,20 @@ contract: sampling is split into fixed chunks of CHUNK samples, chunk c
 is seeded from (seed, c), and the reduction runs in chunk order, so
 results are byte-identical for any thread count.  Inside a chunk, rows
 and determinants are built in sub-blocks of BLOCK samples, small enough
-to stay in cache; a sample's value does not depend on its block.  A
-chunk in which every determinant is below ZERO_RATIO times its Hadamard
-bound (the product of its row norms) holds a form that vanishes
-pointwise, and contributes exactly 0 rather than roundoff.
+to stay in cache; a sample's value does not depend on its block.
+
+A form that vanishes at every point is estimated as exactly 0.0 +- 0.0.
+Most such forms are certified from the graph alone by _vanishes, before
+anything is drawn: an edge whose form is the zero row, or a closed set of
+interior vertices whose edges see at most two pinned boundary points, so
+that a one-parameter Moebius group leaves all of their angles unchanged
+(the proof is in its docstring).  On every star graph of orders 1 and 2,
+at m = 3 and on the half-plane slice, it finds exactly the forms the
+float rule below finds.  The forms it does not cover, such as some m > 3
+graphs with edges into a free boundary point, are still sampled, and
+for them ZERO_RATIO decides: a chunk in which every determinant is below
+ZERO_RATIO times its Hadamard bound (the product of its row norms)
+contributes exactly 0 rather than roundoff.
 
 Determinants are taken by _laplace_det, a Laplace expansion over the
 (E, D, S) array the row kernel fills, one elementwise call per step for
@@ -31,9 +41,9 @@ every D (2 at order 1, 4 at order 2, 6 at order 3); no LAPACK call is
 made.  Its rounding error is at most about D(D+1)/2 unit roundoffs times
 the permanent of |A|, and that permanent is at most D^(D/2) times the
 Hadamard bound, so up to D = 6 the error stays below 5e-13 of the bound
-(measured on random stacks: below 1e-15).  A pointwise-vanishing form
-therefore still reads under ZERO_RATIO, while a form that does not vanish
-reaches a ratio near 1 in every chunk.
+(measured on random stacks: below 1e-15).  An uncertified
+pointwise-vanishing form therefore still reads under ZERO_RATIO, while a
+form that does not vanish reaches a ratio near 1 in every chunk.
 """
 
 from __future__ import annotations
@@ -281,6 +291,50 @@ def _laplace_det(a):
     return minors[tuple(range(D))]
 
 
+def _vanishes(graph, edge_alphas):
+    """True when the graph's form is certified zero at every point, from
+    the graph and the nonzero alphas alone.  Points xi_1..xi_3 are the
+    pinned ones (in the half-plane slice xi_3 is the point at infinity);
+    boundary vertex b_j is the point xi_j.  Either of these suffices:
+
+    1. Zero row.  Every nonzero alpha_k of some edge v -> w has w = b_k.
+       _disk_rows skips exactly those terms, so the edge's form is 0.
+    2. Symmetry.  A nonempty set U of interior vertices has at least 2|U|
+       edges, each of them ending in U or at a pinned point, with every
+       nonzero alpha on them at a pinned point; and S_U, the pinned
+       points those edges end at or weight, has at most 2 elements.
+
+    Proof of 2.  The angle arg((P-Q)(P-conj Q)) in the chart that sends
+    xi_k to infinity is unchanged by the maps z -> az + b (a > 0, b real),
+    which are the disk automorphisms fixing xi_k, and a boundary target is
+    unchanged by those that fix it too.  So each edge function of U is a
+    function of the points of U alone, invariant under the diagonal action
+    of the automorphisms fixing S_U.  With |S_U| <= 2 they contain a
+    one-parameter group with no fixed point in the open disk (hyperbolic
+    when |S_U| = 2, parabolic when it is smaller); its generator X_U on
+    D^|U| vanishes nowhere, and every edge form of U is zero on X_U.  So
+    at each point those forms lie in a space of dimension 2|U| - 1, their
+    wedge is zero, and so is the integrand, of which it is a factor.  The
+    free boundary points of m > 3 never enter: U's forms do not depend on
+    them.  All 2^n - 1 sets U are tried; n <= 3 in every caller.
+    """
+    n = graph.n
+    edges = graph.edges()
+    refs = [{k for k, a in enumerate(alphas, start=1) if a != 0.0} for alphas in edge_alphas]
+    if any(all(w == n + k for k in ks) for (_, w), ks in zip(edges, refs)):
+        return True
+    for size in range(1, n + 1):
+        for U in itertools.combinations(range(1, n + 1), size):
+            out = [(w, ks) for (v, w), ks in zip(edges, refs) if v in U]
+            if len(out) < 2 * size or any(w <= n and w not in U for w, _ in out):
+                continue
+            # S_U, plus any free point (index > 3) that U's edges meet
+            points = {w - n for w, _ in out if w > n}.union(*(ks for _, ks in out))
+            if len(points) <= 2 and max(points) <= 3:
+                return True
+    return False
+
+
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     """(sum, sum of squares, rejected) of one chunk's determinants.
 
@@ -335,7 +389,10 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
         norm *= arc ** nfree / math.factorial(nfree)
     if threads is None:
         threads = default_threads()
-    plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(-(-samples // CHUNK))]
+    if _vanishes(graph, edge_alphas):
+        plan = []  # a zero form: 0.0 +- 0.0 without drawing
+    else:
+        plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(-(-samples // CHUNK))]
     worker = lambda c, size: _disk_chunk(graph, ctx, edge_alphas, seed, c, size)
     if threads <= 1:
         results = [worker(c, size) for c, size in plan]

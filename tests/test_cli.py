@@ -215,6 +215,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_weights_compute_without_star_graphs_exits_2(capsys, tmp_path):
+    # a vertex of a star graph needs two targets other than itself, so
+    # n = 1, m = 1 has none; nothing is sampled and no table is written
+    argv = ("weights", "compute", "--n", "1", "--m", "1", "--alpha", "1",
+            "--samples", "16", "--seed", "1")
+    path = tmp_path / "table.json"
+    for extra in ((), ("--out-table", str(path))):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and "no star graphs" in err and out == ""
+    assert not path.exists()
+
+
 def test_missing_order_3_weight_exits_2_before_contracting(capsys):
     # every labeled graph's weight is looked up before any contraction, so
     # the first uncovered graph is named at once

@@ -20,7 +20,7 @@ from starcycle import (
     star_graphs,
 )
 from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
-from starcycle.graphs import star_orbits
+from starcycle.graphs import enumerate_graphs, star_orbits
 from starcycle import weights
 from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
 
@@ -429,3 +429,84 @@ def test_order_three_weight_matches_lapack_determinants(monkeypatch):
     assert ref.std_error > 0.0
     assert abs(new.value - ref.value) <= 1e-12 * abs(ref.value)
     assert abs(new.std_error - ref.std_error) <= 1e-12 * ref.std_error
+
+
+# -- the structural zero certificate ------------------------------------------
+
+def _float_rule_zero(graph, ctx, edge_alphas, size=256):
+    s1, s2, _ = weights._disk_chunk(graph, ctx, edge_alphas, 5, 0, size)
+    return (s1, s2) == (0.0, 0.0)
+
+
+def test_vanishing_certificate_matches_float_rule():
+    # on every order-1 and order-2 star graph (m = 3, and m = 2 embedded
+    # or on the half-plane slice) the certificate is exact
+    embedded = [g.add_boundary_vertex() for n in (1, 2) for g in star_graphs(n, 2)]
+    graphs = star_graphs(1, 3) + star_graphs(2, 3) + embedded
+    for alphas in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1 / 3, 1 / 6), (2.0, -1.0, 0.0)):
+        ctx = AngleContext.standard(alphas)
+        for g in graphs:
+            edge_alphas = [ctx.alphas] * g.edge_count
+            assert weights._vanishes(g, edge_alphas) == _float_rule_zero(g, ctx, edge_alphas), (alphas, g)
+    for g in star_graphs(1, 2) + star_graphs(2, 2):
+        edge_alphas = [_HALFPLANE.alphas] * g.edge_count
+        assert weights._vanishes(g, edge_alphas) == _float_rule_zero(g, _HALFPLANE, edge_alphas), g
+    # m = 4: free boundary targets leave some zero forms to the float rule,
+    # but a certified graph is never one the float rule samples as nonzero.
+    # The weight at xi_3 alone is added because it lets the certificate fire.
+    certified = 0
+    for alphas in ((0.5, 0.0, 0.25, 1.0), (0.2, 0.3, 0.0, -0.8), (0.0, 0.0, 1.0, 0.0)):
+        ctx = AngleContext(alphas, (0.0, 1.5, 3.0, 4.5))
+        for g in enumerate_graphs(1, 4, 3):
+            edge_alphas = [ctx.alphas] * g.edge_count
+            if weights._vanishes(g, edge_alphas):
+                certified += 1
+                assert _float_rule_zero(g, ctx, edge_alphas), (alphas, g)
+    assert certified > 0
+
+
+def test_certified_graphs_are_not_sampled(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a certified zero form was sampled")
+
+    monkeypatch.setattr(weights, "_disk_chunk", no_draw)
+    for k, key in enumerate(sorted(POINTWISE_VANISHING)):
+        g = AdmissibleGraph.from_key(key)
+        for w in (compute_weight(g.add_boundary_vertex(), CTX, 5000, k, threads=2),
+                  halfplane_weight(g, 5000, k)):
+            assert (w.value, w.std_error, w.samples, w.seed, w.rejected) == (0.0, 0.0, 5000, k, 0)
+    # a replacement equal to the context leaves the chosen edge a zero row
+    w = mixed_edge_integral(AdmissibleGraph.from_key("1;3;b1,b2"), CTX, CTX, 0, 100, 3)
+    assert (w.value, w.std_error, w.samples) == (0.0, 0.0, 100)
+
+
+def test_nonpositive_samples_raise_before_the_certificate(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the certificate was consulted")
+
+    monkeypatch.setattr(weights, "_vanishes", unused)
+    g = AdmissibleGraph.from_key("2;2;2,b1|1,b1")
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            halfplane_weight(g, samples, 1)
+        with pytest.raises(ValueError, match="samples must be positive"):
+            compute_weight(g.add_boundary_vertex(), CTX, samples, 1)
+
+
+def test_float_zero_rule_still_decides_a_chunk():
+    # the rule the certificate leaves in place for the forms it misses
+    for key in ("2;3;2,b1|1,b1", "1;3;b1,b3"):
+        g = AdmissibleGraph.from_key(key)
+        assert weights._disk_chunk(g, CTX, [CTX.alphas] * g.edge_count, 3, 0, 300) == (0.0, 0.0, 0)
+    g = AdmissibleGraph.from_key("2;3;b1,2|b2,1")
+    s1, s2, _ = weights._disk_chunk(g, CTX, [CTX.alphas] * g.edge_count, 3, 0, 300)
+    assert s1 != 0.0 and s2 > 0.0
+
+
+def test_disk_route_needs_three_boundary_points():
+    g = AdmissibleGraph.from_key("1;2;b1,b2")
+    ctx = AngleContext.standard((0.0, 1.0))
+    with pytest.raises(ValueError, match="m >= 3"):
+        weights._disk_weight(g, ctx, [ctx.alphas] * g.edge_count, 1 << 10, 0, 1)
+    with pytest.raises(ValueError, match="m >= 3"):
+        mixed_edge_integral(g, ctx, AngleContext.standard((1.0, 0.0)), 0, 1 << 10, 0)
