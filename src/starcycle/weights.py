@@ -22,6 +22,18 @@ results are byte-identical for any thread count.  Inside a chunk, rows
 and determinants are built in sub-blocks of BLOCK samples, small enough
 to stay in cache; a sample's value does not depend on its block.
 
+Interior points are drawn uniformly on the disk as p = sqrt(u) e^(i theta),
+theta = 2 pi v, from uniform u and v.  _disk_points takes e^(i theta)
+from one tangent, h = tan(pi (v - rint(v))), as ((1 - h^2) + 2ih) /
+(1 + h^2), rather than a complex exp: on 2^21 draws, and at the edge
+values of v (0, 1/2 and its neighbours, 1 - 2^-53), p is within 9e-16
+of sqrt(u) exp(2 pi i v), and |p| < 1.  A sample is rejected when two
+of its points are closer than MIN_DIST (_collisions).  Only a point with
+|p| > 1 - MIN_DIST can be that close to a boundary point, so the
+boundary points, pinned and free, are tested only at samples with some
+u > (1 - 2 MIN_DIST)^2; the margin of MIN_DIST over the bound above
+makes this reject exactly the samples that testing every point would.
+
 A form that vanishes at every point is estimated as exactly 0.0 +- 0.0.
 Most such forms are certified from the graph alone by _vanishes, before
 anything is drawn: an edge whose form is the zero row, or a closed set of
@@ -335,6 +347,48 @@ def _vanishes(graph, edge_alphas):
     return False
 
 
+def _disk_points(u, v):
+    """sqrt(u) * exp(2 pi i v), the uniform disk point of each (u, v) in
+    [0, 1), with exp(i theta) taken from one tangent: for h = tan(theta/2)
+    = tan(pi (v - rint(v))) it is ((1 - h^2) + 2ih) / (1 + h^2).  The
+    temporaries are worked in place and freed on return."""
+    h = np.rint(v)
+    np.subtract(v, h, out=h)
+    h *= math.pi
+    np.tan(h, out=h)
+    p = np.empty(u.shape, dtype=complex)
+    np.add(h, h, out=p.imag)
+    h *= h
+    np.subtract(1.0, h, out=p.real)
+    h += 1.0
+    r = np.sqrt(u)
+    r /= h
+    p.real *= r
+    p.imag *= r
+    return p
+
+
+def _collisions(u, p, boundary_angles, th_free):
+    """Samples with two points closer than MIN_DIST: two interior points,
+    or an interior point and a pinned or free boundary point.  p is
+    _disk_points(u, v); the boundary points are tested only at samples
+    with some u > (1 - 2 MIN_DIST)^2, the only ones that can be that
+    close to the circle (see the module docstring)."""
+    n = p.shape[1]
+    reject = np.zeros(p.shape[0], dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            reject |= np.abs(p[:, i] - p[:, j]) < MIN_DIST
+    # a sample with two such points is listed twice, and gets the same verdict twice
+    near = np.flatnonzero(u > (1.0 - 2 * MIN_DIST) ** 2) // n
+    if near.size:
+        boundary = [np.exp(1j * t) for t in boundary_angles[:3]] + list(np.exp(1j * th_free[near]).T)
+        for i in range(n):
+            for xi in boundary:
+                reject[near] |= np.abs(p[near, i] - xi) < MIN_DIST
+    return reject
+
+
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     """(sum, sum of squares, rejected) of one chunk's determinants.
 
@@ -345,21 +399,11 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     angles = ctx.boundary_angles
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     u = rng.random((size, n))
-    v = rng.random((size, n))
-    p = np.sqrt(u) * np.exp(1j * TWO_PI * v)
+    p = _disk_points(u, rng.random((size, n)))
     arc0, arc1 = angles[2], angles[0] + TWO_PI
     th_free = arc0 + (arc1 - arc0) * np.sort(rng.random((size, nfree)), axis=1)
 
-    reject = np.zeros(size, dtype=bool)
-    for i in range(n):
-        for jj in range(i + 1, n):
-            reject |= np.abs(p[:, i] - p[:, jj]) < MIN_DIST
-    pinned = [np.exp(1j * t) for t in angles[:3]]
-    for i in range(n):
-        for xi in pinned:
-            reject |= np.abs(p[:, i] - xi) < MIN_DIST
-        if nfree:
-            reject |= np.min(np.abs(p[:, i, None] - np.exp(1j * th_free)), axis=1) < MIN_DIST
+    reject = _collisions(u, p, angles, th_free)
 
     dets = np.empty(size)
     vanishing = True

@@ -19,10 +19,10 @@ from starcycle import (
     mixed_edge_integral,
     star_graphs,
 )
-from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
+from starcycle.angles import TWO_PI, cayley, harmonic_angle_halfplane, wrap_angle
 from starcycle.graphs import enumerate_graphs, star_orbits
 from starcycle import weights
-from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
+from starcycle.weights import CHUNK, MIN_DIST, _HALFPLANE, _disk_rows, _laplace_det
 
 CTX = AngleContext.standard((0.0, 0.0, 1.0))
 
@@ -510,3 +510,68 @@ def test_disk_route_needs_three_boundary_points():
         weights._disk_weight(g, ctx, [ctx.alphas] * g.edge_count, 1 << 10, 0, 1)
     with pytest.raises(ValueError, match="m >= 3"):
         mixed_edge_integral(g, ctx, AngleContext.standard((1.0, 0.0)), 0, 1 << 10, 0)
+
+
+# -- the point draw and the collision rule ------------------------------------
+
+def test_tangent_draw_matches_complex_exp():
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    seeded = (rng.random((1 << 19, 2)), rng.random((1 << 19, 2)))  # 2^20 points
+    edge_v = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53]
+    edges = np.meshgrid([0.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53], edge_v)
+    for u, v in (seeded, edges):
+        p = weights._disk_points(u, v)
+        assert p.shape == u.shape and p.flags.c_contiguous
+        assert np.max(np.abs(p - np.sqrt(u) * np.exp(2j * np.pi * v))) <= 2e-15
+        assert np.all(np.abs(p) < 1.0)
+
+
+def _brute_collisions(p, boundary_angles, th_free):
+    """Every pair of points, interior and boundary, at every sample; only
+    pairs of two boundary points are left out."""
+    S, n = p.shape
+    xi = np.exp(1j * np.concatenate([np.broadcast_to(boundary_angles[:3], (S, 3)), th_free], axis=1))
+    points = np.concatenate([p, xi], axis=1)
+    close = np.abs(points[:, :, None] - points[:, None, :]) < MIN_DIST
+    pairs = np.zeros(close.shape[1:], dtype=bool)
+    pairs[:n] = pairs[:, :n] = True
+    np.fill_diagonal(pairs, False)
+    return np.any(close & pairs, axis=(1, 2))
+
+
+def test_collision_rule_matches_brute_force():
+    # m = 4, three interior points, each planted within a few MIN_DIST of
+    # each pinned point, of the free point, of the next interior point, or
+    # (two points of one sample) of a pinned point and of the free point
+    angles = (0.0, 1.5, 3.0, 4.5)
+    rng = np.random.default_rng(np.random.SeedSequence(77))
+    per, n, kinds = 400, 3, 6
+    S = per * n * kinds
+    u, v = rng.random((S, n)), rng.random((S, n))
+    th_free = 3.0 + (TWO_PI - 3.0) * rng.random((S, 1))
+    offset = 3 * MIN_DIST * rng.uniform(-1.0, 1.0, (S, 4))
+
+    def near_circle(s, i, theta, k):
+        u[s, i] = (1.0 - abs(offset[s, k])) ** 2
+        v[s, i] = ((theta + offset[s, k + 1]) / TWO_PI) % 1.0
+
+    for s in range(S):
+        i, kind = (s // per) % n, s // (per * n)
+        j = (i + 1) % n
+        if kind < 3:
+            near_circle(s, i, angles[kind], 0)
+        elif kind == 3:
+            near_circle(s, i, th_free[s, 0], 0)
+        elif kind == 4:
+            u[s, j] = u[s, i]
+            v[s, j] = (v[s, i] + offset[s, 1] / TWO_PI) % 1.0
+        else:
+            near_circle(s, i, angles[s % 3], 0)
+            near_circle(s, j, th_free[s, 0], 2)
+    p = weights._disk_points(u, v)
+    rule = weights._collisions(u, p, angles, th_free)
+    brute = _brute_collisions(p, angles, th_free)
+    assert np.array_equal(rule, brute)
+    # each kind of plant gives rejected and kept samples alike
+    counts = brute.reshape(kinds, n * per).sum(axis=1)
+    assert np.all(counts > 0) and np.all(counts < n * per), counts
