@@ -12,7 +12,7 @@ equation:
   - order n >= 2: the order-n associativity defect is zero;
   - cyclicity: the level is cyclic for the divergence-free structures
     with constant volume.
-Each order is solved by Fraction Gauss-Jordan elimination.  The script
+Each order is solved exactly by starcycle._linsolve.solve.  The script
 prints the equations, the rank and the weights, and the rank without the
 cyclicity rows: at order 2 associativity leaves one direction (the orbit
 of the +-1/24 graphs) free, and cyclicity pins it.  An inconsistent
@@ -37,6 +37,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from starcycle._linsolve import coefficient_rows, solve
 from starcycle.diffops import PolyDiffOperator
 from starcycle.graphs import star_graphs, star_orbits
 from starcycle.poly import Polynomial
@@ -73,17 +74,6 @@ def b1_pattern(pi):
                                         for i in dims for j in dims})
 
 
-def coefficient_rows(kind, known, ops):
-    """One row per coefficient of known + sum_G x_G ops[G]; a row maps
-    each graph to its coefficient and None to the constant."""
-    cells = {}
-    for g, op in [(None, known), *ops.items()]:
-        for key, poly in op.terms.items():
-            for exps, c in poly.terms.items():
-                cells.setdefault((key, exps), {})[g] = c
-    return [(kind, row) for row in cells.values()]
-
-
 def equations(n, lower):
     """Rows of the order-n system, the unknowns (representatives of
     star_orbits(n, 2) with nonzero sign, in star_graphs order) and each
@@ -112,42 +102,6 @@ def equations(n, lower):
             rows += coefficient_rows("cyclicity", zero, {
                 rep: op.cyclic_shift(vol) - op for rep, op in u.items()})
     return rows, reps, units
-
-
-def solve(rows, unknowns):
-    """Gauss-Jordan elimination over Q of the rows sum_G row[G] x_G + row[None] = 0.
-
-    Returns (rank, consistent, values, null): values puts the free
-    unknowns at 0, and null maps each free unknown to the homogeneous
-    solution that is 1 on it and 0 on the other free unknowns.
-    """
-    col = {g: j for j, g in enumerate(unknowns)}
-    width = len(unknowns)
-    pivots = {}
-    consistent = True
-    for _, row in rows:
-        r = [Fraction(0)] * (width + 1)
-        for g, c in row.items():
-            r[width if g is None else col[g]] += c
-        for j, p in pivots.items():
-            if r[j]:
-                f = r[j]
-                r = [a - f * b for a, b in zip(r, p)]
-        lead = next((j for j in range(width) if r[j]), None)
-        if lead is None:
-            consistent = consistent and not r[width]
-            continue
-        r = [a / r[lead] for a in r]
-        for j, p in pivots.items():
-            if p[lead]:
-                f = p[lead]
-                pivots[j] = [a - f * b for a, b in zip(p, r)]
-        pivots[lead] = r
-    values = {g: -pivots[j][width] if j in pivots else Fraction(0) for g, j in col.items()}
-    null = {g: {h: Fraction(j == f) if j not in pivots else -pivots[j][f]
-                for h, j in col.items()}
-            for g, f in col.items() if f not in pivots}
-    return len(pivots), consistent, values, null
 
 
 def derive():

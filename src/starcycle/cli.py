@@ -17,6 +17,7 @@ Thread count comes from the STARCYCLE_THREADS environment variable only.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -102,6 +103,8 @@ def _parse_alpha(text: str, m: int):
         raise InputError("bad alpha list %r" % text)
     if len(alphas) != m:
         raise InputError("alpha list %r has %d entries, expected %d" % (text, len(alphas), m))
+    if not all(map(math.isfinite, alphas)):
+        raise InputError("alpha list %r has a non-finite entry" % text)
     return alphas
 
 
@@ -182,6 +185,8 @@ def _check_sampling(args):
         raise InputError("--samples must be at least 1, got %d" % args.samples)
     if args.seed is None:
         raise InputError("--seed is required when --samples > 0")
+    if args.seed < 0:
+        raise InputError("--seed must be at least 0, got %d" % args.seed)
 
 
 def _cmd_weights_compute(args):
@@ -271,6 +276,10 @@ def _cmd_check(args):
         result, inputs["table"] = _exact(pi, args, use)
         passed = result["passed"]
     else:  # alpha
+        if args.order < 1:
+            raise InputError("--order must be at least 1, got %d" % args.order)
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise InputError("--tolerance must be finite and >= 0, got %r" % args.tolerance)
         _check_sampling(args)
         a1 = _parse_alpha(args.alpha, 3)
         a2 = _parse_alpha(args.alpha2, 3)

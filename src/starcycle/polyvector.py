@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 
 
 def _normalize_key(key):
@@ -142,11 +142,7 @@ class PolyVector:
             raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
         out = dict(self.components)
         for key, p in other.components.items():
-            s = out.get(key, Polynomial.zero(self.dim)) + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, key, p)
         return PolyVector(self.dim, self.degree, out)
 
     def __neg__(self):
@@ -197,12 +193,7 @@ class PolyVector:
                 if norm is None:
                     continue
                 key, sign = norm
-                p = sign * (pa * pb)
-                s = out.get(key, Polynomial.zero(self.dim)) + p
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _accumulate(out, key, sign * (pa * pb))
         return PolyVector(self.dim, degree, out)
 
     def schouten(self, other: "PolyVector") -> "PolyVector":

@@ -235,11 +235,14 @@ def test_missing_order_3_weight_exits_2_before_contracting(capsys):
     assert "3;2;2,3|1,3|1,2" in err
 
 
-@pytest.mark.parametrize("argv", [
+SAMPLING_COMMANDS = [
     ("weights", "compute", "--n", "1", "--m", "2"),
     ("weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,0,1"),
     ("check", "alpha", "--pi", "so3", "--alpha", "0,0,1", "--alpha2", "1,0,0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS)
 @pytest.mark.parametrize("samples", ["0", "-3"])
 @pytest.mark.parametrize("seed", [(), ("--seed", "1")])
 def test_nonpositive_samples_exit_2(capsys, argv, samples, seed):
@@ -247,6 +250,51 @@ def test_nonpositive_samples_exit_2(capsys, argv, samples, seed):
     assert code == 2
     assert "--samples must be at least 1" in err
     assert out == ""
+
+
+ALPHA_CHECK = ("check", "alpha", "--pi", "so3", "--samples", "4096", "--seed", "1")
+
+
+def assert_input_error(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and words in err
+
+
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS)
+def test_negative_seed_exits_2(capsys, argv):
+    # check alpha used to end in a ValueError traceback from the seed sequence
+    assert_input_error(capsys, argv + ("--samples", "100", "--seed=-1"), "--seed must be at least 0")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_exits_2(capsys, bad):
+    # a NaN weighting used to reject every sample and report PASS
+    alpha = "%s,0,1" % bad
+    for argv in [("weights", "compute", "--n", "1", "--m", "3", "--alpha=" + alpha,
+                  "--samples", "100", "--seed", "1", "--format", "json"),
+                 ALPHA_CHECK + ("--alpha=" + alpha, "--alpha2", "1,0,0"),
+                 ALPHA_CHECK + ("--alpha", "1,0,0", "--alpha2=" + alpha)]:
+        assert_input_error(capsys, argv, "non-finite")
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_check_alpha_order_below_1_exits_2(capsys, order):
+    argv = ALPHA_CHECK + ("--alpha", "0,0,1", "--alpha2", "1,0,0", "--order", order)
+    assert_input_error(capsys, argv, "--order must be at least 1")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-3", "-inf"])
+def test_check_alpha_bad_tolerance_exits_2(capsys, tolerance):
+    argv = ALPHA_CHECK + ("--alpha", "0,0,1", "--alpha2", "1,0,0", "--tolerance=" + tolerance)
+    assert_input_error(capsys, argv, "--tolerance must be finite and >= 0")
+
+
+def test_check_alpha_accepts_zero_tolerance(capsys):
+    code, out, _ = run(capsys, *ALPHA_CHECK, "--alpha", "0,0,1", "--alpha2", "1,0,0",
+                       "--tolerance", "0", "--format", "json")
+    assert code in (0, 1)
+    assert json.loads(out)["options"]["tolerance"] == 0.0
 
 
 def test_report_is_deterministic(capsys, monkeypatch):

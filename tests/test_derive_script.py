@@ -131,3 +131,19 @@ def test_dropping_cyclicity_leaves_a_free_graph(derive, monkeypatch, tmp_path):
     assert message.startswith("order 2: rank 5 of 6, free graphs: ")
     free = message.rsplit(": ", 1)[1]
     assert abs(TABLE.get(free, (0.0, 0.0, 1.0)).exact) == Fraction(1, 24)
+
+
+def test_order_3_is_consistent_with_twenty_free_graphs(derive, monkeypatch, tmp_path, capsys):
+    # the order-3 system of the six structures: cyclicity adds no rank, and
+    # the script stops on the free directions before writing anything
+    monkeypatch.setattr(derive, "ORDERS", (1, 2, 3))
+    with pytest.raises(SystemExit) as exc:
+        derive.main(["--out", str(tmp_path / "w.json")])
+    out = capsys.readouterr().out
+    assert ("order 3: 38 unknowns, 1789 equations (associativity 1627, cyclicity 162), rank 18\n"
+            "  without cyclicity: rank 18\n") in out
+    message = str(exc.value.code)
+    assert message.startswith("order 3: rank 18 of 38, free graphs: ")
+    free = message.split(": ", 2)[2].split(", ")
+    assert len(set(free)) == 20 and all(key.startswith("3;3;") for key in free)
+    assert not any(tmp_path.iterdir())
