@@ -33,7 +33,7 @@ def wrap_angle(x: float) -> float:
 def cayley(z, xi):
     """(T(z), T'(z)) for the Cayley map T(z) = i(xi+z)/(xi-z), which sends
     the unit disk to the upper half-plane and the boundary point xi to
-    infinity.  As xi = exp(i theta) moves, T(z) moves at -i z T'(z)."""
+    infinity."""
     inv = 1.0 / (xi - z)
     return 1j * (xi + z) * inv, 2j * xi * inv * inv
 
@@ -48,30 +48,24 @@ def harmonic_angle_halfplane(p: complex, q: complex) -> float:
     return cmath.phase((p - q) * (p - q.conjugate())) % TWO_PI
 
 
-def angle_form(alpha, P, T, Q, U, dP=None, dQ=None):
+def angle_form(alpha, P, T, Q, U):
     """Derivatives of alpha * arg((P-Q)(P-conj Q)), the angle of an edge
     p -> q in the chart that sends its reference point to infinity.
 
     P is the image of p and T its chart derivative, so P moves by T and
     iT as p moves along x and y.  Q is the image of q; q moves it by U
     and iU, or U is None when q is not a coordinate.  A real Q (a
-    boundary target) is its own conjugate and takes one division.  dP and
-    dQ are the images' motion as the reference point moves, or None when
-    it is pinned.  Returns (d/dx_p, d/dy_p, d/dx_q, d/dy_q, d/dxi), each
-    None when its motion is.
+    boundary target) is its own conjugate and takes one division.
+    Returns (d/dx_p, d/dy_p, d/dx_q, d/dy_q), the last two None when U is.
     """
     r1 = 1.0 / (P - Q)
     r2 = r1 if isinstance(Q, float) else 1.0 / (P - Q.conjugate())
     c = alpha * T * (r1 + r2)
-    g_qx = g_qy = g_xi = None
-    if U is not None:
-        A = U * r1
-        B = U.conjugate() * r2
-        g_qx = -alpha * (A + B).imag
-        g_qy = alpha * (B - A).real
-    if dP is not None:
-        g_xi = alpha * ((dP - dQ) * r1 + (dP - dQ.conjugate()) * r2).imag
-    return c.imag, c.real, g_qx, g_qy, g_xi
+    if U is None:
+        return c.imag, c.real, None, None
+    A = U * r1
+    B = U.conjugate() * r2
+    return c.imag, c.real, -alpha * (A + B).imag, alpha * (B - A).real
 
 
 def _check_pair(p: complex, q: complex):
@@ -93,7 +87,7 @@ def geodesic_angle_gradient(p: complex, q: complex, xi_angle: float):
     """(d/dx_p, d/dy_p, d/dx_q, d/dy_q) of the harmonic angle."""
     _check_pair(p, q)
     xi = cmath.exp(1j * xi_angle)
-    return angle_form(1.0, *cayley(p, xi), *cayley(q, xi))[:4]
+    return angle_form(1.0, *cayley(p, xi), *cayley(q, xi))
 
 
 def geodesic_angle_gradient_fd(p: complex, q: complex, xi_angle: float, step: float = 1e-6):

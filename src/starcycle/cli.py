@@ -3,9 +3,13 @@
 Subcommands map one-to-one onto library operations:
 
     starcycle graphs enumerate --n N --m M --edges E
-    starcycle weights compute --n N --m M --alpha a1,a2,a3 --samples S --seed K [--out T.json]
+    starcycle weights compute --n N --m 2 --samples S --seed K [--out T.json]
+    starcycle weights compute --n N --m 3 --alpha a1,a2,a3 --samples S --seed K [--out T.json]
     starcycle star apply --pi PI --f "<poly>" --g "<poly>" [--order N] [--table T.json]
     starcycle check {jacobi,divergence,cyclic,closed,assoc,alpha} --pi PI ...
+
+`weights compute` takes --m 2 (the half-plane slice) or --m 3 (with
+--alpha).
 
 Exit codes: 0 all checks passed, 1 a check failed (report emitted), 2
 usage or input error.  Reports embed sha256 hashes of every file input
@@ -191,6 +195,9 @@ def _check_sampling(args):
 
 def _cmd_weights_compute(args):
     _check_sampling(args)
+    if args.m not in (2, 3):
+        raise InputError("no star graphs have top degree at m=%d; weights compute takes "
+                         "--m 2 (the half-plane slice) or --m 3 (with --alpha)" % args.m)
     try:
         graphs = star_graphs(args.n, args.m)
     except ValueError as e:
@@ -207,7 +214,7 @@ def _cmd_weights_compute(args):
         from .weights import halfplane_weight as sample
     else:
         if args.alpha is None:
-            raise InputError("--alpha is required for m >= 3")
+            raise InputError("--alpha is required for m = 3")
         ctx = AngleContext.standard(_parse_alpha(args.alpha, args.m))
         sample = lambda g, **kw: compute_weight(g, ctx, **kw)
     entries = []
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = weights.add_parser("compute", help="compute weights for all star graphs at (n, m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--alpha", help="comma-separated boundary weights, length m (m >= 3)")
+    p.add_argument("--alpha", help="comma-separated boundary weights, length m (m = 3)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-table", metavar="PATH",

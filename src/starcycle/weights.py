@@ -3,10 +3,10 @@
 The weight of a top-degree graph is the integral of the wedge of its
 edge angle 1-forms over the gauge-fixed configuration space, normalized
 by (2*pi) per edge.  Gauge fixing pins the boundary points: for m = 3
-that absorbs all three PSL2(R) degrees of freedom and the integral runs
-over the n interior points only; for m > 3 the extra boundary points
-are integrated over their ordered arc; for m = 2 the classical
-half-plane slice is used (boundary at 0 and 1, plain harmonic angle).
+(the alpha-weighted weights) that absorbs all three PSL2(R) degrees of
+freedom and the integral runs over the n interior points only; for
+m = 2 (the star product) the classical half-plane slice is used
+(boundary at 0 and 1, plain harmonic angle).  No other m is sampled.
 
 One row kernel, _disk_rows, serves both routes.  The half-plane slice is
 the disk chart with boundary angles (pi, 3pi/2, 0) and weight (0, 0, 1):
@@ -30,8 +30,8 @@ values of v (0, 1/2 and its neighbours, 1 - 2^-53), p is within 9e-16
 of sqrt(u) exp(2 pi i v), and |p| < 1.  A sample is rejected when two
 of its points are closer than MIN_DIST (_collisions).  Only a point with
 |p| > 1 - MIN_DIST can be that close to a boundary point, so the
-boundary points, pinned and free, are tested only at samples with some
-u > (1 - 2 MIN_DIST)^2; the margin of MIN_DIST over the bound above
+boundary points are tested only at samples with some
+u > (1 - 2 MIN_DIST)^2, and the margin of MIN_DIST over the bound above
 makes this reject exactly the samples that testing every point would.
 
 A form that vanishes at every point is estimated as exactly 0.0 +- 0.0.
@@ -39,13 +39,18 @@ Most such forms are certified from the graph alone by _vanishes, before
 anything is drawn: an edge whose form is the zero row, or a closed set of
 interior vertices whose edges see at most two pinned boundary points, so
 that a one-parameter Moebius group leaves all of their angles unchanged
-(the proof is in its docstring).  On every star graph of orders 1 and 2,
-at m = 3 and on the half-plane slice, it finds exactly the forms the
-float rule below finds.  The forms it does not cover, such as some m > 3
-graphs with edges into a free boundary point, are still sampled, and
-for them ZERO_RATIO decides: a chunk in which every determinant is below
-ZERO_RATIO times its Hadamard bound (the product of its row norms)
-contributes exactly 0 rather than roundoff.
+(the proof is in its docstring).  On every star graph of orders 1, 2
+and 3, on the half-plane slice and at m = 3 (order 3 tried at alpha =
+(0, 0, 1)), it finds exactly the forms the float rule below finds.  That
+rule is left for the forms it does not cover: the difference forms of
+mixed_edge_integral, and graphs that are not star graphs.  In
+"2;3;b3|1,b1,b2" at alpha = (1/2, 1/2, 0), for one, the angles of
+2 -> b1 and 2 -> b2 are both constant on the circles through xi_1 and
+xi_2, so the wedge vanishes, but vertex 2 has a third edge and no set of
+vertices is certified.  Such forms are still sampled, and ZERO_RATIO
+decides: a chunk in which every determinant is below ZERO_RATIO times
+its Hadamard bound (the product of its row norms) contributes exactly
+0 rather than roundoff.
 
 Determinants are taken by _laplace_det, a Laplace expansion over the
 (E, D, S) array the row kernel fills, one elementwise call per step for
@@ -209,72 +214,50 @@ class WeightTable:
 
 # -- sampler -------------------------------------------------------------------
 
-def _disk_rows(graph, boundary_angles, edge_alphas, p, th_free):
+def _disk_rows(graph, boundary_angles, edge_alphas, p):
     """Jacobian rows of all edge angle functions.
 
-    p: (S, n) complex interior points; th_free: (S, m-3) free boundary
-    angles (unused, and may be None, when m <= 3).  Returns an (E, D, S)
-    array, D = 2n + max(m-3, 0), so rows[e, j] holds entry (e, j) of every
-    sample; column layout: x_1, y_1, .., x_n, y_n, th_4, .., th_m.
+    p: (S, n) complex interior points.  Returns an (E, 2n, S) array, so
+    rows[e, j] holds entry (e, j) of every sample; column layout: x_1,
+    y_1, .., x_n, y_n.
 
     Edge v -> w carries sum_k alpha_k arg((P-Q)(P-conj Q)), with P and Q
     the images of v and w under the Cayley map that sends xi_k to
     infinity.  The chart is angles.cayley and each term's derivatives are
     angles.angle_form, the same code the scalar angle API runs.  Each
-    image and its derivatives are computed once per (vertex, xi_k) and
+    image and its derivative are computed once per (vertex, xi_k) and
     shared by every edge.
     """
-    S = p.shape[0]
     n = graph.n
     edges = graph.edges()
-    base = 2 * n - 4  # column of th_k is base + k
-    rows = np.zeros((len(edges), 2 * n + max(0, graph.m - 3), S))
-    xis = {}
+    rows = np.zeros((len(edges), 2 * n, p.shape[0]))
+    xi = [np.exp(1j * t) for t in boundary_angles]
     images = {}
 
-    def xi(k):
-        """Boundary point k (1-based): a scalar when pinned, else an (S,) array."""
-        if k not in xis:
-            xis[k] = np.exp(1j * (th_free[:, k - 4] if k > 3 else boundary_angles[k - 1]))
-        return xis[k]
-
     def image(v, k):
-        """(Z, dZ, dZ_k) for vertex v with xi_k at infinity: the image Z, its
-        motion along v's own coordinate (x for an interior point, th_j for
-        a free boundary point, None for a pinned one) and its motion along
-        th_k (read only when k > 3), by the rule in angles.cayley."""
+        """(Z, dZ) for vertex v with xi_k at infinity: the image Z and its
+        motion along x_v, None for a boundary point, by angles.cayley."""
         if (v, k) not in images:
             if v <= n:
-                z = p[:, v - 1]
-                Z, dZ = cayley(z, xi(k))
-                images[v, k] = (Z, dZ, -1j * z * dZ if k > 3 else None)
+                images[v, k] = cayley(p[:, v - 1], xi[k - 1])
             else:
-                # boundary point xi_j: Z is real and depends on th_k - th_j,
-                # so it moves along th_j opposite to its motion along th_k
-                j = v - n
-                Z, dZ = cayley(xi(j), xi(k))
-                dZ_k = -1j * xi(j) * dZ
-                images[v, k] = (Z.real, -dZ_k if j > 3 else None, dZ_k)
+                images[v, k] = (cayley(xi[v - n - 1], xi[k - 1])[0].real, None)
         return images[v, k]
 
     for row, (v, w) in enumerate(edges):
         out = rows[row]
-        cv = 2 * (v - 1)
-        cw = 2 * (w - 1) if w <= n else base + w - n  # x_w, or th_j for w = b_j
+        cv, cw = 2 * (v - 1), 2 * (w - 1)
         for k, alpha in enumerate(edge_alphas[row], start=1):
             if alpha == 0.0 or w == n + k:
                 continue  # w == n + k: the angle to the reference point itself, a zero form
-            P, T, dP = image(v, k)
-            Q, U, dQ = image(w, k)
-            g_px, g_py, g_qx, g_qy, g_xi = angle_form(alpha, P, T, Q, U, dP, dQ)
+            P, T = image(v, k)
+            Q, U = image(w, k)
+            g_px, g_py, g_qx, g_qy = angle_form(alpha, P, T, Q, U)
             out[cv] += g_px
             out[cv + 1] += g_py
             if U is not None:
                 out[cw] += g_qx
-                if w <= n:
-                    out[cw + 1] += g_qy
-            if g_xi is not None:
-                out[base + k] += g_xi
+                out[cw + 1] += g_qy
     return rows
 
 
@@ -326,9 +309,8 @@ def _vanishes(graph, edge_alphas):
     when |S_U| = 2, parabolic when it is smaller); its generator X_U on
     D^|U| vanishes nowhere, and every edge form of U is zero on X_U.  So
     at each point those forms lie in a space of dimension 2|U| - 1, their
-    wedge is zero, and so is the integrand, of which it is a factor.  The
-    free boundary points of m > 3 never enter: U's forms do not depend on
-    them.  All 2^n - 1 sets U are tried; n <= 3 in every caller.
+    wedge is zero, and so is the integrand, of which it is a factor.  All
+    2^n - 1 sets U are tried; n <= 3 in every caller.
     """
     n = graph.n
     edges = graph.edges()
@@ -340,9 +322,8 @@ def _vanishes(graph, edge_alphas):
             out = [(w, ks) for (v, w), ks in zip(edges, refs) if v in U]
             if len(out) < 2 * size or any(w <= n and w not in U for w, _ in out):
                 continue
-            # S_U, plus any free point (index > 3) that U's edges meet
-            points = {w - n for w, _ in out if w > n}.union(*(ks for _, ks in out))
-            if len(points) <= 2 and max(points) <= 3:
+            points = {w - n for w, _ in out if w > n}.union(*(ks for _, ks in out))  # S_U
+            if len(points) <= 2:
                 return True
     return False
 
@@ -368,12 +349,12 @@ def _disk_points(u, v):
     return p
 
 
-def _collisions(u, p, boundary_angles, th_free):
+def _collisions(u, p, boundary_angles):
     """Samples with two points closer than MIN_DIST: two interior points,
-    or an interior point and a pinned or free boundary point.  p is
-    _disk_points(u, v); the boundary points are tested only at samples
-    with some u > (1 - 2 MIN_DIST)^2, the only ones that can be that
-    close to the circle (see the module docstring)."""
+    or an interior point and a boundary point.  p is _disk_points(u, v);
+    the boundary points are tested only at samples with some
+    u > (1 - 2 MIN_DIST)^2, the only ones that can be that close to the
+    circle (see the module docstring)."""
     n = p.shape[1]
     reject = np.zeros(p.shape[0], dtype=bool)
     for i in range(n):
@@ -382,7 +363,7 @@ def _collisions(u, p, boundary_angles, th_free):
     # a sample with two such points is listed twice, and gets the same verdict twice
     near = np.flatnonzero(u > (1.0 - 2 * MIN_DIST) ** 2) // n
     if near.size:
-        boundary = [np.exp(1j * t) for t in boundary_angles[:3]] + list(np.exp(1j * th_free[near]).T)
+        boundary = [np.exp(1j * t) for t in boundary_angles]
         for i in range(n):
             for xi in boundary:
                 reject[near] |= np.abs(p[near, i] - xi) < MIN_DIST
@@ -392,24 +373,20 @@ def _collisions(u, p, boundary_angles, th_free):
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     """(sum, sum of squares, rejected) of one chunk's determinants.
 
-    ctx supplies boundary_angles (at least three); rows and determinants
-    are built BLOCK samples at a time."""
+    ctx supplies the three boundary_angles; rows and determinants are
+    built BLOCK samples at a time."""
     n = graph.n
-    nfree = max(0, graph.m - 3)
     angles = ctx.boundary_angles
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     u = rng.random((size, n))
     p = _disk_points(u, rng.random((size, n)))
-    arc0, arc1 = angles[2], angles[0] + TWO_PI
-    th_free = arc0 + (arc1 - arc0) * np.sort(rng.random((size, nfree)), axis=1)
-
-    reject = _collisions(u, p, angles, th_free)
+    reject = _collisions(u, p, angles)
 
     dets = np.empty(size)
     vanishing = True
     for lo in range(0, size, BLOCK):
         block = slice(lo, lo + BLOCK)
-        rows = _disk_rows(graph, angles, edge_alphas, p[block], th_free[block])
+        rows = _disk_rows(graph, angles, edge_alphas, p[block])
         dets[block] = d = _laplace_det(rows)
         if vanishing:
             hadamard = np.prod(np.sqrt(np.sum(rows * rows, axis=1)), axis=0)
@@ -427,10 +404,6 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     if samples <= 0:
         raise ValueError("samples must be positive")
     norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
-    nfree = graph.m - 3
-    if nfree > 0:  # the free boundary points run over their ordered arc
-        arc = ctx.boundary_angles[0] + TWO_PI - ctx.boundary_angles[2]
-        norm *= arc ** nfree / math.factorial(nfree)
     if threads is None:
         threads = default_threads()
     if _vanishes(graph, edge_alphas):
@@ -468,7 +441,7 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
 
 def compute_weight(graph: AdmissibleGraph, ctx: AngleContext, samples: int, seed: int,
                    threads: int | None = None) -> WeightEntry:
-    """Monte Carlo weight of a top-degree graph with m >= 3 boundary points
+    """Monte Carlo weight of a top-degree graph with m = 3 boundary points
     under ctx.  The 2-boundary route, over the half-plane slice, is
     halfplane_weight."""
     return _disk_weight(graph, ctx, [ctx.alphas] * graph.edge_count, samples, seed, threads)
@@ -478,8 +451,8 @@ def _disk_weight(graph, ctx, edge_alphas, samples, seed, threads):
     """compute_weight with one alpha vector per edge in place of ctx.alphas."""
     if ctx.m != graph.m:
         raise ValueError("context boundary count %d != graph %d" % (ctx.m, graph.m))
-    if graph.m < 3:
-        raise ValueError("the disk route needs m >= 3; use halfplane_weight for m == 2")
+    if graph.m != 3:
+        raise ValueError("the disk route needs m == 3; use halfplane_weight for m == 2")
     E = graph.edge_count
     if E != top_edge_count(graph.n, graph.m):
         raise ValueError("graph has %d edges; top degree needs %d" % (E, top_edge_count(graph.n, graph.m)))

@@ -194,7 +194,9 @@ def test_usage_errors_exit_2(capsys):
     # no star graph has top degree at m = 4, and none exists at n = 0
     code, out, err = run(capsys, "weights", "compute", "--n", "1", "--m", "4",
                          "--alpha", "0,0,1,0", "--samples", "16", "--seed", "1")
-    assert code == 2 and "top degree" in err and out == ""
+    assert code == 2 and out == ""
+    assert "error: no star graphs have top degree at m=4" in err
+    assert "--m 2 (the half-plane slice) or --m 3 (with --alpha)" in err
     code, out, err = run(capsys, "weights", "compute", "--n", "0", "--m", "2",
                          "--samples", "16", "--seed", "1")
     assert code == 2 and "n >= 1" in err and out == ""

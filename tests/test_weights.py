@@ -20,7 +20,7 @@ from starcycle import (
     star_graphs,
 )
 from starcycle.angles import TWO_PI, cayley, harmonic_angle_halfplane, wrap_angle
-from starcycle.graphs import enumerate_graphs, star_orbits
+from starcycle.graphs import star_orbits
 from starcycle import weights
 from starcycle.weights import CHUNK, MIN_DIST, _HALFPLANE, _disk_rows, _laplace_det
 
@@ -285,9 +285,8 @@ def test_sampled_values_are_pinned(key):
 def _disk_edge_angles(graph, angles, edge_alphas, coords):
     """Angle of every edge, sum_k alpha_k arg((P-Q)(P-conj Q)) with P, Q the
     images under the map sending xi_k to infinity.  coords holds x_1, y_1,
-    .., x_n, y_n and then the free boundary angles th_4, .., th_m."""
+    .., x_n, y_n."""
     n = graph.n
-    theta = list(angles[:3]) + list(coords[2 * n:])
     points = [complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)]
     out = []
     for (v, w), alphas in zip(graph.edges(), edge_alphas):
@@ -295,8 +294,8 @@ def _disk_edge_angles(graph, angles, edge_alphas, coords):
         for k, a in enumerate(alphas, start=1):
             if a == 0.0 or w == n + k:
                 continue
-            q = points[w - 1] if w <= n else cmath.exp(1j * theta[w - n - 1])
-            xi = cmath.exp(1j * theta[k - 1])
+            q = points[w - 1] if w <= n else cmath.exp(1j * angles[w - n - 1])
+            xi = cmath.exp(1j * angles[k - 1])
             P, Q = cayley(points[v - 1], xi)[0], cayley(q, xi)[0]
             total += a * cmath.phase((P - Q) * (P - Q.conjugate()))
         out.append(total)
@@ -323,34 +322,28 @@ def _fd_rows(angle_fn, coords, step=1e-6):
 
 
 def _kernel_rows(graph, angles, edge_alphas, coords):
-    n = graph.n
-    p = np.array([[complex(coords[2 * i], coords[2 * i + 1]) for i in range(n)]])
-    th_free = np.array([coords[2 * n:]], dtype=float)
-    return _disk_rows(graph, angles, edge_alphas, p, th_free)[:, :, 0]
+    p = np.array([[complex(coords[2 * i], coords[2 * i + 1]) for i in range(graph.n)]])
+    return _disk_rows(graph, angles, edge_alphas, p)[:, :, 0]
 
 
 CONFIGS = ((0.31 - 0.22j, -0.45 + 0.38j), (0.05 + 0.61j, 0.52 - 0.47j), (-0.7 - 0.1j, 0.2 + 0.15j))
 
 
-@pytest.mark.parametrize("key, angles, alphas, th_free", [
-    # interior and pinned boundary targets, the sampler's default weighting
-    ("2;3;b1,2|b2,1", (0.0, 2.0, 4.0), (0.0, 0.0, 1.0), ()),
+@pytest.mark.parametrize("key, angles, alphas", [
+    # interior and boundary targets, the sampler's default weighting
+    ("2;3;b1,2|b2,1", (0.0, 2.0, 4.0), (0.0, 0.0, 1.0)),
     # every reference point in play, including one that is also a target
-    ("2;3;b3,2|b2,1", (0.3, 2.0, 4.5), (0.4, -0.7, 1.3), ()),
-    # m = 4: the free boundary angle th_4 as reference point and as target
-    ("2;4;b4,2|b2,1", (0.0, 1.5, 3.0, 4.5), (0.5, 0.0, 0.25, 1.0), (4.4,)),
-    ("2;4;2,b4|b1,b4", (0.0, 1.5, 3.0, 4.5), (0.2, 0.3, 0.0, -0.8), (5.1,)),
+    ("2;3;b3,2|b2,1", (0.3, 2.0, 4.5), (0.4, -0.7, 1.3)),
 ])
-def test_kernel_rows_match_finite_differences(key, angles, alphas, th_free):
+def test_kernel_rows_match_finite_differences(key, angles, alphas):
     g = AdmissibleGraph.from_key(key)
     edge_alphas = [alphas] * g.edge_count
     for points in CONFIGS:
-        coords = [c for z in points for c in (z.real, z.imag)] + list(th_free)
+        coords = [c for z in points for c in (z.real, z.imag)]
         rows = _kernel_rows(g, angles, edge_alphas, coords)
         fd = _fd_rows(lambda c: _disk_edge_angles(g, angles, edge_alphas, c), coords)
         assert rows.shape == fd.shape == (g.edge_count, len(coords))
         assert np.allclose(rows, fd, rtol=1e-6, atol=1e-6)
-        assert np.any(rows[:, 2 * g.n:] != 0.0) == bool(th_free)
 
 
 def test_halfplane_gauge_rows_match_finite_differences():
@@ -382,7 +375,7 @@ def _stacks(D, S=512, seed=0):
     repeated row."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, D)))
     dense = rng.standard_normal((D, D, S)) * rng.uniform(0.1, 10.0, (D, 1, S))
-    point = np.arange(D) // 2  # columns x_v, y_v of point v; an odd last one is th_4
+    point = np.arange(D) // 2  # columns x_v, y_v of point v
     ends = rng.integers(0, (D + 1) // 2, (D, 2, 1))
     keep = np.any(point == ends, axis=1)
     yield "dense", dense
@@ -451,18 +444,16 @@ def test_vanishing_certificate_matches_float_rule():
     for g in star_graphs(1, 2) + star_graphs(2, 2):
         edge_alphas = [_HALFPLANE.alphas] * g.edge_count
         assert weights._vanishes(g, edge_alphas) == _float_rule_zero(g, _HALFPLANE, edge_alphas), g
-    # m = 4: free boundary targets leave some zero forms to the float rule,
-    # but a certified graph is never one the float rule samples as nonzero.
-    # The weight at xi_3 alone is added because it lets the certificate fire.
+    # order 3: one representative of each orbit, at the sampler's weighting
+    reps = {rep for rep, _ in star_orbits(3, 3).values()}
+    assert len(reps) == 190
+    edge_alphas = [CTX.alphas] * 6
     certified = 0
-    for alphas in ((0.5, 0.0, 0.25, 1.0), (0.2, 0.3, 0.0, -0.8), (0.0, 0.0, 1.0, 0.0)):
-        ctx = AngleContext(alphas, (0.0, 1.5, 3.0, 4.5))
-        for g in enumerate_graphs(1, 4, 3):
-            edge_alphas = [ctx.alphas] * g.edge_count
-            if weights._vanishes(g, edge_alphas):
-                certified += 1
-                assert _float_rule_zero(g, ctx, edge_alphas), (alphas, g)
-    assert certified > 0
+    for g in sorted(reps, key=AdmissibleGraph.canonical_key):
+        zero = weights._vanishes(g, edge_alphas)
+        assert zero == _float_rule_zero(g, CTX, edge_alphas), g
+        certified += zero
+    assert 0 < certified < len(reps)
 
 
 def test_certified_graphs_are_not_sampled(monkeypatch):
@@ -503,13 +494,36 @@ def test_float_zero_rule_still_decides_a_chunk():
     assert s1 != 0.0 and s2 > 0.0
 
 
+def test_float_zero_rule_zeroes_uncertified_non_star_graphs():
+    # in both graphs vertex 2 has three edges, and the wedge vanishes at
+    # every point although no set of vertices is certified, so every chunk
+    # is sampled.  "2;3;|1,b1,b2,b3": three 1-forms on the 2-dimensional
+    # point 2, and the determinants are 0 exactly.  "2;3;b3|1,b1,b2": the
+    # angles of 2 -> b1 (from xi_2) and 2 -> b2 (from xi_1) are both
+    # constant on the circles through xi_1 and xi_2, so their wedge is 0,
+    # and only ZERO_RATIO turns the roundoff of the determinants into 0
+    ctx = AngleContext.standard((0.5, 0.5, 0.0))
+    for key in ("2;3;|1,b1,b2,b3", "2;3;b3|1,b1,b2"):
+        g = AdmissibleGraph.from_key(key)
+        assert not weights._vanishes(g, [ctx.alphas] * g.edge_count)
+        w = compute_weight(g, ctx, 2 * CHUNK + 100, 9)
+        assert (w.value, w.std_error, w.samples) == (0.0, 0.0, 2 * CHUNK + 100), key
+
+
 def test_disk_route_needs_three_boundary_points():
     g = AdmissibleGraph.from_key("1;2;b1,b2")
     ctx = AngleContext.standard((0.0, 1.0))
-    with pytest.raises(ValueError, match="m >= 3"):
+    with pytest.raises(ValueError, match="m == 3"):
         weights._disk_weight(g, ctx, [ctx.alphas] * g.edge_count, 1 << 10, 0, 1)
-    with pytest.raises(ValueError, match="m >= 3"):
+    with pytest.raises(ValueError, match="m == 3"):
         mixed_edge_integral(g, ctx, AngleContext.standard((1.0, 0.0)), 0, 1 << 10, 0)
+    # m = 4, with the 2n + m - 3 edges of top degree
+    g = AdmissibleGraph.from_key("1;4;b1,b2,b4")
+    ctx = AngleContext.standard((0.5, 0.0, 0.25, 1.0))
+    with pytest.raises(ValueError, match="m == 3"):
+        compute_weight(g, ctx, 1 << 10, 0)
+    with pytest.raises(ValueError, match="m == 3"):
+        mixed_edge_integral(g, ctx, AngleContext.standard((1.0, 0.0, 0.0, 0.75)), 0, 1 << 10, 0)
 
 
 # -- the point draw and the collision rule ------------------------------------
@@ -526,11 +540,11 @@ def test_tangent_draw_matches_complex_exp():
         assert np.all(np.abs(p) < 1.0)
 
 
-def _brute_collisions(p, boundary_angles, th_free):
+def _brute_collisions(p, boundary_angles):
     """Every pair of points, interior and boundary, at every sample; only
     pairs of two boundary points are left out."""
     S, n = p.shape
-    xi = np.exp(1j * np.concatenate([np.broadcast_to(boundary_angles[:3], (S, 3)), th_free], axis=1))
+    xi = np.broadcast_to(np.exp(1j * np.array(boundary_angles)), (S, 3))
     points = np.concatenate([p, xi], axis=1)
     close = np.abs(points[:, :, None] - points[:, None, :]) < MIN_DIST
     pairs = np.zeros(close.shape[1:], dtype=bool)
@@ -540,15 +554,14 @@ def _brute_collisions(p, boundary_angles, th_free):
 
 
 def test_collision_rule_matches_brute_force():
-    # m = 4, three interior points, each planted within a few MIN_DIST of
-    # each pinned point, of the free point, of the next interior point, or
-    # (two points of one sample) of a pinned point and of the free point
-    angles = (0.0, 1.5, 3.0, 4.5)
+    # three interior points, each planted within a few MIN_DIST of each
+    # pinned point, of the next interior point, or (two points of one
+    # sample) of two different pinned points
+    angles = (0.3, 2.0, 4.5)
     rng = np.random.default_rng(np.random.SeedSequence(77))
-    per, n, kinds = 400, 3, 6
+    per, n, kinds = 400, 3, 5
     S = per * n * kinds
     u, v = rng.random((S, n)), rng.random((S, n))
-    th_free = 3.0 + (TWO_PI - 3.0) * rng.random((S, 1))
     offset = 3 * MIN_DIST * rng.uniform(-1.0, 1.0, (S, 4))
 
     def near_circle(s, i, theta, k):
@@ -561,16 +574,14 @@ def test_collision_rule_matches_brute_force():
         if kind < 3:
             near_circle(s, i, angles[kind], 0)
         elif kind == 3:
-            near_circle(s, i, th_free[s, 0], 0)
-        elif kind == 4:
             u[s, j] = u[s, i]
             v[s, j] = (v[s, i] + offset[s, 1] / TWO_PI) % 1.0
         else:
             near_circle(s, i, angles[s % 3], 0)
-            near_circle(s, j, th_free[s, 0], 2)
+            near_circle(s, j, angles[(s + 1) % 3], 2)
     p = weights._disk_points(u, v)
-    rule = weights._collisions(u, p, angles, th_free)
-    brute = _brute_collisions(p, angles, th_free)
+    rule = weights._collisions(u, p, angles)
+    brute = _brute_collisions(p, angles)
     assert np.array_equal(rule, brute)
     # each kind of plant gives rejected and kept samples alike
     counts = brute.reshape(kinds, n * per).sum(axis=1)
