@@ -16,9 +16,16 @@ usage or input error.  Reports embed sha256 hashes of every file input
 plus the weight-table provenance, contain no timestamps, and are dumped
 canonically, so identical invocations produce byte-identical JSON.
 Thread count comes from the STARCYCLE_THREADS environment variable only.
+
+A process builds one argument parser, on its first main() call, and
+reads the bundled weight table, its sha256 and its provenance once, on
+the first command that uses it; so repeated main() calls in one process
+(tests, benchmarks, library callers) skip that fixed cost.  A --table
+file is read on every call, and every report gets fresh metadata.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -91,13 +98,21 @@ def _load_vol(spec, dim: int):
     return vol, {"path": label, "sha256": _sha256(blob)}
 
 
+@functools.cache
+def _builtin_table():
+    """(table, sha256, provenance) of the bundled weight table, read once
+    per process.  The table is shared: it is only read, never changed."""
+    table = WeightTable.builtin()
+    return table, table.fingerprint(), table.provenance()
+
+
 def _load_table(spec):
     if spec is None:
-        table, label = WeightTable.builtin(), "builtin"
+        (table, sha, provenance), label = _builtin_table(), "builtin"
     else:
         table, _, label = _read(spec, "weight table", WeightTable.from_json)
-    return table, {"path": label, "sha256": table.fingerprint(),
-                   "provenance": table.provenance()}
+        sha, provenance = table.fingerprint(), table.provenance()
+    return table, {"path": label, "sha256": sha, "provenance": dict(provenance)}
 
 
 def _parse_alpha(text: str, m: int):
@@ -384,8 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except InputError as e:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .poly import Polynomial, _accumulate
+from .poly import Polynomial, _accumulate, _add_coeff
 from .polyvector import VolumeForm
 
 
@@ -74,8 +74,10 @@ class PolyDiffOperator:
     terms maps tuples of k exponent multi-indices to Polynomial
     coefficients.  Arity 0 is allowed (a plain polynomial, the result of
     integrating all slots away).  The constructor validates; _trusted,
-    like Polynomial._trusted, only wraps the results of +, -, *, insert
-    and ibp_normal_form, whose coefficients are nonzero Polynomials.
+    like Polynomial._trusted, only wraps the package's own results (+, -,
+    *, insert, ibp_normal_form, hochschild_differential, and the
+    contractions and defects of star), whose keys are valid and whose
+    coefficients are nonzero Polynomials.
     """
 
     __slots__ = ("dim", "arity", "terms")
@@ -222,15 +224,15 @@ class PolyDiffOperator:
                 nc = below.setdefault(head + key[1:], {})
                 for e, v in c.items():
                     if e[a]:
-                        _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a])
+                        _add_coeff(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a])
                     for f, w in drho[a].items():
-                        _accumulate(nc, tuple(map(add, e, f)), -v * w)
+                        _add_coeff(nc, tuple(map(add, e, f)), -v * w)
                 for j in range(1, len(key)):
                     ij = key[j]
                     spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
                     out = below.setdefault(spill, {})
                     for e, v in c.items():
-                        _accumulate(out, e, -v)
+                        _add_coeff(out, e, -v)
         done = {key[1:]: Polynomial._trusted(self.dim, c) for key, c in levels.get(0, {}).items() if c}
         return PolyDiffOperator._trusted(self.dim, self.arity - 1, done)
 
@@ -277,7 +279,7 @@ class PolyDiffOperator:
                 for J in _mi_below(I):
                     b = _mi_binom(I, J)
                     _accumulate(out, key[:i] + (J, _mi_sub(I, J)) + key[i + 1:], (sign * b) * c)
-        return PolyDiffOperator(self.dim, k + 1, out)
+        return PolyDiffOperator._trusted(self.dim, k + 1, out)
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
         """Composition inserting `other` into argument slot `slot` (1-based)."""

@@ -1,8 +1,11 @@
 """Exact multivariate polynomials over the rationals.
 
-Variables are fixed as x1..xd.  Coefficients are Fractions, so every
-identity checked downstream (brackets, integration by parts, star
-products) is exact rather than floating-point.
+Variables are fixed as x1..xd.  Coefficients are exact rationals in one
+canonical form: an int when integral, otherwise a Fraction with a
+denominator above 1.  So every identity checked downstream (brackets,
+integration by parts, star products) is exact rather than floating-point,
+and the common integral coefficients take plain int arithmetic.  An int
+and a Fraction of equal value compare, hash and render alike.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from operator import add
 
 def _accumulate(terms, key, c):
     """terms[key] += c in place, dropping the key when the sum is zero.
-    Values are Fractions or Polynomials, which are false exactly at zero."""
+    Values are numbers or Polynomials, which are false exactly at zero.
+    A sum is stored as it comes, so a Fraction stays a Fraction; the
+    coefficients of a Polynomial go through _add_coeff instead."""
     s = terms.get(key)
     s = c if s is None else s + c
     if not s:
@@ -24,12 +29,30 @@ def _accumulate(terms, key, c):
         terms[key] = s
 
 
+def _canonical(c):
+    """The rational c as a coefficient: an int when integral, else c."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _add_coeff(terms, key, c):
+    """terms[key] += c for a rational c, keeping terms canonical: a zero sum
+    drops the key and an integral one is stored as an int."""
+    s = terms.get(key)
+    s = _canonical(c if s is None else s + c)
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class Polynomial:
     """Polynomial in x1..x{dim} with rational coefficients.
 
-    terms maps exponent tuples (length dim) to nonzero Fractions.
-    Instances are treated as immutable; all operations return new ones.
-    The constructor validates; _trusted does not (see there).
+    terms maps exponent tuples (length dim) to nonzero coefficients in the
+    canonical form of the module docstring: an int when integral, else a
+    Fraction with a denominator above 1.  Instances are treated as
+    immutable; all operations return new ones.  The constructor validates
+    and canonicalises; _trusted does not (see there).
     """
 
     __slots__ = ("dim", "terms")
@@ -46,7 +69,7 @@ class Polynomial:
                 raise ValueError("negative exponent in %r" % (exps,))
             c = Fraction(coeff)
             if c != 0:
-                clean[exps] = c
+                clean[exps] = _canonical(c)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
@@ -54,7 +77,8 @@ class Polynomial:
     def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
         """Wrap terms as they are: only for results of the package's own
         arithmetic, whose terms already map dim-tuples of non-negative ints
-        to nonzero Fractions and are held by no one else.  Outside input
+        to nonzero canonical coefficients (an int when integral, else a
+        Fraction) and are held by no one else.  Outside input
         goes through the constructor, parse or from_json."""
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
@@ -72,7 +96,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value) -> "Polynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def one(cls, dim: int) -> "Polynomial":
@@ -85,11 +109,11 @@ class Polynomial:
             raise ValueError("variable index %d out of range for dim %d" % (i, dim))
         exps = [0] * dim
         exps[i - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls(dim, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Polynomial":
-        return cls(dim, {tuple(exps): Fraction(coeff)})
+        return cls(dim, {tuple(exps): coeff})
 
     # -- ring structure ---------------------------------------------------
 
@@ -106,7 +130,7 @@ class Polynomial:
         self._check_dim(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            _accumulate(out, exps, -c if negate else c)
+            _add_coeff(out, exps, -c if negate else c)
         return Polynomial._trusted(self.dim, out)
 
     def __add__(self, other):
@@ -125,7 +149,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            terms = {e: v * other for e, v in self.terms.items()} if other else {}
+            terms = {e: _canonical(v * other) for e, v in self.terms.items()} if other else {}
             return Polynomial._trusted(self.dim, terms)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -133,7 +157,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+                _add_coeff(out, tuple(map(add, e1, e2)), c1 * c2)
         return Polynomial._trusted(self.dim, out)
 
     __rmul__ = __mul__
@@ -183,7 +207,7 @@ class Polynomial:
                 continue
             e = list(exps)
             e[a] -= 1
-            out[tuple(e)] = c * exps[a]
+            out[tuple(e)] = _canonical(c * exps[a])
         return Polynomial._trusted(self.dim, out)
 
     def derive(self, multi_index) -> "Polynomial":

@@ -82,7 +82,7 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
             coeff = f if coeff is None else coeff * f
         else:
             _accumulate(out, tuple(tuple(b) for b in mi[n:]), coeff)
-    return PolyDiffOperator(dim, m, out)
+    return PolyDiffOperator._trusted(dim, m, out)
 
 
 def _orbit_sum(pi: PolyVector, graphs, weights) -> PolyDiffOperator:
@@ -100,7 +100,7 @@ def _orbit_sum(pi: PolyVector, graphs, weights) -> PolyDiffOperator:
         if w:
             for key, c in graph_to_operator(rep, [pi] * n).terms.items():
                 _accumulate(terms, key, c * w)
-    return PolyDiffOperator(pi.dim, m, terms) * _level_prefactor(n)
+    return PolyDiffOperator._trusted(pi.dim, m, terms) * _level_prefactor(n)
 
 
 def _entry_weight(entry) -> Fraction:
@@ -203,7 +203,7 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
             _accumulate(terms, key, c)
         for key, c in bk.insert(bl, 2).terms.items():
             _accumulate(terms, key, -c)
-    return PolyDiffOperator(s.pi.dim, 3, terms)
+    return PolyDiffOperator._trusted(s.pi.dim, 3, terms)
 
 
 def _order_report(check: str, s: StarProduct, residuals) -> dict:

@@ -1,10 +1,12 @@
 """Command line interface: exit codes, text output, canonical JSON reports."""
 
+import hashlib
 import json
 from importlib import resources
 
 import pytest
 
+from starcycle import WeightTable, cli
 from starcycle.cli import main
 
 
@@ -375,3 +377,99 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     assert code == 2
     assert err.startswith("error: bad ")
     assert out == ""
+
+
+# ------------------------------------------------- state reused across calls
+#
+# main() keeps one parser and one bundled table per process; these pin that
+# reusing them changes no report.
+
+_APPLY = {"so3": ("x1^2*x2 + 1/3*x3", "x2*x3^2 - x1"),
+          "moyal": ("x1^2*x2 + 1/2", "x2^3 - 3*x1*x2")}
+
+# sha256 of the canonical JSON report of each command at --order 2, taken
+# before the per-process parser and table and the int coefficients
+_PINNED = {
+    ("so3", "cyclic"): "38b1bab51b3467c0399d42e4d61fbddd8ae5d93f1ff838332f08459d52fb10a0",
+    ("so3", "closed"): "e4f8742d699dcd2f9266e3e39ddaf6cf34433711621a22e97bd614a048857a31",
+    ("so3", "assoc"): "47c7a6d61caaff1411a6560a7994d256c0bdf3239d7fb9dad1d5480edd50399f",
+    ("so3", "apply"): "dc055235aae2810e62f9af20aa25d8b2875b9d5ba5633deff75fd3323d304519",
+    ("moyal", "cyclic"): "ed20ff26625dad844d04b5bd1dcf033288407ec8e9de99f3a79b4671a8ece3ac",
+    ("moyal", "closed"): "ac6613fa4d80b5a3f100526e07c6a4199c0d44d48714b80cf33a3ab15fa25086",
+    ("moyal", "assoc"): "f43987428f05dfaff591314c48ab2431b747b0d692f397bacdbf423a3fa74313",
+    ("moyal", "apply"): "bb13da22c3562093b77a9739f603a709efaf8ba9d51b76e97b5d4a5478a70134",
+}
+
+
+def _exact_argv(pi, command):
+    if command == "apply":
+        f, g = _APPLY[pi]
+        return ["star", "apply", "--pi", pi, "--f", f, "--g", g, "--order", "2"]
+    return ["check", command, "--pi", pi, "--order", "2"]
+
+
+@pytest.mark.parametrize("pi, command", sorted(_PINNED))
+def test_exact_reports_are_pinned(capsys, pi, command):
+    code, out, _ = run(capsys, *_exact_argv(pi, command), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[pi, command]
+
+
+def test_consecutive_calls_give_identical_reports(capsys, tmp_path):
+    blobs = []
+    for k in range(2):
+        path = tmp_path / ("report%d.json" % k)
+        code, out, _ = run(capsys, "check", "assoc", "--pi", "so3", "--format", "json",
+                           "--out", str(path))
+        assert code == 0
+        blobs.append((out, path.read_bytes()))
+    assert blobs[0] == blobs[1]
+    assert blobs[0][0].encode() == blobs[0][1]
+
+
+def test_table_file_is_read_on_every_call(capsys, tmp_path):
+    table = json.loads((resources.files("starcycle") / "data/weights_exact.json").read_text())
+    path = tmp_path / "table.json"
+    shas = []
+    for exact in ("1/2", "1/3"):
+        for entry in table["entries"]:
+            if entry["graph"] == "1;3;b1,b2":
+                entry["exact"] = exact
+        path.write_text(json.dumps(table))
+        code, out, _ = run(capsys, "check", "closed", "--pi", "so3", "--order", "1",
+                           "--table", str(path), "--format", "json")
+        report = json.loads(out)
+        assert report["inputs"]["table"]["path"] == str(path)
+        shas.append(report["inputs"]["table"]["sha256"])
+        assert shas[-1] == WeightTable.load(str(path)).fingerprint()
+    assert shas[0] != shas[1]
+
+
+def test_bundled_table_is_unchanged_by_exact_commands(capsys):
+    builtin = WeightTable.builtin().fingerprint()
+    for argv in (_exact_argv("so3", "assoc"), _exact_argv("moyal", "apply")):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["inputs"]["table"]
+        assert meta == {"path": "builtin", "sha256": builtin,
+                        "provenance": {"exact": 42, "monte_carlo": 0}}
+        assert cli._builtin_table()[0].fingerprint() == builtin
+
+
+def test_reports_do_not_share_metadata(capsys):
+    # each report is built from fresh dicts, so a caller's edit of one
+    # report's metadata cannot reach the next
+    first = cli._cmd_check(cli._parser().parse_args(_exact_argv("moyal", "closed")))
+    first["inputs"]["table"]["provenance"]["exact"] = -1
+    second = cli._cmd_check(cli._parser().parse_args(_exact_argv("moyal", "closed")))
+    assert second["inputs"]["table"]["provenance"] == {"exact": 42, "monte_carlo": 0}
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "assoc", "--pi", "so3", "--order", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, _ = run(capsys, *_exact_argv("so3", "assoc"), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED["so3", "assoc"]

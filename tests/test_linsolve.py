@@ -114,6 +114,21 @@ def test_free_unknowns_and_their_null_vectors():
     check_meaning(rows, unknowns, result)
 
 
+def test_int_rows_give_fraction_results():
+    # polynomial coefficients reach solve as ints; elimination with integral
+    # pivots and quotients must still return exact Fractions, never floats
+    unknowns = ["x", "y", "z", "w"]
+    rows = [("k", {"x": 2, "y": 4, None: -6}),
+            ("k", {"x": 1, "y": 3, None: -4}),
+            ("k", {"z": 3, "w": 6}),
+            ("k", {"x": 4, "y": 6, None: -10})]  # 3 * 1st - 2 * 2nd
+    rank, consistent, values, null = result = solve(rows, unknowns)
+    assert (rank, consistent) == (3, True)
+    assert values == {"x": 1, "y": 1, "z": 0, "w": 0}
+    assert null == {"w": {"x": 0, "y": 0, "z": -2, "w": 1}}
+    check_meaning(rows, unknowns, result)
+
+
 def test_pivot_is_the_first_unknown_in_the_given_order():
     rows = [("k", {"x": F(1), "y": F(1)})]
     assert list(solve(rows, ["x", "y"])[3]) == ["y"]

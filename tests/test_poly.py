@@ -5,7 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcycle import Polynomial, PolyDiffOperator, VolumeForm
+from starcycle import (
+    AdmissibleGraph,
+    Polynomial,
+    PolyDiffOperator,
+    PolyVector,
+    VolumeForm,
+    WeightEntry,
+    WeightTable,
+    assemble_star,
+)
+from starcycle.star import assoc_defect
 
 P = Polynomial
 
@@ -142,12 +152,19 @@ def test_partials_commute(f, i, j):
     assert f.partial(i).partial(j) == f.partial(j).partial(i)
 
 
+def assert_canonical(c):
+    """The canonical coefficient: a nonzero int exactly when integral,
+    otherwise a Fraction with a denominator above 1."""
+    assert c != 0
+    assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 def assert_valid(r, dim):
     """What the validating constructor guarantees, for a result built
     without it."""
     assert r.dim == dim
     for exps, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+        assert_canonical(c)
         assert type(exps) is tuple and len(exps) == dim
         assert all(type(e) is int and e >= 0 for e in exps)
     assert P(dim, r.terms) == r
@@ -171,6 +188,54 @@ def test_internal_results_keep_the_invariants(f, g, rho, k, i):
                 assert_valid(c, 3)
                 assert not c.is_zero()
             assert PolyDiffOperator(3, r.arity, r.terms) == r
+
+
+def test_constructors_store_canonical_coefficients():
+    p = P(2, {(1, 0): Fraction(6, 2), (0, 1): Fraction(1, 2), (0, 0): -4.0})
+    assert p.terms == {(1, 0): 3, (0, 1): Fraction(1, 2), (0, 0): -4}
+    assert_valid(p, 2)
+    for q in (P.constant(2, Fraction(4, 2)), P.variable(2, 1), P.monomial(2, (1, 1), Fraction(-3)),
+              P.parse("4/2*x1 + 1/2*x2 - 2/4 + 3/3*x1*x2", 2)):
+        assert_valid(q, 2)
+    # integral results of Fraction arithmetic come back as ints
+    half = P.constant(2, Fraction(1, 2))
+    assert (half + half).terms == {(0, 0): 1} and type((half * 2).terms[(0, 0)]) is int
+    assert type((P.parse("1/2*x1^2", 2)).partial(1).terms[(1, 0)]) is int
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    a = P(2, {(1, 0): 3})
+    b = P._trusted(2, {(1, 0): Fraction(3)})
+    assert a == b and hash(a) == hash(b)
+    assert a.render() == b.render() == "3*x1"
+    z = ((0, 0),)
+    assert PolyDiffOperator(2, 1, {z: a}).to_json() == PolyDiffOperator._trusted(2, 1, {z: b}).to_json()
+
+
+def so3():
+    return PolyVector(3, 1, {(1, 2): P.parse("x3", 3), (1, 3): P.parse("-x2", 3),
+                             (2, 3): P.parse("x1", 3)})
+
+
+def test_exact_side_results_are_canonical():
+    # a zeroed order-2 weight, so that the order-2 associativity defect is nonzero
+    table = WeightTable.builtin()
+    e = table.lookup_star(AdmissibleGraph.from_key("2;2;b1,2|b1,b2"))
+    table.add(WeightEntry(e.graph_key, e.alphas, 0.0, 0.0, 0, 0, exact=Fraction(0)))
+    s = assemble_star(so3(), table, order=2)
+    vol = VolumeForm(3, P.parse("x1^2 + x2^2 + x3^2", 3))
+    ops = [assoc_defect(s, 2)]
+    for level in s.levels:
+        ops += [level, level.cyclic_shift(vol), level.hochschild_differential()]
+    assert not ops[0].is_zero()
+    seen = set()
+    for op in ops:
+        for c in op.terms.values():
+            assert_valid(c, 3)
+            seen.update(map(type, c.terms.values()))
+        # built without validation, yet what the validating constructor makes
+        assert PolyDiffOperator(3, op.arity, op.terms) == op
+    assert seen == {int, Fraction}
 
 
 def test_hash_agrees_with_equality_on_constants():
