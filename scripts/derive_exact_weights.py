@@ -37,6 +37,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from starcycle import WeightEntry, WeightTable
 from starcycle._linsolve import coefficient_rows, solve
 from starcycle.diffops import PolyDiffOperator
 from starcycle.graphs import star_graphs, star_orbits
@@ -44,7 +45,6 @@ from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
 from starcycle.star import (StarProduct, _level_prefactor, assemble_star, assoc_defect,
                             check_cyclic, graph_to_operator)
-from starcycle.weights import WeightEntry, WeightTable
 
 ALPHAS = (0.0, 0.0, 1.0)
 ORDERS = (1, 2)

@@ -1,5 +1,10 @@
 """Kontsevich star products with harmonic angles: exact polyvector algebra,
-graph weights by Monte Carlo, and cyclicity/closedness checks."""
+graph weights by Monte Carlo, and cyclicity/closedness checks.
+
+The sampler (the weights submodule and the names in _SAMPLER) needs
+numpy, so __getattr__ imports it on first use."""
+
+import importlib
 
 from .poly import Polynomial
 from .polyvector import PolyVector, VolumeForm
@@ -13,14 +18,7 @@ from .angles import (
     geodesic_angle_gradient,
     key_lemma_residual,
 )
-from .weights import (
-    WeightEntry,
-    WeightTable,
-    compute_weight,
-    default_threads,
-    halfplane_weight,
-    mixed_edge_integral,
-)
+from .table import WeightEntry, WeightTable
 from .star import (
     StarProduct,
     assemble_star,
@@ -33,6 +31,17 @@ from .star import (
 )
 
 __version__ = "0.1.0"
+
+_SAMPLER = ("compute_weight", "default_threads", "halfplane_weight", "mixed_edge_integral")
+
+
+def __getattr__(name):
+    # import_module, not `from . import weights`: the latter asks hasattr of
+    # this package, which would call __getattr__ again without end
+    if name == "weights" or name in _SAMPLER:
+        weights = importlib.import_module(".weights", __name__)
+        return weights if name == "weights" else getattr(weights, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "AdmissibleGraph",

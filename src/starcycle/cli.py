@@ -17,6 +17,10 @@ plus the weight-table provenance, contain no timestamps, and are dumped
 canonically, so identical invocations produce byte-identical JSON.
 Thread count comes from the STARCYCLE_THREADS environment variable only.
 
+The two sampling commands, `weights compute` and `check alpha`, import
+the Monte Carlo sampler (and numpy with it) when they run; every other
+command runs on the standard library alone.
+
 A process builds one argument parser, on its first main() call, and
 reads the bundled weight table, its sha256 and its provenance once, on
 the first command that uses it; so repeated main() calls in one process
@@ -44,7 +48,7 @@ from .star import (
     check_closed,
     check_cyclic,
 )
-from .weights import WeightTable, compute_weight
+from .table import WeightTable
 
 BUNDLED_PI = ("moyal", "so3", "nondiv")
 
@@ -230,6 +234,7 @@ def _cmd_weights_compute(args):
     else:
         if args.alpha is None:
             raise InputError("--alpha is required for m = 3")
+        from .weights import compute_weight
         ctx = AngleContext.standard(_parse_alpha(args.alpha, args.m))
         sample = lambda g, **kw: compute_weight(g, ctx, **kw)
     entries = []
@@ -308,6 +313,7 @@ def _cmd_check(args):
         options.update({"order": args.order, "alpha": args.alpha, "alpha2": args.alpha2,
                         "samples": args.samples, "seed": args.seed,
                         "tolerance": args.tolerance})
+        from .weights import compute_weight
         table = WeightTable()
         for side, alphas in enumerate((a1, a2)):
             ctx = AngleContext.standard(alphas)

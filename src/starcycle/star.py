@@ -31,7 +31,7 @@ from .diffops import PolyDiffOperator
 from .graphs import AdmissibleGraph, star_graphs, star_orbits
 from .poly import Polynomial, _accumulate
 from .polyvector import PolyVector, VolumeForm
-from .weights import WeightTable
+from .table import WeightTable
 
 
 def _level_prefactor(n: int) -> Fraction:

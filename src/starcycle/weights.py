@@ -14,13 +14,12 @@ the Cayley map at xi = 1, i(1+w)/(1-w), sends those points to 0, 1 and
 infinity, and a determinant taken in disk coordinates already carries
 the area factor prod 4/|1-w|^4.
 
-Stored table values carry no symmetry prefactors: the 1/n! and
-1/(#Star(k))! factors are applied at operator assembly.  Determinism
-contract: sampling is split into fixed chunks of CHUNK samples, chunk c
-is seeded from (seed, c), and the reduction runs in chunk order, so
-results are byte-identical for any thread count.  Inside a chunk, rows
-and determinants are built in sub-blocks of BLOCK samples, small enough
-to stay in cache; a sample's value does not depend on its block.
+Determinism contract: sampling is split into fixed chunks of CHUNK
+samples, chunk c is seeded from (seed, c), and the reduction runs in
+chunk order, so results are byte-identical for any thread count.  Inside
+a chunk, rows and determinants are built in sub-blocks of BLOCK samples,
+small enough to stay in cache; a sample's value does not depend on its
+block.
 
 Interior points are drawn uniformly on the disk as p = sqrt(u) e^(i theta),
 theta = 2 pi v, from uniform u and v.  _disk_points takes e^(i theta)
@@ -65,20 +64,17 @@ form that does not vanish reaches a ratio near 1 in every chunk.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
 from .angles import TWO_PI, AngleContext, angle_form, cayley
 from .graphs import AdmissibleGraph, top_edge_count
+from .table import WeightEntry
 
 CHUNK = 65536
 BLOCK = 4096
@@ -97,122 +93,6 @@ def default_threads() -> int:
     except ValueError:
         return 1
 
-
-@dataclass(frozen=True)
-class WeightEntry:
-    graph_key: str
-    alphas: tuple
-    value: float
-    std_error: float
-    samples: int
-    seed: int
-    exact: Fraction | None = None
-    rejected: int = 0
-
-    def __post_init__(self):
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
-        if self.exact is None and self.samples <= 0:
-            raise ValueError("Monte Carlo entries need samples > 0")
-        if self.exact is not None and self.samples != 0:
-            raise ValueError("exact entries carry samples = 0")
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.graph_key,
-            "alphas": list(self.alphas),
-            "value": self.value,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-            "exact": None if self.exact is None else "%d/%d" % (self.exact.numerator, self.exact.denominator),
-            "rejected": self.rejected,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightEntry":
-        exact = obj.get("exact")
-        return cls(
-            graph_key=obj["graph"],
-            alphas=tuple(float(a) for a in obj.get("alphas", [])),
-            value=float(obj["value"]),
-            std_error=float(obj.get("std_error", 0.0)),
-            samples=int(obj.get("samples", 0)),
-            seed=int(obj.get("seed", 0)),
-            exact=None if exact is None else Fraction(exact),
-            rejected=int(obj.get("rejected", 0)),
-        )
-
-
-def _alpha_key(alphas):
-    return tuple(round(float(a), 12) for a in alphas)
-
-
-@dataclass
-class WeightTable:
-    entries: dict = field(default_factory=dict)
-
-    def add(self, entry: WeightEntry):
-        self.entries[(entry.graph_key, _alpha_key(entry.alphas))] = entry
-
-    def get(self, graph_key: str, alphas) -> WeightEntry | None:
-        return self.entries.get((graph_key, _alpha_key(alphas)))
-
-    def lookup_star(self, graph: AdmissibleGraph) -> WeightEntry | None:
-        """Weight of a 2-boundary star graph: the native half-plane entry
-        when present, else its 3-boundary embedding under alpha = (0, 0, 1)."""
-        if graph.m == 2:
-            native = self.get(graph.canonical_key(), ())
-            if native is not None:
-                return native
-            graph = graph.add_boundary_vertex()
-        return self.get(graph.canonical_key(), (0.0, 0.0, 1.0))
-
-    def to_json(self) -> dict:
-        items = sorted(self.entries.values(), key=lambda e: (e.graph_key, e.alphas))
-        return {"entries": [e.to_json() for e in items]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightTable":
-        table = cls()
-        for item in obj.get("entries", []):
-            table.add(WeightEntry.from_json(item))
-        return table
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    def fingerprint(self) -> str:
-        """sha256 of the canonical JSON serialization."""
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    @classmethod
-    def load(cls, path: str) -> "WeightTable":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-    @classmethod
-    def builtin(cls) -> "WeightTable":
-        """Calibrated exact table shipped with the package."""
-        from importlib.resources import files
-
-        data = files("starcycle").joinpath("data/weights_exact.json").read_text()
-        return cls.from_json(json.loads(data))
-
-    def is_exact(self) -> bool:
-        return all(e.exact is not None for e in self.entries.values())
-
-    def provenance(self) -> dict:
-        kinds = {"exact": 0, "monte_carlo": 0}
-        for e in self.entries.values():
-            kinds["exact" if e.exact is not None else "monte_carlo"] += 1
-        return kinds
-
-
-# -- sampler -------------------------------------------------------------------
 
 def _disk_rows(graph, boundary_angles, edge_alphas, p):
     """Jacobian rows of all edge angle functions.

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import starcycle
 from starcycle import WeightTable, cli
 from starcycle.cli import main
 
@@ -379,6 +383,21 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("field, bad", [("value", float("nan")), ("std_error", float("inf"))])
+def test_non_finite_table_entry_exits_2_naming_the_graph(capsys, tmp_path, field, bad):
+    # json writes these as NaN and Infinity, which json.loads reads back
+    entry = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "std_error": 0.01,
+             "samples": 16, "seed": 1, field: bad}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [entry]}))
+    code, out, err = run(capsys, "star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2",
+                         "--table", str(path))
+    assert code == 2
+    assert err.startswith("error: bad weight table file ")
+    assert "1;3;b1,b2" in err and "must be finite" in err
+    assert out == ""
+
+
 # ------------------------------------------------- state reused across calls
 #
 # main() keeps one parser and one bundled table per process; these pin that
@@ -473,3 +492,69 @@ def test_usage_error_leaves_the_parser_usable(capsys):
     code, out, _ = run(capsys, *_exact_argv("so3", "assoc"), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED["so3", "assoc"]
+
+
+# ------------------------------------------------- numpy only with the sampler
+
+_NO_SAMPLER = [
+    ["check", "cyclic", "--pi", "so3"],
+    ["check", "closed", "--pi", "so3"],
+    ["check", "assoc", "--pi", "so3"],
+    ["check", "jacobi", "--pi", "so3"],
+    ["check", "divergence", "--pi", "so3"],
+    ["star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2"],
+    ["graphs", "enumerate", "--n", "1", "--m", "2", "--edges", "2"],
+    ["weights", "compute", "--n", "1", "--m", "2", "--samples", "16", "--seed", "1"],
+]
+
+
+def _fresh(code):
+    """stdout of code run in a new interpreter that imports this starcycle."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(starcycle.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_only_the_sampler_loads_numpy():
+    steps = _fresh("""
+import contextlib, io, json, sys
+import starcycle, starcycle.cli
+steps = [("import", 0, "numpy" in sys.modules)]
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = starcycle.cli.main(argv)
+    steps.append((" ".join(argv[:2]), rc, "numpy" in sys.modules))
+print(json.dumps(steps))
+""" % _NO_SAMPLER)
+    assert [rc for _, rc, _ in steps] == [0] * len(steps)
+    assert [name for name, _, loaded in steps if loaded] == ["weights compute"]
+
+
+def test_sampler_names_resolve_on_first_use():
+    got = _fresh("""
+import json, sys
+import starcycle
+before = "numpy" in sys.modules
+from starcycle import compute_weight, default_threads, halfplane_weight, mixed_edge_integral
+star = {}
+exec("from starcycle import *", star)
+try:
+    starcycle.no_such_name
+    missing = "resolved"
+except AttributeError as e:
+    missing = str(e)
+w = starcycle.weights
+print(json.dumps({
+    "before": before,
+    "after": "numpy" in sys.modules,
+    "same": [compute_weight is w.compute_weight, default_threads is w.default_threads,
+             halfplane_weight is w.halfplane_weight,
+             mixed_edge_integral is w.mixed_edge_integral],
+    "star": sorted(set(starcycle.__all__) - set(star)),
+    "missing": missing,
+}))
+""")
+    assert got == {"before": False, "after": True, "same": [True] * 4, "star": [],
+                   "missing": "module 'starcycle' has no attribute 'no_such_name'"}
