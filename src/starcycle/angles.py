@@ -2,14 +2,17 @@
 
 geodesic_angle(p, q, xi) is the angle at p between the hyperbolic
 geodesic to q and the one running to the boundary point xi.  The Cayley
-map T(z) = i(xi+z)/(xi-z) sends the disk to the upper half-plane and xi
-to infinity; there the angle is arg((P-Q)(P-conj Q)) of the images
-(Kontsevich, q-alg/9709040, section 2).  That chart and the angle's
-derivatives are written once, in cayley and angle_form; the scalar API
-here and the sampler's row kernel (weights._disk_rows) both call them,
-with Python complex numbers and numpy arrays respectively.  Everything
-is defined modulo 2*pi; central finite differences are available as a
-cross-check of the gradients.
+map T(z) = i(xi+z)/(xi-z) (cayley) sends the disk to the upper half-plane
+and xi to infinity, where the angle is arg((P-Q)(P-conj Q)) of the images
+(Kontsevich, q-alg/9709040, section 2).  In disk coordinates it is
+arg((p-q)(1 - p conj q)) - 2 arg(xi - p) + const, so an edge weighted by
+alpha_k at xi_k has a pair part of weight A = sum_k alpha_k and a gauge
+part that depends on p alone (the key lemma).  Their gradients are written
+once, in edge_coefficients and gauge_coefficient, as complex c with
+(d/dx, d/dy) = (Im c, Re c); the scalar API here and the sampler's row
+kernel (weights._disk_rows) both call them.  Everything is defined modulo
+2*pi; central finite differences are available as a cross-check of the
+gradients.
 """
 
 from __future__ import annotations
@@ -48,24 +51,23 @@ def harmonic_angle_halfplane(p: complex, q: complex) -> float:
     return cmath.phase((p - q) * (p - q.conjugate())) % TWO_PI
 
 
-def angle_form(alpha, P, T, Q, U):
-    """Derivatives of alpha * arg((P-Q)(P-conj Q)), the angle of an edge
-    p -> q in the chart that sends its reference point to infinity.
+def edge_coefficients(A, p, q, boundary=False):
+    """(c_p, c_q) of A arg((p-q)(1 - p conj q)) for the edge p -> q; for a
+    boundary target q = xi_j it is 2A arg(xi_j - p) + const and c_q is None.
+    With alpha_j = A the only weight, the gauge term cancels c_p exactly."""
+    if boundary:
+        return 2 * A / (p - q), None
+    r = 1.0 / (p - q)
+    qc = q.conjugate()
+    t = 1.0 / (1.0 - p * qc)
+    return A * (r - qc * t), A * ((p * t).conjugate() - r)
 
-    P is the image of p and T its chart derivative, so P moves by T and
-    iT as p moves along x and y.  Q is the image of q; q moves it by U
-    and iU, or U is None when q is not a coordinate.  A real Q (a
-    boundary target) is its own conjugate and takes one division.
-    Returns (d/dx_p, d/dy_p, d/dx_q, d/dy_q), the last two None when U is.
-    """
-    r1 = 1.0 / (P - Q)
-    r2 = r1 if isinstance(Q, float) else 1.0 / (P - Q.conjugate())
-    c = alpha * T * (r1 + r2)
-    if U is None:
-        return c.imag, c.real, None, None
-    A = U * r1
-    B = U.conjugate() * r2
-    return c.imag, c.real, -alpha * (A + B).imag, alpha * (B - A).real
+
+def gauge_coefficient(alphas, xis, p):
+    """c of -2 sum_k alpha_k arg(xi_k - p), which every edge out of p with
+    these alphas adds to c_p; None when all alphas are 0."""
+    terms = [2 * a / (xi - p) for a, xi in zip(alphas, xis) if a != 0.0]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
 def _check_pair(p: complex, q: complex):
@@ -86,8 +88,9 @@ def geodesic_angle(p: complex, q: complex, xi_angle: float) -> float:
 def geodesic_angle_gradient(p: complex, q: complex, xi_angle: float):
     """(d/dx_p, d/dy_p, d/dx_q, d/dy_q) of the harmonic angle."""
     _check_pair(p, q)
-    xi = cmath.exp(1j * xi_angle)
-    return angle_form(1.0, *cayley(p, xi), *cayley(q, xi))
+    c_p, c_q = edge_coefficients(1.0, p, q)
+    c_p += gauge_coefficient((1.0,), (cmath.exp(1j * xi_angle),), p)
+    return c_p.imag, c_p.real, c_q.imag, c_q.real
 
 
 def geodesic_angle_gradient_fd(p: complex, q: complex, xi_angle: float, step: float = 1e-6):

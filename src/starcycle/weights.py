@@ -8,18 +8,22 @@ freedom and the integral runs over the n interior points only; for
 m = 2 (the star product) the classical half-plane slice is used
 (boundary at 0 and 1, plain harmonic angle).  No other m is sampled.
 
-One row kernel, _disk_rows, serves both routes.  The half-plane slice is
-the disk chart with boundary angles (pi, 3pi/2, 0) and weight (0, 0, 1):
-the Cayley map at xi = 1, i(1+w)/(1-w), sends those points to 0, 1 and
-infinity, and a determinant taken in disk coordinates already carries
-the area factor prod 4/|1-w|^4.
+One row kernel, _disk_rows, serves both routes.  In disk coordinates an
+edge's row is one complex coefficient c per (edge, vertex), with entries
+(Im c, Re c) at (x, y) of the vertex (angles.py): the pair term's, of
+weight A = sum_k alpha_k, on the source and the target, plus on the source
+the gauge term of the vertex.  The half-plane slice is the disk chart with
+boundary angles (pi, 3pi/2, 0) and weight (0, 0, 1): the Cayley map at
+xi = 1, i(1+w)/(1-w), sends those points to 0, 1 and infinity, and a
+determinant taken in disk coordinates already carries the area factor
+prod 4/|1-w|^4.
 
 Determinism contract: sampling is split into fixed chunks of CHUNK
 samples, chunk c is seeded from (seed, c), and the reduction runs in
 chunk order, so results are byte-identical for any thread count.  Inside
-a chunk, rows and determinants are built in sub-blocks of BLOCK samples,
-small enough to stay in cache; a sample's value does not depend on its
-block.
+a chunk, points, rows and determinants are built in sub-blocks of BLOCK
+samples, small enough to stay in cache; a sample's value does not depend
+on its block.
 
 Interior points are drawn uniformly on the disk as p = sqrt(u) e^(i theta),
 theta = 2 pi v, from uniform u and v.  _disk_points takes e^(i theta)
@@ -52,12 +56,11 @@ its Hadamard bound (the product of its row norms) contributes exactly
 0 rather than roundoff.
 
 Determinants are taken by _laplace_det, a Laplace expansion over the
-(E, D, S) array the row kernel fills, one elementwise call per step for
-every D (2 at order 1, 4 at order 2, 6 at order 3); no LAPACK call is
-made.  Its rounding error is at most about D(D+1)/2 unit roundoffs times
-the permanent of |A|, and that permanent is at most D^(D/2) times the
-Hadamard bound, so up to D = 6 the error stays below 5e-13 of the bound
-(measured on random stacks: below 1e-15).  An uncertified
+vertices' column pairs; no LAPACK call is made.  Each of its terms takes at
+most 2, 8 or 23 roundings at D = 2, 4 or 6 rows, and their sizes sum to
+the permanent of |A|, at most D^(D/2) times the Hadamard bound, so up to
+D = 6 the error stays below 6e-13 of the bound (measured on random stacks
+against extended precision: below 4e-16).  An uncertified
 pointwise-vanishing form therefore still reads under ZERO_RATIO, while a
 form that does not vanish reaches a ratio near 1 in every chunk.
 """
@@ -72,7 +75,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .angles import TWO_PI, AngleContext, angle_form, cayley
+from .angles import TWO_PI, AngleContext, edge_coefficients, gauge_coefficient
 from .graphs import AdmissibleGraph, top_edge_count
 from .table import WeightEntry
 
@@ -95,75 +98,56 @@ def default_threads() -> int:
 
 
 def _disk_rows(graph, boundary_angles, edge_alphas, p):
-    """Jacobian rows of all edge angle functions.
-
-    p: (S, n) complex interior points.  Returns an (E, 2n, S) array, so
-    rows[e, j] holds entry (e, j) of every sample; column layout: x_1,
-    y_1, .., x_n, y_n.
-
-    Edge v -> w carries sum_k alpha_k arg((P-Q)(P-conj Q)), with P and Q
-    the images of v and w under the Cayley map that sends xi_k to
-    infinity.  The chart is angles.cayley and each term's derivatives are
-    angles.angle_form, the same code the scalar angle API runs.  Each
-    image and its derivative are computed once per (vertex, xi_k) and
-    shared by every edge.
-    """
+    """Complex coefficients of all edge angle functions, p being (n, S),
+    a row per vertex: per edge a dict {i: c}, c the (S,) coefficient on
+    vertex i + 1, by angles.edge_coefficients and gauge_coefficient.  Only
+    the edge's ends appear, the target only when A != 0.  A vertex's gauge
+    term is computed once per alpha vector and shared by its edges."""
     n = graph.n
-    edges = graph.edges()
-    rows = np.zeros((len(edges), 2 * n, p.shape[0]))
     xi = [np.exp(1j * t) for t in boundary_angles]
-    images = {}
-
-    def image(v, k):
-        """(Z, dZ) for vertex v with xi_k at infinity: the image Z and its
-        motion along x_v, None for a boundary point, by angles.cayley."""
-        if (v, k) not in images:
-            if v <= n:
-                images[v, k] = cayley(p[:, v - 1], xi[k - 1])
-            else:
-                images[v, k] = (cayley(xi[v - n - 1], xi[k - 1])[0].real, None)
-        return images[v, k]
-
-    for row, (v, w) in enumerate(edges):
-        out = rows[row]
-        cv, cw = 2 * (v - 1), 2 * (w - 1)
-        for k, alpha in enumerate(edge_alphas[row], start=1):
-            if alpha == 0.0 or w == n + k:
-                continue  # w == n + k: the angle to the reference point itself, a zero form
-            P, T = image(v, k)
-            Q, U = image(w, k)
-            g_px, g_py, g_qx, g_qy = angle_form(alpha, P, T, Q, U)
-            out[cv] += g_px
-            out[cv + 1] += g_py
-            if U is not None:
-                out[cw] += g_qx
-                out[cw + 1] += g_qy
+    gauges = {}
+    rows = []
+    for (v, w), alphas in zip(graph.edges(), edge_alphas):
+        key = v, tuple(alphas)
+        if key not in gauges:
+            gauges[key] = gauge_coefficient(alphas, xi, p[v - 1])
+        A = sum(alphas)
+        row = {} if gauges[key] is None else {v - 1: gauges[key]}
+        if A != 0.0:
+            q = p[w - 1] if w <= n else xi[w - n - 1]
+            c_p, c_q = edge_coefficients(A, p[v - 1], q, boundary=w > n)
+            row[v - 1] = c_p + gauges[key]
+            if c_q is not None:
+                row[w - 1] = c_q
+        rows.append(row)
     return rows
 
 
-def _laplace_det(a):
-    """Determinants of a (D, D, S) stack, a[i, j] being entry (i, j) of
-    all S matrices: Laplace expansion along each row in turn, from the
-    bottom up.  The minor of the lower rows on each column subset is formed
-    once and shared by every larger minor that contains it, so each step
-    is one ufunc call on an (S,) slice.  D == 0 gives ones."""
-    D = a.shape[0]
-    if D == 0:
-        return np.ones(a.shape[2])
-    minors = {(j,): a[D - 1, j] for j in range(D)}
-    for r in range(D - 2, -1, -1):
+def _laplace_det(rows, n, size):
+    """Determinants of the 2n x 2n Jacobians _disk_rows describes, by
+    Laplace expansion over the vertices' column pairs, the last one first.
+    The minor of rows r < s on vertex i is Im(c_r conj c_s); that of a row
+    set T on vertices i..n sums such pairs in T times the minor of the rest
+    of T on i+1..n, formed once for every T that contains it.  Empty (edge,
+    vertex) pairs, and any T that leaves out a row with nothing before
+    vertex i, are skipped; a determinant with no term is zero."""
+    minors = {(): np.ones(size)}
+    for i in range(n - 1, -1, -1):
+        touching = [(r, row[i]) for r, row in enumerate(rows) if i in row]
+        pairs = [(r, s, (c_r * c_s.conjugate()).imag)
+                 for (r, c_r), (s, c_s) in itertools.combinations(touching, 2)]
+        late = {r for r, row in enumerate(rows) if min(row, default=n) >= i}  # nothing before i
         wider = {}
-        for cols in itertools.combinations(range(D), D - r):
-            acc = a[r, cols[0]] * minors[cols[1:]]
-            for i in range(1, len(cols)):
-                term = a[r, cols[i]] * minors[cols[:i] + cols[i + 1:]]
-                if i % 2:
-                    acc -= term
-                else:
-                    acc += term
-            wider[cols] = acc
+        for rest, sub in minors.items():
+            for r, s, m in pairs:
+                T = tuple(sorted(rest + (r, s)))
+                if r in rest or s in rest or not late.issubset(T):
+                    continue
+                a, b = T.index(r), T.index(s)
+                term = m * sub if (a + b) % 2 else -(m * sub)  # sign (-1)^(a+b+1)
+                wider[T] = wider[T] + term if T in wider else term
         minors = wider
-    return minors[tuple(range(D))]
+    return minors.get(tuple(range(len(rows))), np.zeros(size))
 
 
 def _vanishes(graph, edge_alphas):
@@ -173,7 +157,9 @@ def _vanishes(graph, edge_alphas):
     boundary vertex b_j is the point xi_j.  Either of these suffices:
 
     1. Zero row.  Every nonzero alpha_k of some edge v -> w has w = b_k.
-       _disk_rows skips exactly those terms, so the edge's form is 0.
+       Then A = alpha_k, and in _disk_rows the edge's pair term
+       2A / (p - xi_k) and its gauge term 2 alpha_k / (xi_k - p) cancel
+       exactly, so the edge's form is 0.
     2. Symmetry.  A nonempty set U of interior vertices has at least 2|U|
        edges, each of them ending in U or at a pinned point, with every
        nonzero alpha on them at a pinned point; and S_U, the pinned
@@ -253,23 +239,26 @@ def _collisions(u, p, boundary_angles):
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     """(sum, sum of squares, rejected) of one chunk's determinants.
 
-    ctx supplies the three boundary_angles; rows and determinants are
-    built BLOCK samples at a time."""
+    ctx supplies the three boundary_angles; points, rows and determinants
+    are built BLOCK samples at a time."""
     n = graph.n
     angles = ctx.boundary_angles
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     u = rng.random((size, n))
-    p = _disk_points(u, rng.random((size, n)))
-    reject = _collisions(u, p, angles)
-
+    v = rng.random((size, n))
+    reject = np.empty(size, dtype=bool)
     dets = np.empty(size)
     vanishing = True
     for lo in range(0, size, BLOCK):
         block = slice(lo, lo + BLOCK)
-        rows = _disk_rows(graph, angles, edge_alphas, p[block])
-        dets[block] = d = _laplace_det(rows)
+        p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
+        reject[block] = _collisions(u[block], p.T, angles)
+        rows = _disk_rows(graph, angles, edge_alphas, p)
+        dets[block] = d = _laplace_det(rows, n, p.shape[1])
         if vanishing:
-            hadamard = np.prod(np.sqrt(np.sum(rows * rows, axis=1)), axis=0)
+            hadamard = np.ones(p.shape[1])
+            for row in rows:
+                hadamard *= np.sqrt(sum(c.real * c.real + c.imag * c.imag for c in row.values()))
             vanishing = not np.any(np.abs(d) > ZERO_RATIO * hadamard)
     reject |= ~np.isfinite(dets)
     rej = int(np.count_nonzero(reject))

@@ -93,6 +93,15 @@ def test_mixed_edge_difference_form_ignores_target():
     assert abs(n1.value - n2.value) <= 3 * sigma
 
 
+def test_zero_total_difference_form_reads_exactly_zero():
+    # sum(alpha' - alpha) = 0: the mixed edge 1 -> b2 has no target
+    # coefficient, and its source coefficient is minus that of 1 -> b1, so
+    # every determinant is exactly 0, not roundoff for ZERO_RATIO to judge
+    g = AdmissibleGraph.from_key("1;3;b2,b1")
+    w = mixed_edge_integral(g, CTX, AngleContext.standard((1.0, 0.0, 0.0)), 0, 131172, 9)
+    assert (w.value, w.std_error, w.samples) == (0.0, 0.0, 131172)
+
+
 def test_mixed_edge_validation():
     rep = AngleContext.standard((1.0, 0.0, 0.0))
     g = AdmissibleGraph.from_key("1;3;b1,b2")
@@ -321,9 +330,20 @@ def _fd_rows(angle_fn, coords, step=1e-6):
     return np.array(cols).T
 
 
+def _expand(rows, n):
+    """The (E, 2n, S) real Jacobians of _disk_rows's coefficients: entries
+    (Im c, Re c) at columns (x_i, y_i) of vertex i + 1, zero elsewhere."""
+    S = next((c.shape[0] for row in rows for c in row.values()), 0)
+    out = np.zeros((len(rows), 2 * n, S))
+    for e, row in enumerate(rows):
+        for i, c in row.items():
+            out[e, 2 * i], out[e, 2 * i + 1] = c.imag, c.real
+    return out
+
+
 def _kernel_rows(graph, angles, edge_alphas, coords):
-    p = np.array([[complex(coords[2 * i], coords[2 * i + 1]) for i in range(graph.n)]])
-    return _disk_rows(graph, angles, edge_alphas, p)[:, :, 0]
+    p = np.array([[complex(coords[2 * i], coords[2 * i + 1])] for i in range(graph.n)])
+    return _expand(_disk_rows(graph, angles, edge_alphas, p), graph.n)[:, :, 0]
 
 
 CONFIGS = ((0.31 - 0.22j, -0.45 + 0.38j), (0.05 + 0.61j, 0.52 - 0.47j), (-0.7 - 0.1j, 0.2 + 0.15j))
@@ -334,6 +354,8 @@ CONFIGS = ((0.31 - 0.22j, -0.45 + 0.38j), (0.05 + 0.61j, 0.52 - 0.47j), (-0.7 - 
     ("2;3;b1,2|b2,1", (0.0, 2.0, 4.0), (0.0, 0.0, 1.0)),
     # every reference point in play, including one that is also a target
     ("2;3;b3,2|b2,1", (0.3, 2.0, 4.5), (0.4, -0.7, 1.3)),
+    # sum(alpha) = 0, a difference form: a function of the source alone
+    ("2;3;b3,2|b2,1", (0.3, 2.0, 4.5), (1.0, 0.0, -1.0)),
 ])
 def test_kernel_rows_match_finite_differences(key, angles, alphas):
     g = AdmissibleGraph.from_key(key)
@@ -344,6 +366,10 @@ def test_kernel_rows_match_finite_differences(key, angles, alphas):
         fd = _fd_rows(lambda c: _disk_edge_angles(g, angles, edge_alphas, c), coords)
         assert rows.shape == fd.shape == (g.edge_count, len(coords))
         assert np.allclose(rows, fd, rtol=1e-6, atol=1e-6)
+    if sum(alphas) == 0.0:
+        # no edge has a coefficient on its target
+        coefficients = _disk_rows(g, angles, edge_alphas, np.array([[z] for z in CONFIGS[0]]))
+        assert [list(row) for row in coefficients] == [[v - 1] for v, _ in g.edges()]
 
 
 def test_halfplane_gauge_rows_match_finite_differences():
@@ -361,53 +387,68 @@ def test_halfplane_gauge_rows_match_finite_differences():
 
 # -- the determinant against LAPACK ------------------------------------------
 
-def _lapack_det(a):
-    return np.linalg.det(a.transpose(2, 0, 1))
+def _lapack_det(rows, n, size):
+    if n == 0:
+        return np.ones(size)
+    return np.linalg.det(_expand(rows, n).transpose(2, 0, 1))
 
 
 def _hadamard(a):
     return np.prod(np.sqrt(np.sum(a * a, axis=1)), axis=0)
 
 
-def _stacks(D, S=512, seed=0):
-    """(name, (D, D, S) stack): dense, with structural zero entries as in the
-    kernel (each edge row touches only its endpoints' columns), and with a
-    repeated row."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, D)))
-    dense = rng.standard_normal((D, D, S)) * rng.uniform(0.1, 10.0, (D, 1, S))
-    point = np.arange(D) // 2  # columns x_v, y_v of point v
-    ends = rng.integers(0, (D + 1) // 2, (D, 2, 1))
-    keep = np.any(point == ends, axis=1)
-    yield "dense", dense
-    yield "sparse", np.where(keep[:, :, None], dense, 0.0)
-    if D >= 2:
-        singular = dense.copy()
-        singular[D - 1] = singular[rng.integers(0, D - 1)]
-        yield "repeated row", singular
+def _coefficient_stacks(n, S=512, seed=0):
+    """(name, rows) with 2n rows of S samples as _disk_rows returns them:
+    every row on every vertex, rows on one or two vertices with the other
+    pairs empty (as in the kernel, where an edge touches only its ends),
+    and a repeated row."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    scale = rng.uniform(0.1, 10.0, (2 * n, 1, S))
+    dense = (rng.standard_normal((2 * n, n, S)) + 1j * rng.standard_normal((2 * n, n, S))) * scale
+    yield "dense", [{i: dense[e, i] for i in range(n)} for e in range(2 * n)]
+    ends = rng.integers(0, n, (2 * n, 2)) if n else np.zeros((0, 2), dtype=int)
+    yield "sparse", [{int(i): dense[e, i] for i in set(ends[e])} for e in range(2 * n)]
+    if n:
+        repeated = [{i: dense[e, i] for i in range(n)} for e in range(2 * n)]
+        repeated[-1] = repeated[rng.integers(0, 2 * n - 1)]
+        yield "repeated row", repeated
 
 
-@pytest.mark.parametrize("D", range(7))
+@pytest.mark.parametrize("D", (0, 2, 4, 6))
 def test_laplace_det_matches_lapack(D):
-    for name, a in _stacks(D):
-        det = _laplace_det(a)
-        assert det.shape == (a.shape[2],), name
-        bound = 1e-14 * _hadamard(a)
-        assert np.all(np.abs(det - _lapack_det(a)) <= bound), name
+    n = D // 2
+    for name, rows in _coefficient_stacks(n):
+        det = _laplace_det(rows, n, 512)
+        assert det.shape == (512,), name
+        bound = 1e-14 * _hadamard(_expand(rows, n)) if n else 1e-14
+        assert np.all(np.abs(det - _lapack_det(rows, n, 512)) <= bound), name
         if name == "repeated row":
             assert np.all(np.abs(det) <= bound)
 
 
+def test_laplace_det_without_a_term_is_exactly_zero():
+    # vertex 1 has only row 0 on it, so no pair of rows covers its columns
+    # and every term of the expansion is structurally empty: exact zeros,
+    # not roundoff
+    c = np.array([1.0 + 2.0j, -0.5j, 3.0, 0.1 - 7.0j])
+    rows = [{0: c, 1: c}, {1: c}, {1: 2j * c}, {1: 1 + c}]
+    assert np.array_equal(_laplace_det(rows, 2, 4), np.zeros(4))
+
+
 @pytest.mark.parametrize("D", (2, 4, 6))
 def test_laplace_det_nonfinite_entry_marks_only_its_sample(D):
-    a = next(_stacks(D, S=8))[1]
+    n = D // 2
+    rows = next(_coefficient_stacks(n, S=8))[1]
     for bad in (np.nan, np.inf, -np.inf):
-        for i in range(D):
-            for j in range(D):
-                b = a.copy()
-                b[i, j, 3] = bad
-                with np.errstate(invalid="ignore"):
-                    det = _laplace_det(b)
-                assert list(np.flatnonzero(~np.isfinite(det))) == [3]
+        for e in range(2 * n):
+            for i in range(n):
+                for part in ("real", "imag"):
+                    changed = [dict(row) for row in rows]
+                    changed[e][i] = c = rows[e][i].copy()
+                    getattr(c, part)[3] = bad
+                    with np.errstate(invalid="ignore"):
+                        det = _laplace_det(changed, n, 8)
+                    assert list(np.flatnonzero(~np.isfinite(det))) == [3]
 
 
 def test_order_three_weight_matches_lapack_determinants(monkeypatch):
