@@ -139,8 +139,9 @@ def derive():
 def build_table(weights):
     """Exact entries under alpha = (0, 0, 1): each 2-boundary graph by its
     3-boundary embedding, plus the first-order graphs with an edge into b3,
-    whose angle form vanishes identically under these alphas (rule 1 of
-    weights._vanishes: its pair and gauge terms cancel)."""
+    whose angle form vanishes identically under these alphas (an edge into
+    b3 has beta = 0 in rule 1 of weights._vanishes, its rank rule at a
+    vertex: its pair and gauge terms cancel)."""
     zeros = [g for g in star_graphs(1, 3) if any(t == 4 for t in g.stars[0])]
     table = WeightTable()
     for g, w in [*weights.items(), *((g, Fraction(0)) for g in zeros)]:

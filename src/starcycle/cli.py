@@ -140,6 +140,13 @@ def _parse_poly(text: str, dim: int) -> Polynomial:
 
 # ---------------------------------------------------------------- output
 
+def _check_writable(path):
+    """An InputError unless the output file `path` can be written."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise InputError("cannot write %r: not a writable file path" % path)
+
+
 def _emit(report: dict, args) -> int:
     blob = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
@@ -191,6 +198,8 @@ def _text_summary(report: dict):
 # ---------------------------------------------------------------- handlers
 
 def _cmd_graphs_enumerate(args):
+    if args.edges < 0:
+        raise InputError("--edges must be at least 0, got %d" % args.edges)
     try:
         graphs = enumerate_graphs(args.n, args.m, args.edges)
     except ValueError as e:
@@ -414,11 +423,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = args.handler(args)
+        for path in filter(None, (args.out, getattr(args, "out_table", None))):
+            _check_writable(path)
+        return _emit(args.handler(args), args)
     except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    return _emit(report, args)
 
 
 if __name__ == "__main__":

@@ -178,9 +178,7 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
         weights = [_table_weight(table, g) for g in graphs]
         all_exact = all_exact and all(exact for _, exact in weights)
         levels.append(_orbit_sum(pi, graphs, [w for w, _ in weights]))
-    source = {"kind": "exact" if all_exact else "monte_carlo",
-              "table_sha256": table.fingerprint()}
-    return StarProduct(pi, order, levels, source)
+    return StarProduct(pi, order, levels, {"kind": "exact" if all_exact else "monte_carlo"})
 
 
 def _require_exact(s: StarProduct, what: str, vol: VolumeForm = None):

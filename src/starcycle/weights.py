@@ -37,32 +37,19 @@ boundary points are tested only at samples with some
 u > (1 - 2 MIN_DIST)^2, and the margin of MIN_DIST over the bound above
 makes this reject exactly the samples that testing every point would.
 
-A form that vanishes at every point is estimated as exactly 0.0 +- 0.0.
-Most such forms are certified from the graph alone by _vanishes, before
-anything is drawn: an edge whose form is the zero row, or a closed set of
-interior vertices whose edges see at most two pinned boundary points, so
-that a one-parameter Moebius group leaves all of their angles unchanged
-(the proof is in its docstring).  On every star graph of orders 1, 2
-and 3, on the half-plane slice and at m = 3 (order 3 tried at alpha =
-(0, 0, 1)), it finds exactly the forms the float rule below finds.  That
-rule is left for the forms it does not cover: the difference forms of
-mixed_edge_integral, and graphs that are not star graphs.  In
-"2;3;b3|1,b1,b2" at alpha = (1/2, 1/2, 0), for one, the angles of
-2 -> b1 and 2 -> b2 are both constant on the circles through xi_1 and
-xi_2, so the wedge vanishes, but vertex 2 has a third edge and no set of
-vertices is certified.  Such forms are still sampled, and ZERO_RATIO
-decides: a chunk in which every determinant is below ZERO_RATIO times
-its Hadamard bound (the product of its row norms) contributes exactly
-0 rather than roundoff.
+A form that _vanishes certifies zero, from the graph and its alphas,
+reads exactly 0.0 +- 0.0 and is not drawn; every other form is sampled.
+tests/test_weights.py checks the certificate against a float reference,
+determinants below 1e-12 of the product of their row norms, on the star
+graphs of orders 1-2 and the order-3 orbits, the non-star graphs of order
+2, and the difference forms whose two alpha sums are equal in binary.
 
 Determinants are taken by _laplace_det, a Laplace expansion over the
 vertices' column pairs; no LAPACK call is made.  Each of its terms takes at
 most 2, 8 or 23 roundings at D = 2, 4 or 6 rows, and their sizes sum to
-the permanent of |A|, at most D^(D/2) times the Hadamard bound, so up to
-D = 6 the error stays below 6e-13 of the bound (measured on random stacks
-against extended precision: below 4e-16).  An uncertified
-pointwise-vanishing form therefore still reads under ZERO_RATIO, while a
-form that does not vanish reaches a ratio near 1 in every chunk.
+the permanent of |A|, at most D^(D/2) times the product of the row norms
+(the Hadamard bound), so up to D = 6 the error stays below 6e-13 of that
+bound (measured on random stacks against extended precision: 4e-16).
 """
 
 from __future__ import annotations
@@ -71,6 +58,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,7 +70,6 @@ from .table import WeightEntry
 CHUNK = 65536
 BLOCK = 4096
 MIN_DIST = 1e-9
-ZERO_RATIO = 1e-12
 
 # Gauge of the half-plane slice (see the module docstring).  Its angles are
 # not increasing, so it is not an AngleContext; the sampler reads only
@@ -152,44 +139,61 @@ def _laplace_det(rows, n, size):
 
 def _vanishes(graph, edge_alphas):
     """True when the graph's form is certified zero at every point, from
-    the graph and the nonzero alphas alone.  Points xi_1..xi_3 are the
-    pinned ones (in the half-plane slice xi_3 is the point at infinity);
-    boundary vertex b_j is the point xi_j.  Either of these suffices:
+    the graph and its alphas alone, read as the exact rationals of the
+    floats that _disk_rows uses.  Points xi_1..xi_3 are the pinned ones (in
+    the half-plane slice xi_3 is the point at infinity); boundary vertex b_j
+    is the point xi_j.  Either of these suffices:
 
-    1. Zero row.  Every nonzero alpha_k of some edge v -> w has w = b_k.
-       Then A = alpha_k, and in _disk_rows the edge's pair term
-       2A / (p - xi_k) and its gauge term 2 alpha_k / (xi_k - p) cancel
-       exactly, so the edge's form is 0.
+    1. Rank at a vertex.  In _disk_rows an edge v -> b_j, and an edge with
+       A == 0.0 (no pair term), has a coefficient on its source alone,
+       sum_k beta_k 2 / (xi_k - p) with beta = alpha - A e_j (alpha when
+       A == 0.0).  Such rows of one vertex lie in its two columns, so the
+       form is zero when a vertex has three of them, one with beta = 0 (a
+       zero row: its pair and gauge terms cancel), or two with parallel
+       betas.
     2. Symmetry.  A nonempty set U of interior vertices has at least 2|U|
-       edges, each of them ending in U or at a pinned point, with every
-       nonzero alpha on them at a pinned point; and S_U, the pinned
-       points those edges end at or weight, has at most 2 elements.
+       edges, each ending in U or at a pinned point or with alphas summing
+       to 0; and S_U, the pinned points those edges weight or end at (but
+       for the target of a zero-sum edge), has at most 2 elements.
 
     Proof of 2.  The angle arg((P-Q)(P-conj Q)) in the chart that sends
     xi_k to infinity is unchanged by the maps z -> az + b (a > 0, b real),
     which are the disk automorphisms fixing xi_k, and a boundary target is
-    unchanged by those that fix it too.  So each edge function of U is a
-    function of the points of U alone, invariant under the diagonal action
-    of the automorphisms fixing S_U.  With |S_U| <= 2 they contain a
-    one-parameter group with no fixed point in the open disk (hyperbolic
-    when |S_U| = 2, parabolic when it is smaller); its generator X_U on
-    D^|U| vanishes nowhere, and every edge form of U is zero on X_U.  So
-    at each point those forms lie in a space of dimension 2|U| - 1, their
-    wedge is zero, and so is the integrand, of which it is a factor.  All
-    2^n - 1 sets U are tried; n <= 3 in every caller.
+    unchanged by those that fix it too.  When the alphas sum to 0 the
+    edge function is, by the key lemma, one of its source alone, so it is
+    unchanged by the automorphisms fixing the points it weights, wherever
+    its target is.  So each edge function of U is a function of the points
+    of U alone, invariant under the diagonal action of the automorphisms
+    fixing S_U.  With |S_U| <= 2 they contain a one-parameter group with
+    no fixed point in the open disk (hyperbolic when |S_U| = 2, parabolic
+    when it is smaller); its generator X_U on D^|U| vanishes nowhere, and
+    every edge form of U is zero on X_U.  So at each point those forms lie
+    in a space of dimension 2|U| - 1, their wedge is zero, and so is the
+    integrand, of which it is a factor.  All 2^n - 1 sets U are tried;
+    n <= 3 in every caller.
     """
     n = graph.n
-    edges = graph.edges()
-    refs = [{k for k, a in enumerate(alphas, start=1) if a != 0.0} for alphas in edge_alphas]
-    if any(all(w == n + k for k in ks) for (_, w), ks in zip(edges, refs)):
-        return True
+    local = {}  # vertex -> betas of its edges with a coefficient on the source alone
+    ends = []  # (source, the vertices b_k and w besides it that the edge function reads)
+    for (v, w), alphas in zip(graph.edges(), edge_alphas):
+        beta = [Fraction(a) for a in alphas]
+        deps = {w} if sum(beta) else set()  # alphas summing to 0: not the target
+        ends.append((v, deps.union(n + k for k, b in enumerate(beta, start=1) if b)))
+        A = sum(alphas)
+        if w > n:
+            beta[w - n - 1] -= Fraction(A)
+        if w > n or A == 0.0:
+            local.setdefault(v, []).append(beta)
+    for betas in local.values():
+        parallel = len(betas) == 2 and not any(
+            a * d - b * c for (a, b), (c, d) in itertools.combinations(zip(*betas), 2))
+        if len(betas) > 2 or not all(map(any, betas)) or parallel:
+            return True
     for size in range(1, n + 1):
         for U in itertools.combinations(range(1, n + 1), size):
-            out = [(w, ks) for (v, w), ks in zip(edges, refs) if v in U]
-            if len(out) < 2 * size or any(w <= n and w not in U for w, _ in out):
-                continue
-            points = {w - n for w, _ in out if w > n}.union(*(ks for _, ks in out))  # S_U
-            if len(points) <= 2:
+            out = [deps for v, deps in ends if v in U]
+            rest = set().union(*out).difference(U)  # S_U, when it holds no interior vertex
+            if len(out) >= 2 * size and len(rest) <= 2 and all(x > n for x in rest):
                 return True
     return False
 
@@ -248,24 +252,14 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     v = rng.random((size, n))
     reject = np.empty(size, dtype=bool)
     dets = np.empty(size)
-    vanishing = True
     for lo in range(0, size, BLOCK):
         block = slice(lo, lo + BLOCK)
         p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
         reject[block] = _collisions(u[block], p.T, angles)
-        rows = _disk_rows(graph, angles, edge_alphas, p)
-        dets[block] = d = _laplace_det(rows, n, p.shape[1])
-        if vanishing:
-            hadamard = np.ones(p.shape[1])
-            for row in rows:
-                hadamard *= np.sqrt(sum(c.real * c.real + c.imag * c.imag for c in row.values()))
-            vanishing = not np.any(np.abs(d) > ZERO_RATIO * hadamard)
+        dets[block] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, p.shape[1])
     reject |= ~np.isfinite(dets)
-    rej = int(np.count_nonzero(reject))
-    if vanishing:
-        return 0.0, 0.0, rej
     dets = np.where(reject, 0.0, dets)
-    return float(np.sum(dets)), float(np.sum(dets * dets)), rej
+    return float(np.sum(dets)), float(np.sum(dets * dets)), int(np.count_nonzero(reject))
 
 
 def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
@@ -275,10 +269,8 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
     if threads is None:
         threads = default_threads()
-    if _vanishes(graph, edge_alphas):
-        plan = []  # a zero form: 0.0 +- 0.0 without drawing
-    else:
-        plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(-(-samples // CHUNK))]
+    chunks = 0 if _vanishes(graph, edge_alphas) else -(-samples // CHUNK)  # a zero form: 0.0 +- 0.0
+    plan = [(c, min(CHUNK, samples - c * CHUNK)) for c in range(chunks)]
     worker = lambda c, size: _disk_chunk(graph, ctx, edge_alphas, seed, c, size)
     if threads <= 1:
         results = [worker(c, size) for c, size in plan]

@@ -206,6 +206,9 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "weights", "compute", "--n", "0", "--m", "2",
                          "--samples", "16", "--seed", "1")
     assert code == 2 and "n >= 1" in err and out == ""
+    # a negative edge count
+    code, out, err = run(capsys, "graphs", "enumerate", "--n", "4", "--m", "3", "--edges", "-1")
+    assert code == 2 and out == "" and err == "error: --edges must be at least 0, got -1\n"
     # unparsable polynomial
     code, _, err = run(capsys, "star", "apply", "--pi", "moyal",
                        "--f", "x1 +", "--g", "x2")
@@ -381,6 +384,25 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     assert code == 2
     assert err.startswith("error: bad ")
     assert out == ""
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--out", ("check", "cyclic", "--pi", "so3")),
+    ("--out-table", ("weights", "compute", "--n", "1", "--m", "2", "--samples", "16", "--seed", "1")),
+], ids=["out", "out-table"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, monkeypatch, flag, argv):
+    from starcycle import weights
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    # found before anything is assembled or sampled
+    monkeypatch.setattr(cli, "assemble_star", unused)
+    monkeypatch.setattr(weights, "halfplane_weight", unused)
+    for path in (str(tmp_path / "missing" / "x.json"), str(tmp_path)):
+        code, out, err = run(capsys, *argv, flag, path)
+        assert code == 2 and out == ""
+        assert err == "error: cannot write %r: not a writable file path\n" % path
 
 
 @pytest.mark.parametrize("field, bad", [("value", float("nan")), ("std_error", float("inf"))])

@@ -20,7 +20,7 @@ from starcycle import (
     star_graphs,
 )
 from starcycle.angles import TWO_PI, cayley, harmonic_angle_halfplane, wrap_angle
-from starcycle.graphs import star_orbits
+from starcycle.graphs import enumerate_graphs, star_orbits
 from starcycle import weights
 from starcycle.weights import CHUNK, MIN_DIST, _HALFPLANE, _disk_rows, _laplace_det
 
@@ -96,7 +96,7 @@ def test_mixed_edge_difference_form_ignores_target():
 def test_zero_total_difference_form_reads_exactly_zero():
     # sum(alpha' - alpha) = 0: the mixed edge 1 -> b2 has no target
     # coefficient, and its source coefficient is minus that of 1 -> b1, so
-    # every determinant is exactly 0, not roundoff for ZERO_RATIO to judge
+    # the form is certified zero and never drawn
     g = AdmissibleGraph.from_key("1;3;b2,b1")
     w = mixed_edge_integral(g, CTX, AngleContext.standard((1.0, 0.0, 0.0)), 0, 131172, 9)
     assert (w.value, w.std_error, w.samples) == (0.0, 0.0, 131172)
@@ -467,34 +467,107 @@ def test_order_three_weight_matches_lapack_determinants(monkeypatch):
 
 # -- the structural zero certificate ------------------------------------------
 
-def _float_rule_zero(graph, ctx, edge_alphas, size=256):
-    s1, s2, _ = weights._disk_chunk(graph, ctx, edge_alphas, 5, 0, size)
-    return (s1, s2) == (0.0, 0.0)
+def _float_rule_zero(graph, boundary_angles, edge_alphas, size=256):
+    """The float rule the certificate replaced, kept here as its reference:
+    a form reads zero when at `size` uniform points every determinant is at
+    most 1e-12 of its Hadamard bound, the product of its row norms."""
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    p = weights._disk_points(rng.random((graph.n, size)), rng.random((graph.n, size)))
+    rows = _disk_rows(graph, boundary_angles, edge_alphas, p)
+    hadamard = np.ones(size)
+    for row in rows:
+        hadamard *= np.sqrt(sum(abs(c) ** 2 for c in row.values()))
+    return bool(np.all(np.abs(_laplace_det(rows, graph.n, size)) <= 1e-12 * hadamard))
+
+
+ALPHAS = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 1 / 3, 1 / 6),
+          (2.0, -1.0, 0.0), (0.5, 0.5, 0.0), (0.3, -0.5, 1.2), (1.0, 0.0, -1.0))
+
+
+def _order_two_star_graphs():
+    """Every star graph of orders 1 and 2 at m = 3, the m = 2 ones embedded."""
+    graphs = star_graphs(1, 3) + star_graphs(2, 3)
+    graphs += [g.add_boundary_vertex() for n in (1, 2) for g in star_graphs(n, 2)]
+    return sorted({g.canonical_key(): g for g in graphs}.values(), key=AdmissibleGraph.canonical_key)
+
+
+def _forms(graphs, alphas):
+    """(graph, boundary angles, edge alphas) of each graph at each alpha."""
+    for a in alphas:
+        ctx = AngleContext.standard(a)
+        for g in graphs:
+            yield g, ctx.boundary_angles, [ctx.alphas] * g.edge_count
+
+
+def _difference_forms(graphs, pairs):
+    """Each edge of each graph in turn given the form of alpha' - alpha."""
+    for a, b in pairs:
+        ctx = AngleContext.standard(a)
+        delta = tuple(y - x for x, y in zip(ctx.alphas, AngleContext.standard(b).alphas))
+        for g in graphs:
+            for e in range(g.edge_count):
+                edge_alphas = [ctx.alphas] * g.edge_count
+                edge_alphas[e] = delta
+                yield g, ctx.boundary_angles, edge_alphas
+
+
+def _certified(forms, match=True):
+    """Number of forms certified zero; each agrees with the float reference
+    (match), or, if not, is at least never certified when the reference
+    reads it nonzero."""
+    certified = 0
+    for g, angles, edge_alphas in forms:
+        zero = weights._vanishes(g, edge_alphas)
+        reference = _float_rule_zero(g, angles, edge_alphas)
+        assert (zero == reference) if match else (reference or not zero), (g, edge_alphas)
+        certified += zero
+    return certified
 
 
 def test_vanishing_certificate_matches_float_rule():
-    # on every order-1 and order-2 star graph (m = 3, and m = 2 embedded
-    # or on the half-plane slice) the certificate is exact
-    embedded = [g.add_boundary_vertex() for n in (1, 2) for g in star_graphs(n, 2)]
-    graphs = star_graphs(1, 3) + star_graphs(2, 3) + embedded
-    for alphas in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.5, 1 / 3, 1 / 6), (2.0, -1.0, 0.0)):
-        ctx = AngleContext.standard(alphas)
-        for g in graphs:
-            edge_alphas = [ctx.alphas] * g.edge_count
-            assert weights._vanishes(g, edge_alphas) == _float_rule_zero(g, ctx, edge_alphas), (alphas, g)
-    for g in star_graphs(1, 2) + star_graphs(2, 2):
-        edge_alphas = [_HALFPLANE.alphas] * g.edge_count
-        assert weights._vanishes(g, edge_alphas) == _float_rule_zero(g, _HALFPLANE, edge_alphas), g
-    # order 3: one representative of each orbit, at the sampler's weighting
-    reps = {rep for rep, _ in star_orbits(3, 3).values()}
+    stars = _order_two_star_graphs()
+    assert len(stars) == 150
+    assert _certified(_forms(stars, ALPHAS)) == 634
+    # order 3: one representative of each orbit
+    reps = sorted({rep for rep, _ in star_orbits(3, 3).values()}, key=AdmissibleGraph.canonical_key)
     assert len(reps) == 190
-    edge_alphas = [CTX.alphas] * 6
-    certified = 0
-    for g in sorted(reps, key=AdmissibleGraph.canonical_key):
-        zero = weights._vanishes(g, edge_alphas)
-        assert zero == _float_rule_zero(g, CTX, edge_alphas), g
-        certified += zero
-    assert 0 < certified < len(reps)
+    assert _certified(_forms(reps, ALPHAS[:1] + ALPHAS[3:4])) == 163
+    halfplane = [(g, _HALFPLANE.boundary_angles, [_HALFPLANE.alphas] * g.edge_count)
+                 for g in star_graphs(1, 2) + star_graphs(2, 2)]
+    assert _certified(halfplane) == 8
+    # top-degree graphs of order 2 that are not star graphs
+    keys = {g.canonical_key() for g in stars}
+    others = [g for g in enumerate_graphs(2, 3, 4) if g.canonical_key() not in keys]
+    assert len(others) == 240
+    assert _certified(_forms(others, ALPHAS)) == 1332
+
+
+def test_vanishing_certificate_matches_float_rule_on_difference_forms():
+    # alpha pairs whose two sums are equal in binary: the difference edge's
+    # alphas sum to exactly 0, a function of its source alone
+    pairs = (((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), ((0.0, 0.0, 1.0), (0.5, 0.5, 0.0)),
+             ((2.0, -1.0, 0.0), (0.25, 0.75, 0.0)), ((1.0, 0.0, -1.0), (0.0, 0.5, -0.5)))
+    assert all(sum(map(Fraction, a)) == sum(map(Fraction, b)) for a, b in pairs)
+    stars = _order_two_star_graphs()
+    assert _certified(_difference_forms(stars, pairs)) == 1796
+    # sums that differ in binary: such a form is not zero, only of order
+    # 1e-17, and the float reference rounds it to zero.  The certificate
+    # may leave it to the sampler, but never certifies a form the
+    # reference reads as nonzero
+    pairs = (((0.5, 1 / 3, 1 / 6), (0.0, 0.0, 1.0)), ((0.0, 0.0, 1.0), (0.5, 1 / 3, 1 / 6)),
+             ((0.3, -0.5, 1.2), (1.0, 0.0, 0.0)))
+    assert all(sum(map(Fraction, a)) != sum(map(Fraction, b)) for a, b in pairs)
+    assert _certified(_difference_forms(stars, pairs), match=False) == 364
+
+
+def test_difference_form_of_unequal_binary_sums_is_sampled():
+    # 0.5 + 1/3 + 1/6 is not 1 in binary, so the two edges' coefficients
+    # are parallel only up to 1e-17: the form is sampled, and reads tiny
+    g = AdmissibleGraph.from_key("1;3;b1,b3")
+    w = mixed_edge_integral(g, AngleContext.standard((0.5, 1 / 3, 1 / 6)),
+                            AngleContext.standard((0.0, 0.0, 1.0)), 0, 1 << 14, 9)
+    assert w.std_error > 0.0
+    assert abs(w.value) < 1e-12
 
 
 def test_certified_graphs_are_not_sampled(monkeypatch):
@@ -525,28 +598,19 @@ def test_nonpositive_samples_raise_before_the_certificate(monkeypatch):
             compute_weight(g.add_boundary_vertex(), CTX, samples, 1)
 
 
-def test_float_zero_rule_still_decides_a_chunk():
-    # the rule the certificate leaves in place for the forms it misses
-    for key in ("2;3;2,b1|1,b1", "1;3;b1,b3"):
-        g = AdmissibleGraph.from_key(key)
-        assert weights._disk_chunk(g, CTX, [CTX.alphas] * g.edge_count, 3, 0, 300) == (0.0, 0.0, 0)
-    g = AdmissibleGraph.from_key("2;3;b1,2|b2,1")
-    s1, s2, _ = weights._disk_chunk(g, CTX, [CTX.alphas] * g.edge_count, 3, 0, 300)
-    assert s1 != 0.0 and s2 > 0.0
+def test_non_star_zero_forms_are_certified_and_not_drawn(monkeypatch):
+    # in both graphs vertex 2 has three edges and the wedge vanishes at
+    # every point.  "2;3;|1,b1,b2,b3": three forms on the 2-dimensional
+    # point 2, each on the source alone.  "2;3;b3|1,b1,b2": the angles of
+    # 2 -> b1 (from xi_2) and 2 -> b2 (from xi_1) are both constant on the
+    # circles through xi_1 and xi_2, and their betas are parallel
+    def no_draw(*args):
+        raise AssertionError("a certified zero form was sampled")
 
-
-def test_float_zero_rule_zeroes_uncertified_non_star_graphs():
-    # in both graphs vertex 2 has three edges, and the wedge vanishes at
-    # every point although no set of vertices is certified, so every chunk
-    # is sampled.  "2;3;|1,b1,b2,b3": three 1-forms on the 2-dimensional
-    # point 2, and the determinants are 0 exactly.  "2;3;b3|1,b1,b2": the
-    # angles of 2 -> b1 (from xi_2) and 2 -> b2 (from xi_1) are both
-    # constant on the circles through xi_1 and xi_2, so their wedge is 0,
-    # and only ZERO_RATIO turns the roundoff of the determinants into 0
+    monkeypatch.setattr(weights, "_disk_chunk", no_draw)
     ctx = AngleContext.standard((0.5, 0.5, 0.0))
     for key in ("2;3;|1,b1,b2,b3", "2;3;b3|1,b1,b2"):
         g = AdmissibleGraph.from_key(key)
-        assert not weights._vanishes(g, [ctx.alphas] * g.edge_count)
         w = compute_weight(g, ctx, 2 * CHUNK + 100, 9)
         assert (w.value, w.std_error, w.samples) == (0.0, 0.0, 2 * CHUNK + 100), key
 
