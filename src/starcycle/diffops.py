@@ -269,16 +269,17 @@ class PolyDiffOperator:
         z = _mi_zero(self.dim)
         out = {}
 
-        end_sign = -1 if (k + 1) % 2 else 1
         for key, c in self.terms.items():
+            signed = (-c, c)  # signed[i % 2] == (-1)^(i+1) c
             _accumulate(out, (z,) + key, c)
-            _accumulate(out, key + (z,), end_sign * c)
+            _accumulate(out, key + (z,), signed[k % 2])
             for i in range(k):
-                sign = -1 if (i + 1) % 2 else 1
+                sc = signed[i % 2]
                 I = key[i]
                 for J in _mi_below(I):
                     b = _mi_binom(I, J)
-                    _accumulate(out, key[:i] + (J, _mi_sub(I, J)) + key[i + 1:], (sign * b) * c)
+                    _accumulate(out, key[:i] + (J, _mi_sub(I, J)) + key[i + 1:],
+                                sc if b == 1 else b * sc)
         return PolyDiffOperator._trusted(self.dim, k + 1, out)
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
@@ -289,6 +290,7 @@ class PolyDiffOperator:
             raise ValueError("slot out of range")
         k2 = other.arity
         out = {}
+        derived = {}
 
         for key1, c1 in self.terms.items():
             I = key1[slot - 1]
@@ -296,13 +298,16 @@ class PolyDiffOperator:
             for key2, c2 in other.terms.items():
                 # d^I applied to (c2 * prod d^{J_l} g_l): split I over c2 and the J's
                 for s0 in _mi_below(I):
-                    dc2 = c2.derive(s0)
+                    dc2 = derived.get((key2, s0))
+                    if dc2 is None:
+                        dc2 = derived[key2, s0] = c2.derive(s0)
                     if dc2.is_zero():
                         continue
+                    prod = c1 * dc2
                     for rest in _splits(_mi_sub(I, s0), k2):
                         mult = _multinomial(I, (s0,) + rest)
                         mid = tuple(_mi_add(j, s) for j, s in zip(key2, rest))
-                        _accumulate(out, pre + mid + post, (mult * c1) * dc2)
+                        _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
         return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
 
     def circ(self, other: "PolyDiffOperator") -> "PolyDiffOperator":

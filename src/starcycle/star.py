@@ -19,8 +19,10 @@ with one contraction per orbit whose signed weight sum is nonzero.  This
 uses only that identity of contractions, not any symmetry of the table,
 so it equals the per-graph sum for every table.
 
-Checks return JSON-friendly report dicts; exactness-critical checks
-(associativity, cyclicity, closedness) refuse Monte Carlo-backed tables.
+Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k} with B_0 the
+multiplication, which StarProduct requires (see assoc_defect).  Checks return
+JSON-friendly report dicts; exactness-critical checks (associativity,
+cyclicity, closedness) refuse Monte Carlo-backed tables.
 """
 
 import itertools
@@ -98,9 +100,10 @@ def _orbit_sum(pi: PolyVector, graphs, weights) -> PolyDiffOperator:
     terms = {}
     for rep, w in sums.items():
         if w:
+            w *= _level_prefactor(n)
             for key, c in graph_to_operator(rep, [pi] * n).terms.items():
                 _accumulate(terms, key, c * w)
-    return PolyDiffOperator._trusted(pi.dim, m, terms) * _level_prefactor(n)
+    return PolyDiffOperator._trusted(pi.dim, m, terms)
 
 
 def _entry_weight(entry) -> Fraction:
@@ -131,6 +134,8 @@ class StarProduct:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "levels", tuple(levels))
+        if self.levels[:1] != (PolyDiffOperator.multiplication(pi.dim),):
+            raise ValueError("B_0 of a star product must be the multiplication")
         object.__setattr__(self, "weight_source", dict(weight_source))
 
     def __setattr__(self, name, value):
@@ -192,10 +197,13 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
     """Order-n associativity defect sum_{k+l=n} B_k o_1 B_l - B_k o_2 B_l.
 
     A trilinear operator; the product is associative at order n exactly
-    when it is zero.
+    when it is zero.  As B_0 is the multiplication, the k = 0 and k = n
+    terms are B_n(f,g)h - f B_n(g,h) + B_n(fg,h) - B_n(f,gh) = -(d B_n)(f,g,h)
+    for (d psi)(f,g,h) = f psi(g,h) - psi(fg,h) + psi(f,gh) - psi(f,g)h, so
+    the defect is -d B_n + sum_{0<k<n}, and -d B_0 = 0 at n = 0.
     """
-    terms = {}
-    for k in range(n + 1):
+    terms = (-s.levels[n].hochschild_differential()).terms
+    for k in range(1, n):
         bk, bl = s.levels[k], s.levels[n - k]
         for key, c in bk.insert(bl, 1).terms.items():
             _accumulate(terms, key, c)

@@ -82,12 +82,13 @@ class WeightTable:
     def lookup_star(self, graph: AdmissibleGraph) -> WeightEntry | None:
         """Weight of a 2-boundary star graph: the native half-plane entry
         when present, else its 3-boundary embedding under alpha = (0, 0, 1)."""
+        key = graph.canonical_key()
         if graph.m == 2:
-            native = self.get(graph.canonical_key(), ())
+            native = self.get(key, ())
             if native is not None:
                 return native
-            graph = graph.add_boundary_vertex()
-        return self.get(graph.canonical_key(), (0.0, 0.0, 1.0))
+            key = key.replace(";2;", ";3;", 1)  # an unused b3 renames no target
+        return self.get(key, (0.0, 0.0, 1.0))
 
     def to_json(self) -> dict:
         items = sorted(self.entries.values(), key=lambda e: (e.graph_key, e.alphas))

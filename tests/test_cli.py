@@ -105,13 +105,18 @@ def test_check_assoc(capsys):
     assert "  order 0: ok\n  order 1: ok\n  order 2: ok\n" in out
 
 
-def test_check_assoc_corrupted_table_reports_residual(capsys, tmp_path):
+def write_corrupted_table(path, graph):
+    """The bundled table with the weight of `graph` set to 0, as a file."""
     table = json.loads((resources.files("starcycle") / "data/weights_exact.json").read_text())
     for entry in table["entries"]:
-        if entry["graph"] == "2;3;b1,b2|b1,b2":
+        if entry["graph"] == graph:
             entry["exact"], entry["value"] = "0/1", 0.0
-    path = tmp_path / "corrupted.json"
     path.write_text(json.dumps(table))
+
+
+def test_check_assoc_corrupted_table_reports_residual(capsys, tmp_path):
+    path = tmp_path / "corrupted.json"
+    write_corrupted_table(path, "2;3;b1,b2|b1,b2")
     code, out, _ = run(capsys, "check", "assoc", "--pi", "moyal", "--table", str(path))
     assert code == 1
     assert "check assoc: FAIL\n  order 0: ok\n  order 1: ok\n  order 2: residual: (" in out
@@ -454,6 +459,23 @@ def test_exact_reports_are_pinned(capsys, pi, command):
     code, out, _ = run(capsys, *_exact_argv(pi, command), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[pi, command]
+
+
+# sha256 of the report below, taken before assoc_defect composed with B_0 in
+# closed form
+_FAILING_ASSOC_PIN = "6512bc940d958ec233188a0e586571de8c7eabea240ce3929366a586115ee48c"
+
+
+def test_failing_assoc_report_is_pinned(capsys, tmp_path, monkeypatch):
+    # an internal-edge weight zeroed breaks so3 at order 2; the table is
+    # named by a relative path, which the report records as given
+    monkeypatch.chdir(tmp_path)
+    write_corrupted_table(tmp_path / "corrupted.json", "2;3;b1,2|b1,b2")
+    code, out, _ = run(capsys, *_exact_argv("so3", "assoc"), "--table", "corrupted.json",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["result"]["orders"][2]["residual"]
+    assert hashlib.sha256(out.encode()).hexdigest() == _FAILING_ASSOC_PIN
 
 
 def test_consecutive_calls_give_identical_reports(capsys, tmp_path):

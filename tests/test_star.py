@@ -29,7 +29,7 @@ from starcycle import (
 )
 from starcycle import star
 from starcycle.graphs import star_orbits
-from starcycle.star import assoc_defect
+from starcycle.star import StarProduct, assoc_defect
 
 P = Polynomial
 D = PolyDiffOperator
@@ -242,6 +242,44 @@ def test_assoc_defect_is_the_operator_identity():
         assert defect.arity == 3
         assert defect.apply((f, g, h)) == direct
     assert not assoc_defect(s, 2).apply((f, g, h)).is_zero()
+
+
+def composed_defect(s, n):
+    """The reference defect: every term of sum_{k+l=n} B_k o_1 B_l - B_k o_2 B_l
+    composed by insert, the two with B_0 included."""
+    total = D.zero(s.pi.dim, 3)
+    for k in range(n + 1):
+        bk, bl = s.levels[k], s.levels[n - k]
+        total = total + bk.insert(bl, 1) - bk.insert(bl, 2)
+    return total
+
+
+def test_assoc_defect_equals_the_composed_sum():
+    for table in (TABLE, corrupted_table("2;2;b1,b2|b1,b2"), corrupted_table("2;2;b1,2|b1,b2")):
+        for pi in (so3(), moyal(), nondiv()):
+            s = assemble_star(pi, table, order=2)
+            for n in range(3):
+                defect, reference = assoc_defect(s, n), composed_defect(s, n)
+                assert defect == reference and defect.render() == reference.render()
+    bad = assemble_star(so3(), corrupted_table("2;2;b1,2|b1,b2"), order=2)
+    assert not assoc_defect(bad, 2).is_zero()
+
+
+def test_assoc_defect_equals_the_composed_sum_at_order_3():
+    s = assemble_star(so3(), order3_table(), order=3)
+    defect = assoc_defect(s, 3)
+    assert len(defect.terms) == 882
+    assert defect == composed_defect(s, 3)
+
+
+def test_star_product_needs_the_multiplication_as_b0():
+    b1 = assemble_star(so3(), TABLE, order=1).levels[1]
+    for b0 in (D.zero(3, 2), D.multiplication(3) * 2, D.multiplication(2), b1):
+        with pytest.raises(ValueError, match="B_0"):
+            StarProduct(so3(), 1, [b0, b1], {"kind": "exact"})
+    with pytest.raises(ValueError, match="B_0"):
+        StarProduct(so3(), 0, [], {"kind": "exact"})
+    assert StarProduct(so3(), 1, [D.multiplication(3), b1], {"kind": "exact"}).levels[1] == b1
 
 
 def test_check_associative_corrupted_table_fails():
@@ -524,16 +562,21 @@ def test_orbit_assembly_equals_per_graph_sum(kind):
         assert s.is_exact == (kind != "monte_carlo")
 
 
-def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
-    # bundled orders 1 and 2 (two order-2 orbits weigh 0) plus an order-3
-    # table that respects the symmetry: w = sign * w_rep, nonzero off the
-    # forced-zero orbits
+def order3_table():
+    """Bundled orders 1 and 2 (two order-2 orbits weigh 0) plus an order-3
+    table that respects the symmetry: w = sign * w_rep, nonzero off the
+    forced-zero orbits."""
     table = WeightTable.from_json(TABLE.to_json())
     reps = {}
     for g, (rep, sign) in star_orbits(3, 2).items():
         w = sign * reps.setdefault(rep, Fraction(len(reps) + 1, 97))
         table.add(WeightEntry(g.add_boundary_vertex().canonical_key(), (0.0, 0.0, 1.0),
                               float(w), 0.0, 0, 0, exact=w))
+    return table
+
+
+def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
+    table = order3_table()
     calls = []
     contract = star.graph_to_operator
 

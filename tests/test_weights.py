@@ -129,6 +129,39 @@ def test_lookup_star_prefers_native_halfplane_entries():
     assert b is not None and b.graph_key == "1;3;b1,b2"
 
 
+def graph_built_lookup_star(table, graph):
+    """The reference lookup: the 3-boundary key from a graph with b3 added."""
+    if graph.m == 2:
+        native = table.get(graph.canonical_key(), ())
+        if native is not None:
+            return native
+        graph = graph.add_boundary_vertex()
+    return table.get(graph.canonical_key(), (0.0, 0.0, 1.0))
+
+
+def test_lookup_star_finds_the_entry_of_the_added_boundary_vertex():
+    # a distinct weight per embedding: each graph must find its own
+    for n in (1, 2, 3):
+        graphs = star_graphs(n, 2)
+        t = WeightTable()
+        for k, g in enumerate(graphs):
+            t.add(WeightEntry(g.add_boundary_vertex().canonical_key(), (0.0, 0.0, 1.0),
+                              float(k), 0.0, 0, 0, exact=Fraction(k)))
+        assert [t.lookup_star(g).exact for g in graphs] == list(range(len(graphs)))
+
+
+def test_lookup_star_matches_the_graph_built_lookup():
+    builtin = WeightTable.builtin()
+    native = WeightTable.from_json(builtin.to_json())
+    for g in star_graphs(2, 2)[::3]:
+        native.add(WeightEntry(g.canonical_key(), (), 0.25, 0.01, 1 << 10, 7))
+    graphs = [g for n in (1, 2, 3) for g in star_graphs(n, 2)]
+    graphs += star_graphs(1, 3) + star_graphs(2, 3)
+    for t in (builtin, native):
+        assert [t.lookup_star(g) for g in graphs] == [graph_built_lookup_star(t, g) for g in graphs]
+    assert native.lookup_star(star_graphs(2, 2)[0]).graph_key == star_graphs(2, 2)[0].canonical_key()
+
+
 def test_top_degree_required():
     with pytest.raises(ValueError):
         compute_weight(AdmissibleGraph.from_key("1;3;b1,b2,b3"), CTX, 1 << 10, 0)
