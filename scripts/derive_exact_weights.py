@@ -94,8 +94,8 @@ def equations(n, lower):
             blank = lower[name][:1] + [zero] * (n - 1)
             rows += coefficient_rows(
                 "associativity",
-                assoc_defect(StarProduct(pi, n, lower[name] + [zero], {}), n),
-                {rep: assoc_defect(StarProduct(pi, n, blank + [op], {}), n)
+                assoc_defect(StarProduct(pi, n, lower[name] + [zero], True), n),
+                {rep: assoc_defect(StarProduct(pi, n, blank + [op], True), n)
                  for rep, op in u.items()})
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)

@@ -141,9 +141,11 @@ def _parse_poly(text: str, dim: int) -> Polynomial:
 # ---------------------------------------------------------------- output
 
 def _check_writable(path):
-    """An InputError unless the output file `path` can be written."""
-    target = path if os.path.exists(path) else os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.access(target, os.W_OK):
+    """An InputError unless the output file `path` can be written: an
+    existing file, or a new one in an existing directory."""
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
         raise InputError("cannot write %r: not a writable file path" % path)
 
 
@@ -324,11 +326,13 @@ def _cmd_check(args):
                         "tolerance": args.tolerance})
         from .weights import compute_weight
         table = WeightTable()
+        graphs = star_graphs(args.order, 3)
+        stride = max(1000, len(graphs))  # the sides' seeds stay apart, as the tolerance needs
         for side, alphas in enumerate((a1, a2)):
             ctx = AngleContext.standard(alphas)
-            for k, g in enumerate(star_graphs(args.order, 3)):
+            for k, g in enumerate(graphs):
                 table.add(compute_weight(g, ctx, samples=args.samples,
-                                         seed=args.seed + 1000 * side + k))
+                                         seed=args.seed + stride * side + k))
         try:
             result = check_alpha_independence(pi, a1, a2, table, args.order, vol,
                                               floor=args.tolerance)

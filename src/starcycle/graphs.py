@@ -130,36 +130,29 @@ def _compositions(total, parts, cap):
             yield (first,) + rest
 
 
+def _graphs(n, m, degrees):
+    """Labeled admissible graphs whose vertex k has out-degree degrees[k-1],
+    in stable order."""
+    pools = [itertools.permutations([t for t in range(1, n + m + 1) if t != k], d)
+             for k, d in enumerate(degrees, start=1)]
+    return [AdmissibleGraph(n, m, stars) for stars in itertools.product(*pools)]
+
+
 def enumerate_graphs(n: int, m: int, edge_count: int):
     """All labeled admissible graphs with the given totals, stable order."""
     if n < 0 or m < 0 or 2 * n + m < 3:
         raise ValueError("need n >= 0, m >= 0, 2n + m >= 3")
-    if edge_count < 0 or (n > 0 and edge_count > n * (n - 1 + m)):
-        return []
-    if n == 0:
-        return [AdmissibleGraph(0, m, [])] if edge_count == 0 else []
-    allowed = [
-        [t for t in range(1, n + m + 1) if t != k]
-        for k in range(1, n + 1)
-    ]
-    out = []
-    for degrees in _compositions(edge_count, n, n - 1 + m):
-        pools = [itertools.permutations(allowed[k], d) for k, d in enumerate(degrees)]
-        for stars in itertools.product(*pools):
-            out.append(AdmissibleGraph(n, m, stars))
-    return out
+    if edge_count < 0 or edge_count > n * (n - 1 + m):
+        return []  # else _compositions would search about cap^n tuples for nothing
+    return [g for degrees in _compositions(edge_count, n, n - 1 + m)
+            for g in _graphs(n, m, degrees)]
 
 
 def star_graphs(n: int, m: int):
     """Graphs with out-degree exactly 2 everywhere (bivector insertions)."""
     if n < 1:
         raise ValueError("star_graphs needs n >= 1")
-    allowed = [
-        [t for t in range(1, n + m + 1) if t != k]
-        for k in range(1, n + 1)
-    ]
-    pools = [itertools.permutations(a, 2) for a in allowed]
-    return [AdmissibleGraph(n, m, stars) for stars in itertools.product(*pools)]
+    return _graphs(n, m, [2] * n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,8 @@ in the orbit of rep has U_Gamma = sign_Gamma U_rep, so
 
 with one contraction per orbit whose signed weight sum is nonzero.  This
 uses only that identity of contractions, not any symmetry of the table,
-so it equals the per-graph sum for every table.
+so it equals the per-graph sum for every table.  Each weighted graph sum
+walks the cached star_orbits map and reads weights through one reader, _entry.
 
 Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k} with B_0 the
 multiplication, which StarProduct requires (see assoc_defect).  Checks return
@@ -30,7 +31,7 @@ import math
 from fractions import Fraction
 
 from .diffops import PolyDiffOperator
-from .graphs import AdmissibleGraph, star_graphs, star_orbits
+from .graphs import AdmissibleGraph, star_orbits
 from .poly import Polynomial, _accumulate
 from .polyvector import PolyVector, VolumeForm
 from .table import WeightTable
@@ -87,63 +88,56 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
     return PolyDiffOperator._trusted(dim, m, out)
 
 
-def _orbit_sum(pi: PolyVector, graphs, weights) -> PolyDiffOperator:
-    """(1/n! 2^n) sum_Gamma w_Gamma U_Gamma over star_graphs(n, m), given
-    as `graphs` with `weights` in the same order, by one contraction per
-    orbit with a nonzero signed weight sum."""
-    n, m = graphs[0].n, graphs[0].m
-    orbits = star_orbits(n, m)
-    sums = {}
-    for g, w in zip(graphs, weights):
-        rep, sign = orbits[g]
-        sums[rep] = sums.get(rep, 0) + sign * w
-    terms = {}
-    for rep, w in sums.items():
-        if w:
-            w *= _level_prefactor(n)
-            for key, c in graph_to_operator(rep, [pi] * n).terms.items():
-                _accumulate(terms, key, c * w)
-    return PolyDiffOperator._trusted(pi.dim, m, terms)
+def _entry(table: WeightTable, graph: AdmissibleGraph, alphas=None):
+    """The weight reader: the entry of `graph` at `alphas`, or its 2-boundary
+    star entry when alphas is None; a missing one is a ValueError."""
+    entry = table.lookup_star(graph) if alphas is None else table.get(graph.canonical_key(), alphas)
+    if entry is None:
+        key = graph.canonical_key()
+        where = "graph " + key if alphas is None else "%s at alpha=%s" % (key, list(alphas))
+        raise ValueError("weight table has no entry for " + where)
+    return entry
 
 
 def _entry_weight(entry) -> Fraction:
     return entry.exact if entry.exact is not None else Fraction(entry.value)
 
 
-def _table_weight(table: WeightTable, graph: AdmissibleGraph):
-    entry = table.lookup_star(graph)
-    if entry is None:
-        raise ValueError("weight table has no entry for graph %s" % graph.canonical_key())
-    return _entry_weight(entry), entry.exact is not None
-
-
-def _alpha_weight(table: WeightTable, key: str, alphas):
-    """(weight, std_error) of the graph `key` at the boundary weights `alphas`."""
-    entry = table.get(key, alphas)
-    if entry is None:
-        raise ValueError("weight table has no entry for %s at alpha=%s" % (key, list(alphas)))
-    return _entry_weight(entry), entry.std_error
+def _orbit_sum(pi: PolyVector, n: int, m: int, entry_of):
+    """(level, is_exact) of (1/n! 2^n) sum_Gamma w_Gamma U_Gamma over
+    star_orbits(n, m): each graph's entry is read once, by entry_of(graph),
+    before one contraction per orbit with a nonzero signed weight sum."""
+    sums = {}
+    exact = True
+    for g, (rep, sign) in star_orbits(n, m).items():
+        entry = entry_of(g)
+        exact = exact and entry.exact is not None
+        sums[rep] = sums.get(rep, 0) + sign * _entry_weight(entry)
+    terms = {}
+    for rep, w in sums.items():
+        if w:
+            w *= _level_prefactor(n)
+            for key, c in graph_to_operator(rep, [pi] * n).terms.items():
+                _accumulate(terms, key, c * w)
+    return PolyDiffOperator._trusted(pi.dim, m, terms), exact
 
 
 class StarProduct:
-    """Truncated star product: levels B_0..B_order, B_0 = multiplication."""
+    """Truncated star product: levels B_0..B_order, B_0 = multiplication;
+    is_exact when every weight behind them is exact, as the exact checks need."""
 
-    __slots__ = ("pi", "order", "levels", "weight_source")
+    __slots__ = ("pi", "order", "levels", "is_exact")
 
-    def __init__(self, pi: PolyVector, order: int, levels, weight_source):
+    def __init__(self, pi: PolyVector, order: int, levels, is_exact: bool):
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "levels", tuple(levels))
         if self.levels[:1] != (PolyDiffOperator.multiplication(pi.dim),):
             raise ValueError("B_0 of a star product must be the multiplication")
-        object.__setattr__(self, "weight_source", dict(weight_source))
+        object.__setattr__(self, "is_exact", bool(is_exact))
 
     def __setattr__(self, name, value):
         raise AttributeError("StarProduct is immutable")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.weight_source.get("kind") == "exact"
 
     def apply(self, f: Polynomial, g: Polynomial):
         """Coefficients of hbar^0..hbar^order of f * g."""
@@ -156,7 +150,7 @@ class StarProduct:
             "pi": self.pi.to_json(),
             "order": self.order,
             "levels": [level.to_json() for level in self.levels],
-            "weight_source": dict(self.weight_source),
+            "is_exact": self.is_exact,
         }
 
 
@@ -179,11 +173,10 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     levels = [PolyDiffOperator.multiplication(dim)]
     all_exact = True
     for n in range(1, order + 1):
-        graphs = star_graphs(n, 2)
-        weights = [_table_weight(table, g) for g in graphs]
-        all_exact = all_exact and all(exact for _, exact in weights)
-        levels.append(_orbit_sum(pi, graphs, [w for w, _ in weights]))
-    return StarProduct(pi, order, levels, {"kind": "exact" if all_exact else "monte_carlo"})
+        level, exact = _orbit_sum(pi, n, 2, lambda g: _entry(table, g))
+        levels.append(level)
+        all_exact = all_exact and exact
+    return StarProduct(pi, order, levels, all_exact)
 
 
 def _require_exact(s: StarProduct, what: str, vol: VolumeForm = None):
@@ -265,9 +258,7 @@ def assemble_trilinear(pi: PolyVector, alphas, table: WeightTable, order: int) -
     if pi.degree != 1:
         raise ValueError("pi must be a bivector")
     alphas = tuple(float(a) for a in alphas)
-    graphs = star_graphs(order, 3)
-    return _orbit_sum(pi, graphs, [_alpha_weight(table, g.canonical_key(), alphas)[0]
-                                   for g in graphs])
+    return _orbit_sum(pi, order, 3, lambda g: _entry(table, g, alphas))[0]
 
 
 def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable,
@@ -295,9 +286,10 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
     def side(al):
         acc = {}
         for g, (rep, sign) in orbits.items():
-            w, sig = _alpha_weight(table, g.canonical_key(), al)
+            entry = _entry(table, g, al)
             if not sign:
                 continue
+            w, sig = _entry_weight(entry), entry.std_error
             for opkey, cpoly in nfs[rep].terms.items():
                 for exps, c in cpoly.terms.items():
                     cell = acc.setdefault((opkey, exps), [Fraction(0), 0.0])

@@ -124,9 +124,6 @@ class WeightTable:
         data = files("starcycle").joinpath("data/weights_exact.json").read_text()
         return cls.from_json(json.loads(data))
 
-    def is_exact(self) -> bool:
-        return all(e.exact is not None for e in self.entries.values())
-
     def provenance(self) -> dict:
         kinds = {"exact": 0, "monte_carlo": 0}
         for e in self.entries.values():

@@ -404,7 +404,9 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, monkeypatch, flag, arg
     # found before anything is assembled or sampled
     monkeypatch.setattr(cli, "assemble_star", unused)
     monkeypatch.setattr(weights, "halfplane_weight", unused)
-    for path in (str(tmp_path / "missing" / "x.json"), str(tmp_path)):
+    (tmp_path / "afile").write_text("")
+    for path in (str(tmp_path / "missing" / "x.json"), str(tmp_path),
+                 str(tmp_path / "afile" / "x.json")):
         code, out, err = run(capsys, *argv, flag, path)
         assert code == 2 and out == ""
         assert err == "error: cannot write %r: not a writable file path\n" % path
@@ -476,6 +478,60 @@ def test_failing_assoc_report_is_pinned(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert json.loads(out)["result"]["orders"][2]["residual"]
     assert hashlib.sha256(out.encode()).hexdigest() == _FAILING_ASSOC_PIN
+
+
+# sha256 of sampled reports, taken before the weighted graph sums walked
+# star_orbits: check alpha at orders 1 and 2, and star apply on a Monte Carlo
+# table, whose float weights take the other branch of the weight reader
+_ALPHA_PINS = {1: "43132d4632484bcc3c590df10209b8274a703a45111069876b8b5ae296090910",
+               2: "c49ab23e297d1bc566aceae10b31e28d27011d6ce33a7bc32bfab09b5b88bb11"}
+_MC_APPLY_PIN = "154d63c4ff438c42009f4f3b2b76af8143d43e8bf391ec64779a4a7976958811"
+
+
+@pytest.mark.parametrize("order", sorted(_ALPHA_PINS))
+def test_alpha_report_is_pinned(capsys, order):
+    code, out, _ = run(capsys, "check", "alpha", "--pi", "so3", "--alpha", "0,0,1",
+                       "--alpha2", "1,0,0", "--samples", "4096", "--seed", "2",
+                       "--order", str(order), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ALPHA_PINS[order]
+
+
+def test_monte_carlo_apply_report_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for n, seed in (("1", "5"), ("2", "7")):
+        code, _, _ = run(capsys, "weights", "compute", "--n", n, "--m", "2", "--samples", "4096",
+                         "--seed", seed, "--out-table", "mc.json")
+        assert code == 0
+    f, g = _APPLY["so3"]
+    code, out, _ = run(capsys, "star", "apply", "--pi", "so3", "--f", f, "--g", g,
+                       "--order", "2", "--table", "mc.json", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["table"]["provenance"] == {"exact": 0, "monte_carlo": 38}
+    assert hashlib.sha256(out.encode()).hexdigest() == _MC_APPLY_PIN
+
+
+def test_alpha_seeds_are_distinct_at_every_order(capsys, monkeypatch):
+    from starcycle import weights
+
+    seeds = []
+
+    def recorded(g, ctx, samples, seed):
+        seeds.append(seed)
+        return starcycle.WeightEntry(g.canonical_key(), ctx.alphas, 0.0, 0.0, samples, seed)
+
+    # nothing is sampled or contracted
+    monkeypatch.setattr(weights, "compute_weight", recorded)
+    monkeypatch.setattr(cli, "check_alpha_independence", lambda *a, **kw: {"passed": True})
+    for order, count in ((1, 6), (2, 144), (3, 8000)):
+        del seeds[:]
+        code, _, _ = run(capsys, "check", "alpha", "--pi", "so3", "--alpha", "0,0,1",
+                         "--alpha2", "1,0,0", "--samples", "16", "--seed", "9",
+                         "--order", str(order), "--format", "json")
+        assert code == 0
+        assert len(seeds) == len(set(seeds)) == 2 * count
+        if order < 3:
+            assert seeds == [9 + 1000 * side + k for side in (0, 1) for k in range(count)]
 
 
 def test_consecutive_calls_give_identical_reports(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Directed graph enumeration and canonical labeling."""
 
+import itertools
+
 import pytest
 
 from starcycle import AdmissibleGraph, enumerate_graphs, star_graphs, top_edge_count
@@ -111,6 +113,47 @@ def test_enumerate_validation():
         enumerate_graphs(0, 2, 0)     # 2n + m must be at least 3
     assert enumerate_graphs(1, 2, -1) == []
     assert enumerate_graphs(1, 2, 99) == []
+
+
+def old_enumerate_graphs(n, m, edge_count):
+    """The reference: the generator as it was before it shared its loop
+    with star_graphs, with its own n = 0 branch, and the degree tuples
+    searched by brute force in place of _compositions."""
+    if n < 0 or m < 0 or 2 * n + m < 3:
+        raise ValueError("need n >= 0, m >= 0, 2n + m >= 3")
+    if edge_count < 0 or (n > 0 and edge_count > n * (n - 1 + m)):
+        return []
+    if n == 0:
+        return [AdmissibleGraph(0, m, [])] if edge_count == 0 else []
+    allowed = [[t for t in range(1, n + m + 1) if t != k] for k in range(1, n + 1)]
+    out = []
+    for degrees in itertools.product(range(n - 1 + m + 1), repeat=n):
+        if sum(degrees) != edge_count:
+            continue
+        pools = [itertools.permutations(allowed[k], d) for k, d in enumerate(degrees)]
+        out.extend(AdmissibleGraph(n, m, stars) for stars in itertools.product(*pools))
+    return out
+
+
+def old_star_graphs(n, m):
+    if n < 1:
+        raise ValueError("star_graphs needs n >= 1")
+    allowed = [[t for t in range(1, n + m + 1) if t != k] for k in range(1, n + 1)]
+    pools = [itertools.permutations(a, 2) for a in allowed]
+    return [AdmissibleGraph(n, m, stars) for stars in itertools.product(*pools)]
+
+
+@pytest.mark.parametrize("n, m, edges", [
+    (0, 3, 0), (0, 3, 1), (0, 4, 0), (1, 2, -1), (1, 2, 0), (1, 2, 1), (1, 2, 2), (1, 2, 99),
+    (1, 3, 2), (2, 1, 2), (2, 2, 3), (2, 2, 4), (2, 2, 6), (2, 2, 7), (2, 3, 4), (3, 2, 6),
+])
+def test_generators_match_the_reference(n, m, edges):
+    assert enumerate_graphs(n, m, edges) == old_enumerate_graphs(n, m, edges)
+    if n >= 1:
+        assert star_graphs(n, m) == old_star_graphs(n, m)
+    else:
+        with pytest.raises(ValueError, match="n >= 1"):
+            star_graphs(n, m)
 
 
 @pytest.mark.parametrize("key", ["2;2;3,b2|1,b1", "2;2;b0,b1|1,b1", "3;3;b-1,b1|1,b1|1,2"])

@@ -125,8 +125,7 @@ def test_assemble_star_levels():
         ((0, 2), (2, 0)): P.constant(2, Fraction(1, 8)),
     })
     assert (s.levels[2] - b2).is_zero()
-    assert s.is_exact
-    assert s.weight_source == {"kind": "exact"}
+    assert s.is_exact is True
 
 
 def test_assemble_star_first_order_is_half_bracket():
@@ -344,8 +343,7 @@ def test_exact_checks_refuse_monte_carlo_tables():
     for k, g in enumerate(star_graphs(1, 2)):
         t.add(compute_weight(g.add_boundary_vertex(), ctx, 1 << 14, k))
     s = assemble_star(moyal(), t, order=1)
-    assert not s.is_exact
-    assert s.weight_source["kind"] == "monte_carlo"
+    assert s.is_exact is False
     for check in (check_associative,
                   lambda s: check_cyclic(s, VolumeForm.constant(2)),
                   lambda s: check_closed(s, VolumeForm.constant(2))):
@@ -503,7 +501,7 @@ def test_star_product_json():
     assert data["order"] == 1
     assert data["pi"]["dim"] == 2
     assert len(data["levels"]) == 2
-    assert data["weight_source"]["kind"] == "exact"
+    assert data["is_exact"] is True
     import json
 
     json.dumps(data)
@@ -588,6 +586,31 @@ def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
     s = assemble_star(so3(), table, order=3)
     assert [calls.count(n) for n in (1, 2, 3)] == [1, 4, 38]
     assert s.is_exact and not s.levels[3].is_zero()
+
+
+def test_assembly_builds_no_graph_after_warm_up(monkeypatch):
+    # both sums walk the cached star_orbits map, so a repeated call builds
+    # no labelled graph
+    alphas = (0.0, 0.0, 1.0)
+    table = synthetic_alpha_table(2, [alphas], 3)
+
+    def assemble():
+        assemble_star(so3(), TABLE, order=2)
+        assemble_trilinear(so3(), alphas, table, order=2)
+
+    assemble()
+    built = []
+    init = AdmissibleGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AdmissibleGraph, "__init__", counted)
+    assemble()
+    assert built == []
+    star_graphs(1, 2)  # the counter sees a build
+    assert len(built) == 2
 
 
 def dense_graph_to_operator(graph, gammas):

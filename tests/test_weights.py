@@ -198,7 +198,6 @@ def test_builtin_table():
     t = WeightTable.builtin()
     prov = t.provenance()
     assert prov == {"exact": 42, "monte_carlo": 0}
-    assert t.is_exact()
     e = t.lookup_star(AdmissibleGraph.from_key("1;2;b1,b2"))
     assert e.exact == Fraction(1, 2)
     e2 = t.lookup_star(AdmissibleGraph.from_key("1;2;b2,b1"))
