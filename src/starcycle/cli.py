@@ -12,9 +12,13 @@ Subcommands map one-to-one onto library operations:
 --alpha).
 
 Exit codes: 0 all checks passed, 1 a check failed (report emitted), 2
-usage or input error.  Reports embed sha256 hashes of every file input
-plus the weight-table provenance, contain no timestamps, and are dumped
-canonically, so identical invocations produce byte-identical JSON.
+usage or input error.  Reports embed the sha256 of each bivector and
+volume-form file.  A weight table is named by WeightTable.fingerprint(),
+the sha256 of its canonical JSON, and its provenance; that is not the
+sha256 of the file's bytes (the bundled table reports 844069..., while
+sha256sum of its file gives 5f2c63...).  Reports contain no timestamps
+and are dumped canonically, so identical invocations produce
+byte-identical JSON.
 Thread count comes from the STARCYCLE_THREADS environment variable only.
 
 The two sampling commands, `weights compute` and `check alpha`, import
@@ -328,12 +332,12 @@ def _cmd_check(args):
         table = WeightTable()
         graphs = star_graphs(args.order, 3)
         stride = max(1000, len(graphs))  # the sides' seeds stay apart, as the tolerance needs
-        for side, alphas in enumerate((a1, a2)):
-            ctx = AngleContext.standard(alphas)
-            for k, g in enumerate(graphs):
-                table.add(compute_weight(g, ctx, samples=args.samples,
-                                         seed=args.seed + stride * side + k))
         try:
+            for side, alphas in enumerate((a1, a2)):
+                ctx = AngleContext.standard(alphas)
+                for k, g in enumerate(graphs):
+                    table.add(compute_weight(g, ctx, samples=args.samples,
+                                             seed=args.seed + stride * side + k))
             result = check_alpha_independence(pi, a1, a2, table, args.order, vol,
                                               floor=args.tolerance)
         except ValueError as e:

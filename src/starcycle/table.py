@@ -25,6 +25,8 @@ class WeightEntry:
     samples: int
     seed: int
     exact: Fraction | None = None
+    # Samples dropped by the sampler.  It keeps every sample, so a sampled
+    # entry reads 0; the field stays because every report and table carries it.
     rejected: int = 0
 
     def __post_init__(self):

@@ -30,12 +30,15 @@ theta = 2 pi v, from uniform u and v.  _disk_points takes e^(i theta)
 from one tangent, h = tan(pi (v - rint(v))), as ((1 - h^2) + 2ih) /
 (1 + h^2), rather than a complex exp: on 2^21 draws, and at the edge
 values of v (0, 1/2 and its neighbours, 1 - 2^-53), p is within 9e-16
-of sqrt(u) exp(2 pi i v), and |p| < 1.  A sample is rejected when two
-of its points are closer than MIN_DIST (_collisions).  Only a point with
-|p| > 1 - MIN_DIST can be that close to a boundary point, so the
-boundary points are tested only at samples with some
-u > (1 - 2 MIN_DIST)^2, and the margin of MIN_DIST over the bound above
-makes this reject exactly the samples that testing every point would.
+of sqrt(u) exp(2 pi i v), and |p| < 1.
+
+Every drawn sample is kept.  The weight integrates over distinct points,
+but the diagonal has measure zero and needs no cut: two interior points
+coincide with probability about 2^-100 per pair, and |p| < 1 keeps every
+gauge and boundary term finite.  A determinant that is not finite
+therefore means the weights overflowed, and _sample raises a ValueError
+naming the graph and its alphas, as it does for an edge whose alphas have
+a sum that is not finite.
 
 A form that _vanishes certifies zero, from the graph and its alphas,
 reads exactly 0.0 +- 0.0 and is not drawn; every other form is sampled.
@@ -69,7 +72,6 @@ from .table import WeightEntry
 
 CHUNK = 65536
 BLOCK = 4096
-MIN_DIST = 1e-9
 
 # Gauge of the half-plane slice (see the module docstring).  Its angles are
 # not increasing, so it is not an AngleContext; the sampler reads only
@@ -219,29 +221,9 @@ def _disk_points(u, v):
     return p
 
 
-def _collisions(u, p, boundary_angles):
-    """Samples with two points closer than MIN_DIST: two interior points,
-    or an interior point and a boundary point.  p is _disk_points(u, v);
-    the boundary points are tested only at samples with some
-    u > (1 - 2 MIN_DIST)^2, the only ones that can be that close to the
-    circle (see the module docstring)."""
-    n = p.shape[1]
-    reject = np.zeros(p.shape[0], dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            reject |= np.abs(p[:, i] - p[:, j]) < MIN_DIST
-    # a sample with two such points is listed twice, and gets the same verdict twice
-    near = np.flatnonzero(u > (1.0 - 2 * MIN_DIST) ** 2) // n
-    if near.size:
-        boundary = [np.exp(1j * t) for t in boundary_angles]
-        for i in range(n):
-            for xi in boundary:
-                reject[near] |= np.abs(p[near, i] - xi) < MIN_DIST
-    return reject
-
-
 def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
-    """(sum, sum of squares, rejected) of one chunk's determinants.
+    """(sum, sum of squares) of one chunk's determinants, every sample
+    kept; _sample checks that they are finite.
 
     ctx supplies the three boundary_angles; points, rows and determinants
     are built BLOCK samples at a time."""
@@ -250,22 +232,22 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
     u = rng.random((size, n))
     v = rng.random((size, n))
-    reject = np.empty(size, dtype=bool)
     dets = np.empty(size)
     for lo in range(0, size, BLOCK):
         block = slice(lo, lo + BLOCK)
         p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
-        reject[block] = _collisions(u[block], p.T, angles)
         dets[block] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, p.shape[1])
-    reject |= ~np.isfinite(dets)
-    dets = np.where(reject, 0.0, dets)
-    return float(np.sum(dets)), float(np.sum(dets * dets)), int(np.count_nonzero(reject))
+    return float(np.sum(dets)), float(np.sum(dets * dets))
 
 
 def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     """WeightEntry from all chunks, reduced in chunk order."""
     if samples <= 0:
         raise ValueError("samples must be positive")
+    for edge in edge_alphas:
+        if not math.isfinite(sum(edge)):
+            raise ValueError("graph %s: edge alphas %s have a sum that is not finite"
+                             % (graph.canonical_key(), list(edge)))
     norm = math.pi ** graph.n / TWO_PI ** graph.edge_count
     if threads is None:
         threads = default_threads()
@@ -279,11 +261,12 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
             futures = [pool.submit(worker, c, size) for c, size in plan]
             results = [f.result() for f in futures]
     s1 = s2 = 0.0
-    rej = 0
-    for a, b, r in results:  # strict chunk order
+    for a, b in results:  # strict chunk order
         s1 += a
         s2 += b
-        rej += r
+    if not math.isfinite(s2):  # inf or nan when any determinant is
+        raise ValueError("graph %s at alpha=%s: the determinants overflow (their sum of squares is %r)"
+                         % (graph.canonical_key(), list(alphas), s2))
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     if samples > 1:
@@ -296,7 +279,6 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
         samples=samples,
         seed=seed,
         exact=None,
-        rejected=rej,
     )
 
 

@@ -294,6 +294,19 @@ def test_non_finite_alpha_exits_2(capsys, bad):
         assert_input_error(capsys, argv, "non-finite")
 
 
+@pytest.mark.parametrize("big, words", [("1e300", "overflow"), ("1e308", "not finite")])
+def test_overflowing_alpha_exits_2(capsys, big, words):
+    # at 1e300 the determinants overflow: they used to be dropped, and both
+    # commands reported 0.0 +- 0.0 and PASS.  At 1e308 the alpha sum
+    # overflows: that used to end in an OverflowError traceback
+    alpha = "%s,%s,0" % (big, big)
+    for argv in [("weights", "compute", "--n", "1", "--m", "3", "--alpha", alpha,
+                  "--samples", "1000", "--seed", "1", "--format", "json"),
+                 ("check", "alpha", "--pi", "so3", "--alpha", alpha, "--alpha2", alpha,
+                  "--samples", "100", "--seed", "1")]:
+        assert_input_error(capsys, argv, words)
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_check_alpha_order_below_1_exits_2(capsys, order):
     argv = ALPHA_CHECK + ("--alpha", "0,0,1", "--alpha2", "1,0,0", "--order", order)

@@ -19,10 +19,10 @@ from starcycle import (
     mixed_edge_integral,
     star_graphs,
 )
-from starcycle.angles import TWO_PI, cayley, harmonic_angle_halfplane, wrap_angle
+from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
 from starcycle.graphs import enumerate_graphs, star_orbits
 from starcycle import weights
-from starcycle.weights import CHUNK, MIN_DIST, _HALFPLANE, _disk_rows, _laplace_det
+from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
 
 CTX = AngleContext.standard((0.0, 0.0, 1.0))
 
@@ -663,9 +663,11 @@ def test_disk_route_needs_three_boundary_points():
         mixed_edge_integral(g, ctx, AngleContext.standard((1.0, 0.0, 0.0, 0.75)), 0, 1 << 10, 0)
 
 
-# -- the point draw and the collision rule ------------------------------------
+# -- the point draw and overflow ----------------------------------------------
 
 def test_tangent_draw_matches_complex_exp():
+    # |p| < 1 is why no gauge or boundary term divides by zero, so the
+    # sampler keeps every sample it draws
     rng = np.random.default_rng(np.random.SeedSequence(2024))
     seeded = (rng.random((1 << 19, 2)), rng.random((1 << 19, 2)))  # 2^20 points
     edge_v = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53]
@@ -677,49 +679,26 @@ def test_tangent_draw_matches_complex_exp():
         assert np.all(np.abs(p) < 1.0)
 
 
-def _brute_collisions(p, boundary_angles):
-    """Every pair of points, interior and boundary, at every sample; only
-    pairs of two boundary points are left out."""
-    S, n = p.shape
-    xi = np.broadcast_to(np.exp(1j * np.array(boundary_angles)), (S, 3))
-    points = np.concatenate([p, xi], axis=1)
-    close = np.abs(points[:, :, None] - points[:, None, :]) < MIN_DIST
-    pairs = np.zeros(close.shape[1:], dtype=bool)
-    pairs[:n] = pairs[:, :n] = True
-    np.fill_diagonal(pairs, False)
-    return np.any(close & pairs, axis=(1, 2))
+def test_overflowing_determinants_raise_naming_the_graph():
+    # the four unpinned order-1 graphs used to read 0.0 +- 0.0, every
+    # sample dropped as non-finite
+    g = AdmissibleGraph.from_key("1;3;b1,b3")
+    ctx = AngleContext.standard((1e300, 1e300, 0.0))
+    with pytest.raises(ValueError, match=r"graph 1;3;b1,b3 at alpha=\[1e\+300, 1e\+300, 0\.0\]: "
+                                         "the determinants overflow"):
+        compute_weight(g, ctx, 1000, 1)
 
 
-def test_collision_rule_matches_brute_force():
-    # three interior points, each planted within a few MIN_DIST of each
-    # pinned point, of the next interior point, or (two points of one
-    # sample) of two different pinned points
-    angles = (0.3, 2.0, 4.5)
-    rng = np.random.default_rng(np.random.SeedSequence(77))
-    per, n, kinds = 400, 3, 5
-    S = per * n * kinds
-    u, v = rng.random((S, n)), rng.random((S, n))
-    offset = 3 * MIN_DIST * rng.uniform(-1.0, 1.0, (S, 4))
+def test_alphas_with_an_overflowing_sum_raise_before_sampling(monkeypatch):
+    def unused(*args):
+        raise AssertionError("sampled or certified")
 
-    def near_circle(s, i, theta, k):
-        u[s, i] = (1.0 - abs(offset[s, k])) ** 2
-        v[s, i] = ((theta + offset[s, k + 1]) / TWO_PI) % 1.0
-
-    for s in range(S):
-        i, kind = (s // per) % n, s // (per * n)
-        j = (i + 1) % n
-        if kind < 3:
-            near_circle(s, i, angles[kind], 0)
-        elif kind == 3:
-            u[s, j] = u[s, i]
-            v[s, j] = (v[s, i] + offset[s, 1] / TWO_PI) % 1.0
-        else:
-            near_circle(s, i, angles[s % 3], 0)
-            near_circle(s, j, angles[(s + 1) % 3], 2)
-    p = weights._disk_points(u, v)
-    rule = weights._collisions(u, p, angles)
-    brute = _brute_collisions(p, angles)
-    assert np.array_equal(rule, brute)
-    # each kind of plant gives rejected and kept samples alike
-    counts = brute.reshape(kinds, n * per).sum(axis=1)
-    assert np.all(counts > 0) and np.all(counts < n * per), counts
+    monkeypatch.setattr(weights, "_vanishes", unused)
+    monkeypatch.setattr(weights, "_disk_chunk", unused)
+    g = AdmissibleGraph.from_key("1;3;b1,b2")
+    with pytest.raises(ValueError, match="have a sum that is not finite"):
+        compute_weight(g, AngleContext.standard((1e308, 1e308, 0.0)), 1000, 1)
+    # the difference form of one edge: 1e308 - (-1e308) overflows on its own
+    with pytest.raises(ValueError, match=r"edge alphas \[inf, 0\.0, 0\.0\]"):
+        mixed_edge_integral(g, AngleContext.standard((-1e308, 0.0, 1.0)),
+                            AngleContext.standard((1e308, 0.0, 1.0)), 0, 1000, 1)
