@@ -236,8 +236,6 @@ def _cmd_weights_compute(args):
         graphs = star_graphs(args.n, args.m)
     except ValueError as e:
         raise InputError(str(e))
-    if not graphs:
-        raise InputError("there are no star graphs with n=%d, m=%d" % (args.n, args.m))
     table = WeightTable()
     if args.out_table and os.path.exists(args.out_table):
         table = _read(args.out_table, "weight table", WeightTable.from_json)[0]

@@ -329,29 +329,6 @@ class PolyDiffOperator:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "arity": self.arity,
-            "terms": [
-                {"coeff": c.render(), "indices": [list(mi) for mi in key]}
-                for key, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PolyDiffOperator":
-        dim = int(obj["dim"])
-        arity = int(obj["arity"])
-        terms = {}
-        for t in obj.get("terms", []):
-            key = tuple(tuple(int(e) for e in mi) for mi in t["indices"])
-            coeff = Polynomial.parse(t["coeff"], dim)
-            if key in terms:
-                coeff = terms[key] + coeff
-            terms[key] = coeff
-        return cls(dim, arity, terms)
-
     def render(self) -> str:
         if not self.terms:
             return "0"

@@ -7,6 +7,8 @@ pruned at enumeration time).  Graphs stay fully labeled, and weight
 tables are keyed by labeled graphs.  Star graphs are also grouped into
 orbits under relabeling the internal vertices and swapping a vertex's two
 slots (`star_orbits`): assembly contracts one representative per orbit.
+A graph's one serialized form is its canonical key, "2;2;b1,2|b2,1":
+weight tables, reports and `graphs enumerate` all name graphs by it.
 """
 
 from __future__ import annotations
@@ -85,18 +87,6 @@ class AdmissibleGraph:
         # n stars even when all are empty ("1;2;"); no stars only for n = 0
         chunks = parts[2].split("|") if n or parts[2] else []
         return cls(n, m, _decode_stars(n, m, ([t for t in c.split(",") if t] for c in chunks)))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "stars": [[self._target_name(t) for t in star] for star in self.stars],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AdmissibleGraph":
-        n, m = int(obj["n"]), int(obj["m"])
-        return cls(n, m, _decode_stars(n, m, obj.get("stars", [])))
 
     def add_boundary_vertex(self) -> "AdmissibleGraph":
         """Append an unused boundary vertex; existing target codes survive."""

@@ -145,14 +145,6 @@ class StarProduct:
             raise ValueError("argument dimension mismatch")
         return [level.apply((f, g)) for level in self.levels]
 
-    def to_json(self) -> dict:
-        return {
-            "pi": self.pi.to_json(),
-            "order": self.order,
-            "levels": [level.to_json() for level in self.levels],
-            "is_exact": self.is_exact,
-        }
-
 
 def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarProduct:
     """Build the star product through the given order.

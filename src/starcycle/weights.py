@@ -38,7 +38,8 @@ coincide with probability about 2^-100 per pair, and |p| < 1 keeps every
 gauge and boundary term finite.  A determinant that is not finite
 therefore means the weights overflowed, and _sample raises a ValueError
 naming the graph and its alphas, as it does for an edge whose alphas have
-a sum that is not finite.
+a sum that is not finite.  No numpy warning precedes that error:
+_disk_chunk, in each thread, turns overflow and invalid warnings off.
 
 A form that _vanishes certifies zero, from the graph and its alphas,
 reads exactly 0.0 +- 0.0 and is not drawn; every other form is sampled.
@@ -233,11 +234,12 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     u = rng.random((size, n))
     v = rng.random((size, n))
     dets = np.empty(size)
-    for lo in range(0, size, BLOCK):
-        block = slice(lo, lo + BLOCK)
-        p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
-        dets[block] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, p.shape[1])
-    return float(np.sum(dets)), float(np.sum(dets * dets))
+    with np.errstate(over="ignore", invalid="ignore"):  # per thread: not in _sample
+        for lo in range(0, size, BLOCK):
+            block = slice(lo, lo + BLOCK)
+            p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
+            dets[block] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, p.shape[1])
+        return float(np.sum(dets)), float(np.sum(dets * dets))
 
 
 def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):

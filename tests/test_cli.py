@@ -294,11 +294,13 @@ def test_non_finite_alpha_exits_2(capsys, bad):
         assert_input_error(capsys, argv, "non-finite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("big, words", [("1e300", "overflow"), ("1e308", "not finite")])
 def test_overflowing_alpha_exits_2(capsys, big, words):
     # at 1e300 the determinants overflow: they used to be dropped, and both
     # commands reported 0.0 +- 0.0 and PASS.  At 1e308 the alpha sum
-    # overflows: that used to end in an OverflowError traceback
+    # overflows: that used to end in an OverflowError traceback.  The error
+    # line is all there is: no numpy RuntimeWarning comes before it
     alpha = "%s,%s,0" % (big, big)
     for argv in [("weights", "compute", "--n", "1", "--m", "3", "--alpha", alpha,
                   "--samples", "1000", "--seed", "1", "--format", "json"),

@@ -679,14 +679,17 @@ def test_tangent_draw_matches_complex_exp():
         assert np.all(np.abs(p) < 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_determinants_raise_naming_the_graph():
     # the four unpinned order-1 graphs used to read 0.0 +- 0.0, every
-    # sample dropped as non-finite
+    # sample dropped as non-finite.  The error is raised with no numpy
+    # RuntimeWarning on the way, in the caller's thread or a worker's
     g = AdmissibleGraph.from_key("1;3;b1,b3")
     ctx = AngleContext.standard((1e300, 1e300, 0.0))
-    with pytest.raises(ValueError, match=r"graph 1;3;b1,b3 at alpha=\[1e\+300, 1e\+300, 0\.0\]: "
-                                         "the determinants overflow"):
-        compute_weight(g, ctx, 1000, 1)
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match=r"graph 1;3;b1,b3 at alpha=\[1e\+300, 1e\+300, 0\.0\]: "
+                                             "the determinants overflow"):
+            compute_weight(g, ctx, 1000, 1, threads=threads)
 
 
 def test_alphas_with_an_overflowing_sum_raise_before_sampling(monkeypatch):
