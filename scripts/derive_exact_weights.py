@@ -91,12 +91,11 @@ def equations(n, lower):
         if n == 1:
             rows += coefficient_rows("B1", -b1_pattern(pi), u)
         else:
-            blank = lower[name][:1] + [zero] * (n - 1)
+            # the defect is affine in B_n: its part in B_n is -d B_n
             rows += coefficient_rows(
                 "associativity",
                 assoc_defect(StarProduct(pi, n, lower[name] + [zero], True), n),
-                {rep: assoc_defect(StarProduct(pi, n, blank + [op], True), n)
-                 for rep, op in u.items()})
+                {rep: -op.hochschild_differential() for rep, op in u.items()})
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)
             rows += coefficient_rows("cyclicity", zero, {

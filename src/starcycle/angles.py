@@ -137,10 +137,6 @@ class AngleContext:
         m = len(alphas)
         return cls(tuple(alphas), tuple(TWO_PI * k / m for k in range(m)))
 
-    def boundary_point(self, k: int) -> complex:
-        """xi_k as a point of the unit circle, 1-based."""
-        return cmath.exp(1j * self.boundary_angles[k - 1])
-
 
 def alpha_angle(ctx: AngleContext, p: complex, q: complex) -> float:
     """Weighted angle sum_k alpha_k phi_k(p, q), modulo 2*pi conventions."""

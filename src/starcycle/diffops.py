@@ -133,10 +133,6 @@ class PolyDiffOperator:
         z = _mi_zero(dim)
         return cls(dim, 2, {(z, z): Polynomial.one(dim)})
 
-    @classmethod
-    def identity(cls, dim: int) -> "PolyDiffOperator":
-        return cls(dim, 1, {(_mi_zero(dim),): Polynomial.one(dim)})
-
     # -- basics -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -326,14 +322,11 @@ class PolyDiffOperator:
 
     # -- serialization ---------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def render(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for key, c in self.sorted_terms():
+        for key, c in sorted(self.terms.items()):
             slots = "*".join("D[%s]" % ",".join(str(e) for e in mi) for mi in key)
             if slots:
                 parts.append("(%s) %s" % (c.render(), slots))

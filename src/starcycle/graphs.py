@@ -65,12 +65,6 @@ class AdmissibleGraph:
         """Edges as (source, target) pairs, ordered by (source, star slot)."""
         return [(k, t) for k, star in enumerate(self.stars, start=1) for t in star]
 
-    def is_boundary(self, v: int) -> bool:
-        return v > self.n
-
-    def is_star_graph(self) -> bool:
-        return all(len(s) == 2 for s in self.stars)
-
     def _target_name(self, t: int) -> str:
         return "b%d" % (t - self.n) if t > self.n else str(t)
 

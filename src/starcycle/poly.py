@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import prod
 from operator import add
 
 
@@ -79,7 +78,7 @@ class Polynomial:
         arithmetic, whose terms already map dim-tuples of non-negative ints
         to nonzero canonical coefficients (an int when integral, else a
         Fraction) and are held by no one else.  Outside input
-        goes through the constructor, parse or from_json."""
+        goes through the constructor or parse."""
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "terms", terms)
@@ -162,18 +161,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.dim, other)
@@ -223,21 +210,6 @@ class Polynomial:
                 if p.is_zero():
                     return p
         return p
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def evaluate(self, point):
-        """Evaluate at a point (sequence of length dim, exact or float)."""
-        if len(point) != self.dim:
-            raise ValueError("point has length %d, expected %d" % (len(point), self.dim))
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            total = total + c * prod(v ** e for v, e in zip(point, exps) if e)
-        return total
 
     # -- text form ----------------------------------------------------------
     #

@@ -81,10 +81,6 @@ class PolyVector:
         return cls(dim, degree, {})
 
     @classmethod
-    def from_function(cls, p: Polynomial) -> "PolyVector":
-        return cls(p.dim, -1, {(): p})
-
-    @classmethod
     def vector(cls, dim: int, components) -> "PolyVector":
         """Vector field from {axis: Polynomial} or a length-dim sequence."""
         if not isinstance(components, dict):
@@ -243,25 +239,19 @@ class PolyVector:
                 result = result + ti * drho
         return result
 
-    def is_poisson(self) -> bool:
-        """Jacobi identity [pi, pi] == 0; requires a bivector."""
-        if self.degree != 1:
-            raise ValueError("is_poisson requires a bivector (degree 1)")
-        return self.schouten(self).is_zero()
-
     # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> dict:
-        comps = {",".join(str(i) for i in k): p.render() for k, p in sorted(self.components.items())}
-        return {"dim": self.dim, "degree": self.degree, "components": comps}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolyVector":
+        """Keys list their axes strictly increasing, one key per basis
+        element: the constructor would fold a key "2,1" into "1,2" by sign."""
         dim = int(obj["dim"])
         degree = int(obj["degree"])
         comps = {}
         for key, text in obj.get("components", {}).items():
             indices = tuple(int(s) for s in key.split(",")) if key else ()
+            if any(a >= b for a, b in zip(indices, indices[1:])) or indices in comps:
+                raise ValueError("key %r: axes must increase, one key per element" % key)
             comps[indices] = Polynomial.parse(text, dim)
         return cls(dim, degree, comps)
 
@@ -301,16 +291,10 @@ class VolumeForm:
     def constant(cls, dim: int) -> "VolumeForm":
         return cls(dim)
 
-    def is_constant(self) -> bool:
-        return self.log_density.degree() <= 0
-
     def __eq__(self, other):
         if not isinstance(other, VolumeForm):
             return NotImplemented
         return self.dim == other.dim and self.log_density == other.log_density
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "log_density": self.log_density.render()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "VolumeForm":

@@ -98,9 +98,14 @@ class WeightTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightTable":
+        """A second entry for one (graph, alphas) is an error: which one
+        counted would depend on the order of the entries."""
         table = cls()
         for item in obj.get("entries", []):
-            table.add(WeightEntry.from_json(item))
+            entry = WeightEntry.from_json(item)
+            if table.get(entry.graph_key, entry.alphas) is not None:
+                raise ValueError("repeated entry for %s at alphas %s" % (entry.graph_key, list(entry.alphas)))
+            table.add(entry)
         return table
 
     def save(self, path: str):
@@ -112,11 +117,6 @@ class WeightTable:
         """sha256 of the canonical JSON serialization."""
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    @classmethod
-    def load(cls, path: str) -> "WeightTable":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
     @classmethod
     def builtin(cls) -> "WeightTable":

@@ -104,8 +104,7 @@ def test_gradient_matches_finite_differences():
 def test_angle_context_validation():
     ctx = AngleContext.standard((0.0, 0.0, 1.0))
     assert ctx.m == 3
-    assert abs(ctx.boundary_point(1) - 1.0) < 1e-15
-    assert abs(ctx.boundary_point(2) - cmath.exp(2j * math.pi / 3)) < 1e-15
+    assert ctx.boundary_angles == (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
     with pytest.raises(ValueError):
         AngleContext((1.0,), (0.0, 1.0))
     with pytest.raises(ValueError):

@@ -153,7 +153,7 @@ def test_weights_compute_and_table_round_trip(capsys, tmp_path):
     assert abs(anchor["value"] - 0.5) <= 3 * anchor["std_error"]
     from starcycle import WeightTable
 
-    loaded = WeightTable.load(str(table_path))
+    loaded = WeightTable.from_json(json.loads(table_path.read_text()))
     assert loaded.fingerprint() == report["result"]["table_sha256"]
 
 
@@ -179,7 +179,7 @@ def test_weights_compute_merges_out_table_and_feeds_star(capsys, tmp_path):
     assert code == 0
     from starcycle import WeightTable
 
-    assert len(WeightTable.load(path).entries) == 38
+    assert len(WeightTable.from_json(json.loads((tmp_path / "table.json").read_text())).entries) == 38
     code, out, _ = run(capsys, "star", "apply", "--pi", "moyal", "--f", "x1",
                        "--g", "x2", "--order", "2", "--table", path,
                        "--format", "json")
@@ -386,6 +386,13 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
     ("--pi", "[]", ("check", "jacobi")),
     ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,2": 3}}), ("check", "jacobi")),
     ("--pi", "[" * 100000, ("check", "jacobi")),
+    # Moyal as the full skew matrix would read as 2 d1^d2
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,2": "1", "2,1": "-1"}}),
+     ("star", "apply", "--f", "x1", "--g", "x2")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,2": "1", "2,1": "1"}}),
+     ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,1": "1", "1,2": "x1"}}),
+     ("check", "jacobi")),
     ("--vol", "[]", ("check", "divergence", "--pi", "so3")),
     ("--vol", json.dumps({"dim": 3, "log_density": 1}), ("check", "cyclic", "--pi", "so3")),
     ("--table", "[]", ("check", "assoc", "--pi", "so3")),
@@ -393,10 +400,13 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
      ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2")),
     ("--table", json.dumps({"entries": [dict(_ENTRY, value=None)]}),
      ("check", "closed", "--pi", "so3")),
+    ("--table", json.dumps({"entries": [_ENTRY, dict(_ENTRY, value=0.0, exact="0/1")]}),
+     ("check", "assoc", "--pi", "so3")),
     ("--out-table", "[]", ("weights", "compute", "--n", "1", "--m", "2",
                            "--samples", "16", "--seed", "1")),
-], ids=["pi-list", "pi-int-component", "pi-nested-too-deep", "vol-list", "vol-int-density",
-        "table-list", "table-exact-div-zero", "table-value-null", "out-table-list"])
+], ids=["pi-list", "pi-int-component", "pi-nested-too-deep", "pi-skew-matrix",
+        "pi-symmetric-pair", "pi-repeated-axis", "vol-list", "vol-int-density", "table-list",
+        "table-exact-div-zero", "table-value-null", "table-repeated-entry", "out-table-list"])
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -575,7 +585,7 @@ def test_table_file_is_read_on_every_call(capsys, tmp_path):
         report = json.loads(out)
         assert report["inputs"]["table"]["path"] == str(path)
         shas.append(report["inputs"]["table"]["sha256"])
-        assert shas[-1] == WeightTable.load(str(path)).fingerprint()
+        assert shas[-1] == WeightTable.from_json(json.loads(path.read_text())).fingerprint()
     assert shas[0] != shas[1]
 
 

@@ -31,7 +31,7 @@ def test_apply():
     assert op.apply((f, g)).render() == "2*x1"
     m = D.multiplication(2)
     assert m.apply((f, g)) == f * g
-    ident = D.identity(2)
+    ident = D(2, 1, {((0, 0),): P.one(2)})
     assert ident.apply((f,)) == f
     with pytest.raises(ValueError):
         op.apply((f,))
@@ -152,7 +152,7 @@ def test_cyclic_projector():
 
 
 def test_hochschild_differential_examples():
-    ident = D.identity(2)
+    ident = D(2, 1, {((0, 0),): P.one(2)})
     m = D.multiplication(2)
     assert (ident.hochschild_differential() - m).is_zero()
     assert m.hochschild_differential().is_zero()

@@ -15,8 +15,7 @@ def test_basic_construction():
     assert g.n == 2 and g.m == 2
     assert g.edge_count == 4
     assert g.stars == ((3, 2), (4, 1))
-    assert g.is_boundary(3) and g.is_boundary(4)
-    assert not g.is_boundary(1)
+    assert g.canonical_key() == "2;2;b1,2|b2,1"
 
 
 def test_edges_ordered_by_source_slot():
@@ -74,10 +73,10 @@ def test_star_graphs():
     assert len(star_graphs(2, 2)) == 36
     assert len(star_graphs(1, 3)) == 6
     for g in star_graphs(2, 2):
-        assert g.is_star_graph()
         assert all(len(s) == 2 for s in g.stars)
     # star graphs are exactly the out-degree-2 slice of the full enumeration
-    full = {g.canonical_key() for g in enumerate_graphs(2, 2, 4) if g.is_star_graph()}
+    full = {g.canonical_key() for g in enumerate_graphs(2, 2, 4)
+            if all(len(s) == 2 for s in g.stars)}
     assert full == {g.canonical_key() for g in star_graphs(2, 2)}
 
 

@@ -84,14 +84,6 @@ def test_derive_multi_index():
         f.derive((1,))
 
 
-def test_evaluate():
-    f = P.parse("1/3*x1^2*x2 - x3", 3)
-    val = f.evaluate((3, 2, 1))
-    assert val == Fraction(5)
-    assert isinstance(val, Fraction)
-    assert P.one(2).evaluate((9, 9)) == 1
-
-
 def test_parse_grammar():
     f = P.parse("1/3*x1^2*x2 - x3", 3)
     assert f.terms == {(2, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(-1)}

@@ -188,7 +188,7 @@ def test_weight_table_round_trip(tmp_path):
                       exact=Fraction(-1, 2)))
     path = tmp_path / "table.json"
     t.save(str(path))
-    loaded = WeightTable.load(str(path))
+    loaded = WeightTable.from_json(json.loads(path.read_text()))
     assert loaded.fingerprint() == t.fingerprint()
     assert loaded.get("1;3;b1,b2", (0.0, 0.0, 1.0)).exact == Fraction(1, 2)
     assert loaded.get("absent", (0.0, 0.0, 1.0)) is None
