@@ -44,6 +44,11 @@ def _add_coeff(terms, key, c):
         terms.pop(key, None)
 
 
+def _position(tokens, i, text):
+    """Where a parse error at token i points: its start, or the end of text."""
+    return tokens[i][2] if i < len(tokens) else len(text)
+
+
 class Polynomial:
     """Polynomial in x1..x{dim} with rational coefficients.
 
@@ -279,7 +284,8 @@ class Polynomial:
                 if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
-                        raise ValueError("expected integer exponent after ^ at position %d" % at)
+                        raise ValueError("expected integer exponent after ^ at position %d"
+                                         % _position(tokens, i, text))
                     power = int(tokens[i][1])
                     i += 1
                 exps[k - 1] += power
@@ -289,12 +295,11 @@ class Polynomial:
             if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
                 i += 1
                 if i >= len(tokens) or tokens[i][0] == "op":
-                    raise ValueError("dangling * in term")
+                    raise ValueError("dangling * in term at position %d" % _position(tokens, i, text))
                 continue
             break
         if not seen:
-            at = tokens[i][2] if i < len(tokens) else len(text)
-            raise ValueError("expected a term at position %d" % at)
+            raise ValueError("expected a term at position %d" % _position(tokens, i, text))
         return cls.monomial(dim, exps, coeff), i
 
     def render(self) -> str:

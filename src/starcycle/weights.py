@@ -23,7 +23,10 @@ samples, chunk c is seeded from (seed, c), and the reduction runs in
 chunk order, so results are byte-identical for any thread count.  Inside
 a chunk, points, rows and determinants are built in sub-blocks of BLOCK
 samples, small enough to stay in cache; a sample's value does not depend
-on its block.
+on its block.  Chunk c's stream gives all of its u, a (size, n) array, and
+then all of its v.  A block draws its rows of u from one generator and
+its rows of v from a second on the same seed, advanced by size * n, so a
+chunk holds one block of draws, points and rows plus its determinants.
 
 Interior points are drawn uniformly on the disk as p = sqrt(u) e^(i theta),
 theta = 2 pi v, from uniform u and v.  _disk_points takes e^(i theta)
@@ -226,20 +229,24 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
     """(sum, sum of squares) of one chunk's determinants, every sample
     kept; _sample checks that they are finite.
 
-    ctx supplies the three boundary_angles; points, rows and determinants
-    are built BLOCK samples at a time."""
+    ctx supplies the three boundary_angles.  The stream of (seed,
+    chunk_index) gives all of u, (size, n), then all of v; each block of
+    BLOCK samples draws its rows of u from one generator and of v from a
+    second, advanced by size * n, so the chunk holds one block plus its
+    determinants, which it squares in place."""
     n = graph.n
     angles = ctx.boundary_angles
-    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-    u = rng.random((size, n))
-    v = rng.random((size, n))
+    seq = np.random.SeedSequence((seed, chunk_index))
+    u_rng = np.random.Generator(np.random.PCG64(seq))
+    v_rng = np.random.Generator(np.random.PCG64(seq).advance(size * n))
     dets = np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):  # per thread: not in _sample
         for lo in range(0, size, BLOCK):
-            block = slice(lo, lo + BLOCK)
-            p = _disk_points(u[block].T.copy(), v[block].T.copy())  # (n, B), a row per vertex
-            dets[block] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, p.shape[1])
-        return float(np.sum(dets)), float(np.sum(dets * dets))
+            b = min(BLOCK, size - lo)
+            p = _disk_points(u_rng.random((b, n)).T.copy(), v_rng.random((b, n)).T.copy())  # (n, b)
+            dets[lo:lo + b] = _laplace_det(_disk_rows(graph, angles, edge_alphas, p), n, b)
+        s1 = float(np.sum(dets))
+        return s1, float(np.sum(np.multiply(dets, dets, out=dets)))
 
 
 def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):

@@ -536,6 +536,24 @@ def test_monte_carlo_apply_report_is_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == _MC_APPLY_PIN
 
 
+# sha256 of weights compute reports, taken before each chunk streamed its
+# draws block by block: 70000 samples are a full chunk, then a tail chunk
+# that ends in a short block
+_WEIGHTS_PINS = {
+    ("--n", "2", "--m", "2", "--samples", "70000", "--seed", "4"):
+        "b49a4e019610274d052e201e5b82e948ca1356d38b755916a42e926bf3dec94c",
+    ("--n", "1", "--m", "3", "--alpha", "0.3,-0.7,1.1", "--samples", "70000", "--seed", "9"):
+        "f102a9afb0e4687b3892c6fe355efbc94ea69f62cad03d97c0e1f93cda415507",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_WEIGHTS_PINS))
+def test_weights_report_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "weights", "compute", *args, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _WEIGHTS_PINS[args]
+
+
 def test_alpha_seeds_are_distinct_at_every_order(capsys, monkeypatch):
     from starcycle import weights
 

@@ -100,8 +100,13 @@ def test_parse_errors():
         P.parse("x1 + + x2", 2)
     with pytest.raises(ValueError):
         P.parse("", 2)
-    with pytest.raises(ValueError):
+    # the offending token's position, or the end of the text
+    with pytest.raises(ValueError, match="exponent after \\^ at position 3$"):
         P.parse("x1^", 2)
+    with pytest.raises(ValueError, match="exponent after \\^ at position 3$"):
+        P.parse("x1^-1", 2)
+    with pytest.raises(ValueError, match="dangling \\* in term at position 3$"):
+        P.parse("x1*-2", 2)
 
 
 def test_render_canonical():

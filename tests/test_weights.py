@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,53 @@ def test_tail_chunk_and_block_are_thread_count_stable():
         one, two = run(1), run(2)
         assert one.samples == samples
         assert json.dumps(one.to_json()) == json.dumps(two.to_json())
+
+
+def _whole_chunk_draw(graph, ctx, edge_alphas, seed, chunk_index, size):
+    """_disk_chunk as it was before it streamed its draws: all of u and v
+    drawn up front, then the same blocks and sums."""
+    n = graph.n
+    rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    u = rng.random((size, n))
+    v = rng.random((size, n))
+    dets = np.empty(size)
+    for lo in range(0, size, weights.BLOCK):
+        block = slice(lo, lo + weights.BLOCK)
+        p = weights._disk_points(u[block].T.copy(), v[block].T.copy())
+        dets[block] = _laplace_det(_disk_rows(graph, ctx.boundary_angles, edge_alphas, p), n, p.shape[1])
+    return float(np.sum(dets)), float(np.sum(dets * dets))
+
+
+# one live form per order: a disk graph at alphas with three nonzero entries
+STREAMED = {1: "1;3;b1,b2", 2: "2;3;b1,2|b2,1", 3: "3;3;2,b1|3,b2|1,b3"}
+STREAM_CTX = AngleContext.standard((0.3, -0.7, 1.1))
+
+
+@pytest.mark.parametrize("n", sorted(STREAMED))
+def test_streamed_chunk_is_bit_identical_to_the_whole_chunk_draw(n):
+    # full, one short of full (a short last block) and shorter than a block
+    g = AdmissibleGraph.from_key(STREAMED[n])
+    edge_alphas = [STREAM_CTX.alphas] * g.edge_count
+    for size in (CHUNK, CHUNK - 1, 1000):
+        for chunk_index in (0, 3):
+            args = (g, STREAM_CTX, edge_alphas, 5, chunk_index, size)
+            streamed = weights._disk_chunk(*args)
+            assert streamed[1] > 0.0
+            assert streamed == _whole_chunk_draw(*args), (size, chunk_index)
+
+
+def test_a_chunk_holds_one_block_of_draws():
+    # drawn whole, u and v alone took 3 MiB at n = 3 (peak 4.79 MiB)
+    g = AdmissibleGraph.from_key(STREAMED[3])
+    args = (g, STREAM_CTX, [STREAM_CTX.alphas] * g.edge_count, 1, 0, CHUNK)
+    weights._disk_chunk(*args)  # warm: first-call allocations are not the chunk's
+    tracemalloc.start()
+    try:
+        weights._disk_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 # Each vertex aims at the other and at the same boundary point: the wedge
