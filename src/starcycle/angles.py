@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 TWO_PI = 2.0 * math.pi
@@ -108,24 +109,22 @@ def geodesic_angle_gradient_fd(p: complex, q: complex, xi_angle: float, step: fl
     )
 
 
-@dataclass(frozen=True)
-class AngleContext:
+class AngleContext(Record):
     """Boundary data for alpha-weighted angles: m points xi_k pinned at
     strictly increasing angles, and one real weight alpha_k per point."""
 
-    alphas: tuple
-    boundary_angles: tuple
+    __slots__ = ("alphas", "boundary_angles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "boundary_angles", tuple(float(t) for t in self.boundary_angles))
-        if len(self.alphas) != len(self.boundary_angles):
+    def __init__(self, alphas: tuple, boundary_angles: tuple):
+        alphas = tuple(float(a) for a in alphas)
+        angles = tuple(float(t) for t in boundary_angles)
+        if len(alphas) != len(angles):
             raise ValueError("alphas and boundary_angles must have equal length")
-        angles = self.boundary_angles
         if any(not 0.0 <= t < TWO_PI for t in angles):
             raise ValueError("boundary angles must lie in [0, 2*pi)")
         if any(angles[i] >= angles[i + 1] for i in range(len(angles) - 1)):
             raise ValueError("boundary angles must be strictly increasing")
+        self._assign(alphas, angles)
 
     @property
     def m(self) -> int:

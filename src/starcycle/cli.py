@@ -39,7 +39,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 from .angles import AngleContext
 from .graphs import enumerate_graphs, star_graphs
@@ -52,7 +51,7 @@ from .star import (
     check_closed,
     check_cyclic,
 )
-from .table import WeightTable
+from .table import DATA_DIR, WeightTable
 
 BUNDLED_PI = ("moyal", "so3", "nondiv")
 
@@ -73,12 +72,11 @@ def _read(spec: str, what: str, from_json, bundled=()):
     spec.  A file that cannot be read or built is an InputError."""
     try:
         if spec in bundled:
-            blob = (resources.files("starcycle") / ("data/pi/%s.json" % spec)).read_bytes()
-            label = "bundled:%s" % spec
+            path, label = os.path.join(DATA_DIR, "pi", spec + ".json"), "bundled:" + spec
         else:
-            with open(spec, "rb") as fh:
-                blob = fh.read()
-            label = spec
+            path = label = spec
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise InputError("cannot read %s %r: %s" % (what, spec, e))
     try:

@@ -10,35 +10,34 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
 
+from ._record import Record
 from .graphs import AdmissibleGraph
 
+# the package's bundled files (weights_exact.json and pi/*.json), read by path
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-@dataclass(frozen=True)
-class WeightEntry:
-    graph_key: str
-    alphas: tuple
-    value: float
-    std_error: float
-    samples: int
-    seed: int
-    exact: Fraction | None = None
-    # Samples dropped by the sampler.  It keeps every sample, so a sampled
-    # entry reads 0; the field stays because every report and table carries it.
-    rejected: int = 0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+class WeightEntry(Record):
+    # rejected: samples dropped by the sampler.  It keeps every sample, so a
+    # sampled entry reads 0; the field stays because every report and table
+    # carries it.
+    __slots__ = ("graph_key", "alphas", "value", "std_error", "samples", "seed", "exact", "rejected")
+
+    def __init__(self, graph_key: str, alphas: tuple, value: float, std_error: float,
+                 samples: int, seed: int, exact: Fraction | None = None, rejected: int = 0):
+        if not (math.isfinite(value) and math.isfinite(std_error)):
             raise ValueError("weight of %s: value %r and std_error %r must be finite"
-                             % (self.graph_key, self.value, self.std_error))
-        if self.std_error < 0:
+                             % (graph_key, value, std_error))
+        if std_error < 0:
             raise ValueError("std_error must be >= 0")
-        if self.exact is None and self.samples <= 0:
+        if exact is None and samples <= 0:
             raise ValueError("Monte Carlo entries need samples > 0")
-        if self.exact is not None and self.samples != 0:
+        if exact is not None and samples != 0:
             raise ValueError("exact entries carry samples = 0")
+        self._assign(graph_key, alphas, value, std_error, samples, seed, exact, rejected)
 
     def to_json(self) -> dict:
         return {
@@ -71,9 +70,11 @@ def _alpha_key(alphas):
     return tuple(round(float(a), 12) for a in alphas)
 
 
-@dataclass
 class WeightTable:
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries
 
     def add(self, entry: WeightEntry):
         self.entries[(entry.graph_key, _alpha_key(entry.alphas))] = entry
@@ -121,10 +122,8 @@ class WeightTable:
     @classmethod
     def builtin(cls) -> "WeightTable":
         """Calibrated exact table shipped with the package."""
-        from importlib.resources import files
-
-        data = files("starcycle").joinpath("data/weights_exact.json").read_text()
-        return cls.from_json(json.loads(data))
+        with open(os.path.join(DATA_DIR, "weights_exact.json"), "rb") as fh:
+            return cls.from_json(json.load(fh))
 
     def provenance(self) -> dict:
         kinds = {"exact": 0, "monte_carlo": 0}

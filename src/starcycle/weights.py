@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -266,6 +265,8 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     if threads <= 1:
         results = [worker(c, size) for c, size in plan]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by 1-thread runs
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(worker, c, size) for c, size in plan]
             results = [f.result() for f in futures]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import random
 
 import pytest
@@ -105,12 +106,29 @@ def test_angle_context_validation():
     ctx = AngleContext.standard((0.0, 0.0, 1.0))
     assert ctx.m == 3
     assert ctx.boundary_angles == (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alphas and boundary_angles must have equal length$"):
         AngleContext((1.0,), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        AngleContext((1.0, 1.0), (1.0, 1.0))     # not strictly increasing
-    with pytest.raises(ValueError):
-        AngleContext((1.0, 1.0), (0.0, 7.0))     # out of [0, 2*pi)
+    with pytest.raises(ValueError, match="^boundary angles must be strictly increasing$"):
+        AngleContext((1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^boundary angles must lie in \[0, 2\*pi\)$"):
+        AngleContext((1.0, 1.0), (0.0, 7.0))
+
+
+def test_angle_context_is_an_immutable_value():
+    ctx = AngleContext(alphas=[0, 0, 1], boundary_angles=(0.0, 1.0, 2.0))
+    assert ctx.alphas == (0.0, 0.0, 1.0) and type(ctx.alphas[2]) is float
+    same = AngleContext((0.0, 0.0, 1.0), [0, 1, 2])
+    assert ctx == same and hash(ctx) == hash(same) and len({ctx, same}) == 1
+    assert ctx != AngleContext((0.0, 1.0, 0.0), (0.0, 1.0, 2.0))
+    assert repr(ctx) == "AngleContext(alphas=(0.0, 0.0, 1.0), boundary_angles=(0.0, 1.0, 2.0))"
+    with pytest.raises(AttributeError):
+        ctx.alphas = (1.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        ctx.extra = 1
+    with pytest.raises(AttributeError):
+        del ctx.alphas
+    assert ctx.alphas == (0.0, 0.0, 1.0)
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
 
 
 def test_alpha_angle_linearity():

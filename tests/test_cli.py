@@ -1,6 +1,7 @@
 """Command line interface: exit codes, text output, canonical JSON reports."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -651,11 +652,16 @@ _NO_SAMPLER = [
 ]
 
 
-def _fresh(code):
-    """stdout of code run in a new interpreter that imports this starcycle."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(starcycle.__file__)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+def _fresh(code, bare=False):
+    """stdout of code run in a new interpreter that imports this starcycle.
+    A bare one runs with -S: no site-packages and so no .pth hook that
+    preloads modules; numpy's directory alone is put on its path."""
+    path = [os.path.dirname(os.path.dirname(starcycle.__file__))]
+    if bare:
+        path.append(os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, *(["-S"] if bare else []), "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -701,3 +707,35 @@ print(json.dumps({
 """)
     assert got == {"before": False, "after": True, "same": [True] * 4, "star": [],
                    "missing": "module 'starcycle' has no attribute 'no_such_name'"}
+
+
+# ------------------------------------------- only the modules a process uses
+
+_UNUSED = ["numpy", "dataclasses", "inspect", "importlib.resources", "concurrent.futures"]
+
+
+def test_exact_commands_load_only_what_they_use():
+    loaded = _fresh("""
+import contextlib, io, json, sys
+import starcycle, starcycle.cli
+starcycle.WeightTable.builtin()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert starcycle.cli.main(["check", "cyclic", "--pi", "so3"]) == 0
+print(json.dumps([name for name in %r if name in sys.modules]))
+""" % _UNUSED, bare=True)
+    assert loaded == []
+
+
+def test_one_thread_sampler_runs_without_a_thread_pool():
+    loaded = _fresh("""
+import json, sys
+import starcycle
+g = starcycle.AdmissibleGraph.from_key("1;3;b1,b2")
+ctx = starcycle.AngleContext.standard((0.0, 0.0, 1.0))
+steps = []
+for threads in (1, 2):
+    starcycle.compute_weight(g, ctx, 1 << 12, 1, threads=threads)
+    steps.append("concurrent.futures" in sys.modules)
+print(json.dumps(steps))
+""", bare=True)
+    assert loaded == [False, True]

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -179,6 +180,41 @@ def test_weight_entry_json_round_trip():
     back2 = WeightEntry.from_json(exact.to_json())
     assert back2.exact == Fraction(1, 2)
     assert json.dumps(exact.to_json())     # JSON-serializable as-is
+
+
+def test_weight_entry_is_an_immutable_value():
+    e = WeightEntry(graph_key="1;3;b1,b2", alphas=(0.0, 0.0, 1.0), value=0.5, std_error=0.01,
+                    samples=1 << 10, seed=3)
+    assert (e.exact, e.rejected) == (None, 0)
+    same = WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 0.5, 0.01, 1 << 10, 3, None, 0)
+    assert e == same and hash(e) == hash(same) and len({e, same}) == 1
+    assert e != WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 0.5, 0.01, 1 << 10, 4)
+    assert repr(e) == ("WeightEntry(graph_key='1;3;b1,b2', alphas=(0.0, 0.0, 1.0), value=0.5, "
+                       "std_error=0.01, samples=1024, seed=3, exact=None, rejected=0)")
+    with pytest.raises(AttributeError):
+        e.value = 0.0
+    with pytest.raises(AttributeError):
+        del e.seed
+    assert e.value == 0.5
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+@pytest.mark.parametrize("args, message", [
+    (("g", (), math.inf, 0.0, 1, 0), "^weight of g: value inf and std_error 0.0 must be finite$"),
+    (("g", (), 0.0, math.nan, 1, 0), "^weight of g: value 0.0 and std_error nan must be finite$"),
+    (("g", (), 0.0, -1.0, 1, 0), "^std_error must be >= 0$"),
+    (("g", (), 0.0, 0.0, 0, 0), "^Monte Carlo entries need samples > 0$"),
+    (("g", (), 0.0, 0.0, 5, 0, Fraction(0)), "^exact entries carry samples = 0$"),
+])
+def test_weight_entry_validation(args, message):
+    with pytest.raises(ValueError, match=message):
+        WeightEntry(*args)
+
+
+def test_weight_tables_do_not_share_entries():
+    a, b = WeightTable(), WeightTable()
+    a.add(WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 0.5, 0.0, 0, 0, exact=Fraction(1, 2)))
+    assert a.entries is not b.entries and b.entries == {}
 
 
 def test_weight_table_round_trip(tmp_path):
