@@ -52,16 +52,19 @@ def harmonic_angle_halfplane(p: complex, q: complex) -> float:
     return cmath.phase((p - q) * (p - q.conjugate())) % TWO_PI
 
 
-def edge_coefficients(A, p, q, boundary=False):
+def edge_coefficients(A, p, q, boundary=False, r=None):
     """(c_p, c_q) of A arg((p-q)(1 - p conj q)) for the edge p -> q; for a
     boundary target q = xi_j it is 2A arg(xi_j - p) + const and c_q is None.
-    With alpha_j = A the only weight, the gauge term cancels c_p exactly."""
+    With alpha_j = A the only weight, the gauge term cancels c_p exactly.
+    r, when given, is 1/(p - q); A == 1.0 skips the exact product by A."""
     if boundary:
         return 2 * A / (p - q), None
-    r = 1.0 / (p - q)
+    if r is None:
+        r = 1.0 / (p - q)
     qc = q.conjugate()
     t = 1.0 / (1.0 - p * qc)
-    return A * (r - qc * t), A * ((p * t).conjugate() - r)
+    c_p, c_q = r - qc * t, (p * t).conjugate() - r
+    return (c_p, c_q) if A == 1.0 else (A * c_p, A * c_q)
 
 
 def gauge_coefficient(alphas, xis, p):

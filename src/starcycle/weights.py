@@ -22,8 +22,11 @@ Determinism contract: sampling is split into fixed chunks of CHUNK
 samples, chunk c is seeded from (seed, c), and the reduction runs in
 chunk order, so results are byte-identical for any thread count.  Inside
 a chunk, points, rows and determinants are built in sub-blocks of BLOCK
-samples, small enough to stay in cache; a sample's value does not depend
-on its block.  Chunk c's stream gives all of its u, a (size, n) array, and
+samples, small enough to stay in cache.  A sample's value does not depend
+on its block while a block's complex arrays stay below numpy's 256 KiB
+threshold for eliding temporaries (BLOCK < 16384): past it numpy computes
+a * b.conjugate() as b.conjugate() * a, which is not bitwise the same
+product.  Chunk c's stream gives all of its u, a (size, n) array, and
 then all of its v.  A block draws its rows of u from one generator and
 its rows of v from a second on the same seed, advanced by size * n, so a
 chunk holds one block of draws, points and rows plus its determinants.
@@ -57,10 +60,17 @@ most 2, 8 or 23 roundings at D = 2, 4 or 6 rows, and their sizes sum to
 the permanent of |A|, at most D^(D/2) times the product of the row norms
 (the Hadamard bound), so up to D = 6 the error stays below 6e-13 of that
 bound (measured on random stacks against extended precision: 4e-16).
+The expansion depends only on the vertices each row touches, so it is
+built once per row shape, and a block only multiplies and accumulates.
+Shortcuts keep every bit: a 2-cycle's 1/(p_w - p_v) is the negation of
+1/(p_v - p_w) (t = 1/(1 - p conj q) is not shared: conj(t_vw) is not
+bitwise t_wv), and a product by A == 1.0 is skipped; but a complex
+product keeps its operand order, as numpy's SIMD a * b is not bitwise b * a.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -94,25 +104,59 @@ def _disk_rows(graph, boundary_angles, edge_alphas, p):
     a row per vertex: per edge a dict {i: c}, c the (S,) coefficient on
     vertex i + 1, by angles.edge_coefficients and gauge_coefficient.  Only
     the edge's ends appear, the target only when A != 0.  A vertex's gauge
-    term is computed once per alpha vector and shared by its edges."""
+    term is computed once per alpha vector and shared by its edges, and a
+    2-cycle's two edges share 1/(p_v - p_w), one negating it."""
     n = graph.n
     xi = [np.exp(1j * t) for t in boundary_angles]
     gauges = {}
+    edges = list(graph.edges())
+    recips = {}  # (v, w) -> 1/(p_v - p_w), kept while the edge (w, v) is to come
     rows = []
-    for (v, w), alphas in zip(graph.edges(), edge_alphas):
+    for k, ((v, w), alphas) in enumerate(zip(edges, edge_alphas)):
         key = v, tuple(alphas)
         if key not in gauges:
             gauges[key] = gauge_coefficient(alphas, xi, p[v - 1])
         A = sum(alphas)
         row = {} if gauges[key] is None else {v - 1: gauges[key]}
         if A != 0.0:
-            q = p[w - 1] if w <= n else xi[w - n - 1]
-            c_p, c_q = edge_coefficients(A, p[v - 1], q, boundary=w > n)
-            row[v - 1] = c_p + gauges[key]
-            if c_q is not None:
+            if w > n:
+                c_p, c_q = edge_coefficients(A, p[v - 1], xi[w - n - 1], boundary=True)
+            else:
+                r = -recips.pop((w, v)) if (w, v) in recips else 1.0 / (p[v - 1] - p[w - 1])
+                if (w, v) in edges[k + 1:]:
+                    recips[v, w] = r
+                c_p, c_q = edge_coefficients(A, p[v - 1], p[w - 1], r=r)
                 row[w - 1] = c_q
+            c_p += gauges[key]
+            row[v - 1] = c_p
         rows.append(row)
     return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(shape, n):
+    """_laplace_det's expansion for rows whose vertex sets are shape: per
+    vertex i, from the last, (i, pairs, terms, width).  A term (k, j, t,
+    odd) adds (odd) or subtracts the minor of rows pairs[j] = (r, s) times
+    minor k of the level before to minor t of this level, of width minors.
+    Also returns the full row set's index in the last level, or None."""
+    keys = [()]
+    levels = []
+    for i in range(n - 1, -1, -1):
+        touching = [r for r, verts in enumerate(shape) if i in verts]
+        late = {r for r, verts in enumerate(shape) if min(verts, default=n) >= i}  # nothing before i
+        pairs, wider, terms = {}, {}, []
+        for k, rest in enumerate(keys):
+            for r, s in itertools.combinations(touching, 2):
+                T = tuple(sorted(rest + (r, s)))
+                if r in rest or s in rest or not late.issubset(T):
+                    continue
+                odd = (T.index(r) + T.index(s)) % 2 == 1  # sign (-1)^(a+b+1)
+                terms.append((k, pairs.setdefault((r, s), len(pairs)), wider.setdefault(T, len(wider)), odd))
+        levels.append((i, list(pairs), terms, len(wider)))
+        keys = list(wider)
+    full = tuple(range(len(shape)))
+    return levels, keys.index(full) if full in keys else None
 
 
 def _laplace_det(rows, n, size):
@@ -122,24 +166,28 @@ def _laplace_det(rows, n, size):
     set T on vertices i..n sums such pairs in T times the minor of the rest
     of T on i+1..n, formed once for every T that contains it.  Empty (edge,
     vertex) pairs, and any T that leaves out a row with nothing before
-    vertex i, are skipped; a determinant with no term is zero."""
-    minors = {(): np.ones(size)}
-    for i in range(n - 1, -1, -1):
-        touching = [(r, row[i]) for r, row in enumerate(rows) if i in row]
-        pairs = [(r, s, (c_r * c_s.conjugate()).imag)
-                 for (r, c_r), (s, c_s) in itertools.combinations(touching, 2)]
-        late = {r for r, row in enumerate(rows) if min(row, default=n) >= i}  # nothing before i
-        wider = {}
-        for rest, sub in minors.items():
-            for r, s, m in pairs:
-                T = tuple(sorted(rest + (r, s)))
-                if r in rest or s in rest or not late.issubset(T):
-                    continue
-                a, b = T.index(r), T.index(s)
-                term = m * sub if (a + b) % 2 else -(m * sub)  # sign (-1)^(a+b+1)
-                wider[T] = wider[T] + term if T in wider else term
+    vertex i, are skipped; a determinant with no term is zero.  The plan
+    of terms is _laplace_plan's, once per row shape; a call sums them in
+    its order, the last vertex's minors being its pairs (not times the 0 x
+    0 minor, 1), and a negative term subtracted (a - b is a + (-b))."""
+    # a list: tuple(generator) shrinks 10 slots, leaving a D-tuple per call on CPython's free list
+    levels, final = _laplace_plan(tuple([tuple(sorted(row)) for row in rows]), n)
+    if final is None:
+        return np.zeros(size)
+    minors = [None]  # the 0 x 0 minor
+    for i, pairs, terms, width in levels:
+        m = [(rows[r][i] * rows[s][i].conjugate()).imag for r, s in pairs]
+        wider = [None] * width
+        for k, j, t, odd in terms:
+            term = m[j] if minors[k] is None else m[j] * minors[k]
+            if wider[t] is None:  # one term per minor of the last vertex: m[j] is not summed into
+                wider[t] = term if odd else -term
+            elif odd:
+                wider[t] += term
+            else:
+                wider[t] -= term
         minors = wider
-    return minors.get(tuple(range(len(rows))), np.zeros(size))
+    return np.ones(size) if minors[final] is None else minors[final]
 
 
 def _vanishes(graph, edge_alphas):

@@ -545,6 +545,11 @@ _WEIGHTS_PINS = {
         "b49a4e019610274d052e201e5b82e948ca1356d38b755916a42e926bf3dec94c",
     ("--n", "1", "--m", "3", "--alpha", "0.3,-0.7,1.1", "--samples", "70000", "--seed", "9"):
         "f102a9afb0e4687b3892c6fe355efbc94ea69f62cad03d97c0e1f93cda415507",
+    # the order-2 disk route, 144 graphs: A != 1 with 2-cycles both ways, then A == 1
+    ("--n", "2", "--m", "3", "--alpha", "0.3,-0.7,1.1", "--samples", "4096", "--seed", "3"):
+        "311ba1ec8d4fef000d5258aab8fbc52ee908d348881409125bb9be9815f1db14",
+    ("--n", "2", "--m", "3", "--alpha", "0,0,1", "--samples", "4096", "--seed", "3"):
+        "5771c9181033d0251d61f552904e86846d0b6864568a317a6bc7b86ceb29d1d9",
 }
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo graph weights: anchors, symmetries, determinism, tables."""
 
 import cmath
+import itertools
 import json
 import math
 import pickle
@@ -342,6 +343,20 @@ def test_streamed_chunk_is_bit_identical_to_the_whole_chunk_draw(n):
             assert streamed == _whole_chunk_draw(*args), (size, chunk_index)
 
 
+@pytest.mark.parametrize("block", (1024, 2048, 8192))
+def test_chunk_sums_do_not_depend_on_the_block_size(monkeypatch, block):
+    # only below numpy's 256 KiB threshold for eliding temporaries, BLOCK <
+    # 16384: past it a * b.conjugate() is computed as b.conjugate() * a
+    for key in STREAMED.values():
+        g = AdmissibleGraph.from_key(key)
+        for size in (CHUNK, CHUNK - 1, 1000):
+            args = (g, STREAM_CTX, [STREAM_CTX.alphas] * g.edge_count, 5, 1, size)
+            monkeypatch.setattr(weights, "BLOCK", 4096)
+            at_4096 = weights._disk_chunk(*args)
+            monkeypatch.setattr(weights, "BLOCK", block)
+            assert weights._disk_chunk(*args) == at_4096, (key, size)
+
+
 def test_a_chunk_holds_one_block_of_draws():
     # drawn whole, u and v alone took 3 MiB at n = 3 (peak 4.79 MiB)
     g = AdmissibleGraph.from_key(STREAMED[3])
@@ -565,6 +580,54 @@ def test_laplace_det_nonfinite_entry_marks_only_its_sample(D):
                     with np.errstate(invalid="ignore"):
                         det = _laplace_det(changed, n, 8)
                     assert list(np.flatnonzero(~np.isfinite(det))) == [3]
+
+
+def _unplanned_laplace_det(rows, n, size):
+    """_laplace_det as it was before its expansion was planned once per
+    row shape: the same terms, formed and summed afresh on every call."""
+    minors = {(): np.ones(size)}
+    for i in range(n - 1, -1, -1):
+        touching = [(r, row[i]) for r, row in enumerate(rows) if i in row]
+        pairs = [(r, s, (c_r * c_s.conjugate()).imag)
+                 for (r, c_r), (s, c_s) in itertools.combinations(touching, 2)]
+        late = {r for r, row in enumerate(rows) if min(row, default=n) >= i}
+        wider = {}
+        for rest, sub in minors.items():
+            for r, s, m in pairs:
+                T = tuple(sorted(rest + (r, s)))
+                if r in rest or s in rest or not late.issubset(T):
+                    continue
+                a, b = T.index(r), T.index(s)
+                term = m * sub if (a + b) % 2 else -(m * sub)
+                wider[T] = wider[T] + term if T in wider else term
+        minors = wider
+    return minors.get(tuple(range(len(rows))), np.zeros(size))
+
+
+def test_laplace_plan_is_shared_by_shape_and_never_by_values():
+    # D = 6, 2, 4 and 6 again, interleaved, each with new values: the bits
+    # of the unplanned expansion, within roundoff of LAPACK
+    before = weights._laplace_plan.cache_info().hits
+    for seed, D in enumerate((6, 2, 4, 6), start=1):
+        n = D // 2
+        for name, rows in _coefficient_stacks(n, S=64, seed=seed):
+            det = _laplace_det(rows, n, 64)
+            assert np.array_equal(det, _unplanned_laplace_det(rows, n, 64)), (D, name)
+            bound = 1e-14 * _hadamard(_expand(rows, n))
+            assert np.all(np.abs(det - _lapack_det(rows, n, 64)) <= bound), (D, name)
+    assert weights._laplace_plan.cache_info().hits > before
+    # one shape, two sets of values: two results, and the first is unchanged
+    a, b = (next(_coefficient_stacks(2, S=64, seed=seed))[1] for seed in (7, 8))
+    det_a = _laplace_det(a, 2, 64)
+    det_b = _laplace_det(b, 2, 64)
+    assert not np.shares_memory(det_a, det_b) and np.all(det_a != det_b)
+    assert np.array_equal(_laplace_det(a, 2, 64), det_a)
+    # a non-finite entry still marks its own sample only, on a cached plan
+    a[2][1] = c = a[2][1].copy()
+    c.real[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert list(np.flatnonzero(~np.isfinite(_laplace_det(a, 2, 64)))) == [5]
+    assert np.array_equal(_laplace_det([], 0, 3), np.ones(3))
 
 
 def test_order_three_weight_matches_lapack_determinants(monkeypatch):
