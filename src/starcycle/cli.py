@@ -350,8 +350,24 @@ def _cmd_check(args):
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser, as are its subparsers, that reads the help width as
+    shutil.get_terminal_size does (COLUMNS, the terminal, 80) without shutil."""
+
+    def _get_formatter(self):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        try:
+            columns = columns if columns > 0 else os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            pass
+        return self.formatter_class(prog=self.prog, width=(columns if columns > 0 else 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="starcycle",
+    ap = _Parser(prog="starcycle",
                                  description="Kontsevich star products: graphs, weights, checks.")
     sub = ap.add_subparsers(dest="command", required=True)
 

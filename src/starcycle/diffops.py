@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
-from operator import add
+from math import comb, lcm
+from operator import add, sub
 
-from .poly import Polynomial, _accumulate, _add_coeff
+from .poly import Polynomial, _accumulate
 from .polyvector import VolumeForm
 
 
@@ -24,11 +24,11 @@ def _mi_zero(dim):
 
 
 def _mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mi_binom(a, b):
@@ -201,17 +201,24 @@ class PolyDiffOperator:
         I1 sends c * d^{I1}f1 * R  to  -(d_a c + c d_a rho) d^{I1-e_a}f1 R
         minus the Leibniz spill of d_a onto every other slot.  A step lowers
         |I1| by one, so terms are stepped level by level of |I1|, highest
-        first, each level summed in place; the normal form is unique.
+        first, each level summed in place; the normal form is unique.  Sums
+        run on int numerators: with D and R the lcm of the denominators of
+        the coefficients and of the d_a rho, level l is held over D R^(top-l).
         """
         if self.arity < 1:
             raise ValueError("ibp_normal_form needs arity >= 1")
         if self.dim != vol.dim:
             raise ValueError("dimension mismatch with volume form")
-        drho = [vol.log_density.partial(a + 1).terms for a in range(self.dim)]
+        drho = [vol.log_density.partial(a + 1) for a in range(self.dim)]
+        r = lcm(*(p._den for p in drho))
+        drho = [{f: w * (r // p._den) for f, w in p._num.items()} for p in drho]
+        d = lcm(*(c._den for c in self.terms.values()))
+        top = max((sum(key[0]) for key in self.terms), default=0)
         levels = {}
         for key, c in self.terms.items():
-            levels.setdefault(sum(key[0]), {})[key] = dict(c.terms)
-        for level in range(max(levels, default=0), 0, -1):
+            m = d // c._den * r ** (top - sum(key[0]))
+            levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in c._num.items()}
+        for level in range(top, 0, -1):
             below = levels.setdefault(level - 1, {})
             for key, c in levels.pop(level, {}).items():
                 i1 = key[0]
@@ -220,16 +227,17 @@ class PolyDiffOperator:
                 nc = below.setdefault(head + key[1:], {})
                 for e, v in c.items():
                     if e[a]:
-                        _add_coeff(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a])
+                        _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a] * r)
                     for f, w in drho[a].items():
-                        _add_coeff(nc, tuple(map(add, e, f)), -v * w)
+                        _accumulate(nc, tuple(map(add, e, f)), -v * w)
                 for j in range(1, len(key)):
                     ij = key[j]
                     spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
                     out = below.setdefault(spill, {})
                     for e, v in c.items():
-                        _add_coeff(out, e, -v)
-        done = {key[1:]: Polynomial._trusted(self.dim, c) for key, c in levels.get(0, {}).items() if c}
+                        _accumulate(out, e, -v * r)
+        den = d * r ** top
+        done = {key[1:]: Polynomial._trusted(self.dim, c, den) for key, c in levels.get(0, {}).items() if c}
         return PolyDiffOperator._trusted(self.dim, self.arity - 1, done)
 
     def extended_by_slot(self) -> "PolyDiffOperator":

@@ -1,47 +1,31 @@
 """Exact multivariate polynomials over the rationals.
 
-Variables are fixed as x1..xd.  Coefficients are exact rationals in one
-canonical form: an int when integral, otherwise a Fraction with a
-denominator above 1.  So every identity checked downstream (brackets,
-integration by parts, star products) is exact rather than floating-point,
-and the common integral coefficients take plain int arithmetic.  An int
-and a Fraction of equal value compare, hash and render alike.
+Variables are fixed as x1..xd.  A Polynomial holds int numerators over one
+positive denominator, in lowest terms (their gcd is 1).  So every identity
+checked downstream (brackets, integration by parts, star products) is exact
+rather than floating-point, and its sums run on ints.  The view terms reads
+each coefficient as a canonical rational: an int when integral, otherwise a
+Fraction with a denominator above 1.  Equal values compare, hash and render alike.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm, perm
+from operator import add, sub
+from types import MappingProxyType
 
 
 def _accumulate(terms, key, c):
     """terms[key] += c in place, dropping the key when the sum is zero.
-    Values are numbers or Polynomials, which are false exactly at zero.
-    A sum is stored as it comes, so a Fraction stays a Fraction; the
-    coefficients of a Polynomial go through _add_coeff instead."""
+    Values are numbers or Polynomials, which are false exactly at zero."""
     s = terms.get(key)
     s = c if s is None else s + c
     if not s:
         terms.pop(key, None)
     else:
         terms[key] = s
-
-
-def _canonical(c):
-    """The rational c as a coefficient: an int when integral, else c."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
-def _add_coeff(terms, key, c):
-    """terms[key] += c for a rational c, keeping terms canonical: a zero sum
-    drops the key and an integral one is stored as an int."""
-    s = terms.get(key)
-    s = _canonical(c if s is None else s + c)
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
 
 
 def _position(tokens, i, text):
@@ -52,14 +36,14 @@ def _position(tokens, i, text):
 class Polynomial:
     """Polynomial in x1..x{dim} with rational coefficients.
 
-    terms maps exponent tuples (length dim) to nonzero coefficients in the
-    canonical form of the module docstring: an int when integral, else a
-    Fraction with a denominator above 1.  Instances are treated as
-    immutable; all operations return new ones.  The constructor validates
-    and canonicalises; _trusted does not (see there).
+    _num maps exponent tuples (length dim) to nonzero int numerators over
+    the denominator _den (see the module docstring for both and for terms).
+    Instances are treated as immutable; all operations return new ones.
+    The constructor validates and canonicalises; _trusted does not (see
+    there).
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim: int, terms=None):
         if dim < 1:
@@ -73,24 +57,38 @@ class Polynomial:
                 raise ValueError("negative exponent in %r" % (exps,))
             c = Fraction(coeff)
             if c != 0:
-                clean[exps] = _canonical(c)
+                clean[exps] = c
+        den = lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", {e: c.numerator * den // c.denominator for e, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
-        """Wrap terms as they are: only for results of the package's own
-        arithmetic, whose terms already map dim-tuples of non-negative ints
-        to nonzero canonical coefficients (an int when integral, else a
-        Fraction) and are held by no one else.  Outside input
-        goes through the constructor or parse."""
+    def _trusted(cls, dim: int, num: dict, den: int = 1) -> "Polynomial":
+        """num/den in lowest terms, for the package's own results only: num
+        maps dim-tuples of non-negative ints to nonzero int numerators and
+        is held by no one else, and den > 0.  Outside input goes through
+        the constructor or parse."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {e: n // g for e, n in num.items()}
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_num", num)
+        object.__setattr__(p, "_den", den)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self):
+        """Read-only {exponents: canonical coefficient}."""
+        d = self._den
+        return MappingProxyType(self._num if d == 1 else
+                                {e: Fraction(n, d) if n % d else n // d for e, n in self._num.items()})
 
     # -- constructors ----------------------------------------------------
 
@@ -126,16 +124,19 @@ class Polynomial:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
 
     def _merge(self, other, negate):
-        """self + other, or self - other when negate, in one pass."""
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.dim, other)
+        """self + other, or self - other when negate, in one pass over the
+        lcm of the two denominators."""
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.dim, other)
         self._check_dim(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            _add_coeff(out, exps, -c if negate else c)
-        return Polynomial._trusted(self.dim, out)
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, (-den if negate else den) // other._den
+        out = dict(self._num) if m1 == 1 else {e: n * m1 for e, n in self._num.items()}
+        for e, n in other._num.items():
+            _accumulate(out, e, n * m2)
+        return Polynomial._trusted(self.dim, out, den)
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -143,7 +144,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -n for e, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self._merge(other, True)
@@ -152,39 +153,40 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            terms = {e: _canonical(v * other) for e, v in self.terms.items()} if other else {}
-            return Polynomial._trusted(self.dim, terms)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p = other.numerator
+            num = {e: n * p for e, n in self._num.items()} if p else {}
+            return Polynomial._trusted(self.dim, num, self._den * other.denominator)
         self._check_dim(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_coeff(out, tuple(map(add, e1, e2)), c1 * c2)
-        return Polynomial._trusted(self.dim, out)
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return Polynomial._trusted(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.dim, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.dim, other)
+        return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         # a constant hashes as its value, since it compares equal to it
         one = (0,) * self.dim
-        if not self.terms or (len(self.terms) == 1 and one in self.terms):
-            return hash(self.terms.get(one, 0))
+        if not self._num or (len(self._num) == 1 and one in self._num):
+            return hash(Fraction(self._num.get(one, 0), self._den))
         return hash((self.dim, frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     # -- calculus ---------------------------------------------------------
 
@@ -194,27 +196,25 @@ class Polynomial:
             raise ValueError("axis %d out of range for dim %d" % (i, self.dim))
         a = i - 1
         out = {}
-        for exps, c in self.terms.items():
-            if exps[a] == 0:
-                continue
-            e = list(exps)
-            e[a] -= 1
-            out[tuple(e)] = _canonical(c * exps[a])
-        return Polynomial._trusted(self.dim, out)
+        for exps, n in self._num.items():
+            k = exps[a]
+            if k:
+                out[exps[:a] + (k - 1,) + exps[a + 1:]] = n * k
+        return Polynomial._trusted(self.dim, out, self._den)
 
     def derive(self, multi_index) -> "Polynomial":
         """Iterated partial derivative for an exponent multi-index."""
         if len(multi_index) != self.dim:
-            raise ValueError(
-                f"multi-index length {len(multi_index)} != dim {self.dim}"
-            )
-        p = self
-        for axis, k in enumerate(multi_index, start=1):
-            for _ in range(k):
-                p = p.partial(axis)
-                if p.is_zero():
-                    return p
-        return p
+            raise ValueError(f"multi-index length {len(multi_index)} != dim {self.dim}")
+        out = {}
+        for exps, n in self._num.items():
+            for e, k in zip(exps, multi_index):
+                if e < k:
+                    break
+                n *= perm(e, k)
+            else:
+                out[tuple(map(sub, exps, multi_index))] = n
+        return Polynomial._trusted(self.dim, out, self._den)
 
     # -- text form ----------------------------------------------------------
     #
@@ -239,15 +239,15 @@ class Polynomial:
         if not tokens:
             raise ValueError("empty polynomial text")
 
-        result = cls.zero(dim)
+        terms = {}
         i = 0
         sign = 1
         if tokens[0][0] == "op" and tokens[0][1] in "+-":
             sign = -1 if tokens[0][1] == "-" else 1
             i = 1
         while True:
-            term, i = cls._parse_term(tokens, i, dim, text)
-            result = result + sign * term
+            exps, coeff, i = cls._parse_term(tokens, i, dim, text)
+            _accumulate(terms, exps, sign * coeff)
             if i >= len(tokens):
                 break
             kind, val, at = tokens[i]
@@ -257,11 +257,11 @@ class Polynomial:
             i += 1
             if i >= len(tokens):
                 raise ValueError("dangling %r at end of input" % val)
-        return result
+        return cls(dim, terms)
 
     @classmethod
     def _parse_term(cls, tokens, i, dim, text):
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * dim
         seen = False
         while True:
@@ -270,7 +270,7 @@ class Polynomial:
             kind, val, at = tokens[i]
             if kind == "num":
                 try:
-                    coeff *= Fraction(val)
+                    coeff *= Fraction(val) if "/" in val else int(val)
                 except ZeroDivisionError:
                     raise ValueError("zero denominator at position %d" % at) from None
                 seen = True
@@ -300,16 +300,17 @@ class Polynomial:
             break
         if not seen:
             raise ValueError("expected a term at position %d" % _position(tokens, i, text))
-        return cls.monomial(dim, exps, coeff), i
+        return tuple(exps), coeff, i
 
     def render(self) -> str:
         """Inverse of parse: parse(p.render(), p.dim) == p."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
         parts = []
         for idx, exps in enumerate(keys):
-            c = self.terms[exps]
+            c = terms[exps]
             factors = []
             for axis, e in enumerate(exps, start=1):
                 if e == 1:

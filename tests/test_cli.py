@@ -1,5 +1,6 @@
 """Command line interface: exit codes, text output, canonical JSON reports."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -716,7 +717,7 @@ print(json.dumps({
 
 # ------------------------------------------- only the modules a process uses
 
-_UNUSED = ["numpy", "dataclasses", "inspect", "importlib.resources", "concurrent.futures"]
+_UNUSED = ["numpy", "dataclasses", "inspect", "importlib.resources", "concurrent.futures", "shutil"]
 
 
 def test_exact_commands_load_only_what_they_use():
@@ -729,6 +730,29 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([name for name in %r if name in sys.modules]))
 """ % _UNUSED, bare=True)
     assert loaded == []
+
+
+def _parsers(parser):
+    """parser and every parser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+@pytest.mark.parametrize("columns", ["60", "80", "200"])
+def test_help_reads_the_width_as_argparse_does(monkeypatch, capsys, columns):
+    """Without shutil, every --help text is still byte for byte the one
+    argparse's own HelpFormatter writes at that terminal width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    ours = {p.prog: p.format_help() for p in _parsers(cli.build_parser())}
+    assert len(ours) == 14
+    with pytest.raises(SystemExit):
+        main(["check", "assoc", "--help"])
+    assert capsys.readouterr().out == ours["starcycle check assoc"]
+    monkeypatch.delattr(cli._Parser, "_get_formatter")
+    assert {p.prog: p.format_help() for p in _parsers(cli.build_parser())} == ours
 
 
 def test_one_thread_sampler_runs_without_a_thread_pool():

@@ -288,3 +288,29 @@ def test_ibp_by_levels_equals_min_key_loop(volp):
             op = random_operator(2, arity, rng, n_terms=6)
             op = op.insert(random_operator(2, 1, rng), 1)  # second derivatives on slot 1
             assert op.ibp_normal_form(vol).render() == ibp_by_min_key(op, vol).render()
+
+
+def rational_operator(dim, arity, rng, n_terms=5):
+    """A random operator with coefficients p/q, q <= 6, and up to second
+    derivatives on slot 1."""
+    terms = {}
+    for _ in range(n_terms):
+        key = tuple(tuple(rng.randint(0, 2 - bool(s)) for _ in range(dim)) for s in range(arity))
+        exps = tuple(rng.randint(0, 2) for _ in range(dim))
+        c = P.monomial(dim, exps, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+        terms[key] = terms.get(key, P.zero(dim)) + c
+    return D(dim, arity, terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ibp_with_a_rational_log_density_equals_min_key_loop(dim):
+    # d rho has denominators 3 and 2, so each step scales the held numerators
+    vol = VolumeForm(dim, P.parse("1/3*x1^2 - 1/2*x%d" % dim, dim))
+    rng = random.Random(dim)
+    for arity in (1, 2, 3):
+        for _ in range(10):
+            op = rational_operator(dim, arity, rng)
+            nf = op.ibp_normal_form(vol)
+            assert nf.render() == ibp_by_min_key(op, vol).render()
+            sign = -1 if arity % 2 else 1
+            assert op.cyclic_shift(vol) == sign * ibp_by_min_key(op.extended_by_slot(), vol)

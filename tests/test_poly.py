@@ -242,3 +242,91 @@ def test_hash_agrees_with_equality_on_constants():
     assert P.zero(2) == 0 and hash(P.zero(2)) == hash(0) and 0 in {P.zero(2)}
     assert (P.variable(2, 1) - P.variable(2, 1)) in {0}
     assert len({P.one(2), P.parse("x1 - x1 + 1", 2), 1}) == 1
+
+
+# -- arithmetic against a plain {exponents: Fraction} reference ---------------
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_derive(a, multi_index):
+    out = {}
+    for e, c in a.items():
+        for x, k in zip(e, multi_index):
+            for j in range(k):
+                c *= x - j  # a zero factor when k > x
+        out[tuple(x - k for x, k in zip(e, multi_index))] = c
+    return ref_clean(out)
+
+
+def ref_polys(dim):
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.dictionaries(exps, coeff, max_size=5).map(ref_clean)
+
+
+def assert_matches(r, ref, dim):
+    """r is the reference polynomial ref, through every public view."""
+    assert r.dim == dim and r.terms == ref
+    for c in r.terms.values():
+        assert_canonical(c)
+    with pytest.raises(TypeError):
+        r.terms[(0,) * dim] = 1
+    built = P(dim, ref)
+    assert r == built and hash(r) == hash(built) and r.render() == built.render()
+    assert P.parse(r.render(), dim) == r
+    one = (0,) * dim
+    value = ref.get(one, Fraction(0))
+    constant = set(ref) <= {one}
+    for v in (value, value.numerator) if value.denominator == 1 else (value,):
+        assert (r == v) is constant and (v == r) is constant
+        if constant:
+            assert hash(r) == hash(v)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_matches_a_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    fa, ga, ha = (data.draw(ref_polys(dim)) for _ in range(3))
+    k = data.draw(st.integers(-3, 3))
+    q = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    multi_index = data.draw(st.tuples(*[st.integers(0, 2)] * dim))
+    axis = data.draw(st.integers(1, dim))
+    f, g, h = P(dim, fa), P(dim, ga), P(dim, ha)
+    integral = {e: c.numerator for e, c in ha.items()}
+    one = (0,) * dim
+    cases = [
+        (f, fa), (f + g, ref_add(fa, ga)), (f - g, ref_add(fa, ga, -1)), (-f, ref_add({}, fa, -1)),
+        (f * g, ref_mul(fa, ga)), (f * g + h, ref_add(ref_mul(fa, ga), ha)),
+        (f * k, ref_mul(fa, {one: k})), (k * f, ref_mul(fa, {one: k})),
+        (f * q, ref_mul(fa, {one: q})), (q * f, ref_mul(fa, {one: q})),
+        (f + k, ref_add(fa, {one: k})), (k - f, ref_add({one: k}, fa, -1)),
+        (f + q, ref_add(fa, {one: q})), (q - f, ref_add({one: q}, fa, -1)),
+        (f.partial(axis), ref_derive(fa, tuple(int(a == axis - 1) for a in range(dim)))),
+        (f.derive(multi_index), ref_derive(fa, multi_index)),
+        # sums whose denominators cancel: to zero, to an integer, to an integral polynomial
+        (f - f, {}), (f + (-f), {}), (g * q - q * g, {}),
+        ((f + k) - f, ref_clean({one: k})), ((f + q) - (f - q), ref_clean({one: 2 * q})),
+        ((f + P(dim, integral)) - f, ref_clean(integral)),
+        (f * q * (1 / q if q else 0), fa if q else {}),
+    ]
+    for r, ref in cases:
+        assert_matches(r, ref, dim)
