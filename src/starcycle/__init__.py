@@ -10,19 +10,11 @@ from .poly import Polynomial
 from .polyvector import PolyVector, VolumeForm
 from .diffops import PolyDiffOperator
 from .graphs import AdmissibleGraph, enumerate_graphs, star_graphs, top_edge_count
-from .angles import (
-    AngleContext,
-    alpha_angle,
-    alpha_angle_gradient,
-    geodesic_angle,
-    geodesic_angle_gradient,
-    key_lemma_residual,
-)
+from .angles import AngleContext
 from .table import WeightEntry, WeightTable
 from .star import (
     StarProduct,
     assemble_star,
-    assemble_trilinear,
     check_alpha_independence,
     check_associative,
     check_closed,
@@ -53,10 +45,7 @@ __all__ = [
     "VolumeForm",
     "WeightEntry",
     "WeightTable",
-    "alpha_angle",
-    "alpha_angle_gradient",
     "assemble_star",
-    "assemble_trilinear",
     "check_alpha_independence",
     "check_associative",
     "check_closed",
@@ -64,11 +53,8 @@ __all__ = [
     "compute_weight",
     "default_threads",
     "enumerate_graphs",
-    "geodesic_angle",
-    "geodesic_angle_gradient",
     "graph_to_operator",
     "halfplane_weight",
-    "key_lemma_residual",
     "mixed_edge_integral",
     "star_graphs",
     "top_edge_count",

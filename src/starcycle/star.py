@@ -103,14 +103,14 @@ def _entry_weight(entry) -> Fraction:
     return entry.exact if entry.exact is not None else Fraction(entry.value)
 
 
-def _orbit_sum(pi: PolyVector, n: int, m: int, entry_of):
+def _orbit_sum(pi: PolyVector, table: WeightTable, n: int):
     """(level, is_exact) of (1/n! 2^n) sum_Gamma w_Gamma U_Gamma over
-    star_orbits(n, m): each graph's entry is read once, by entry_of(graph),
-    before one contraction per orbit with a nonzero signed weight sum."""
+    star_orbits(n, 2): each graph's entry is read once, by _entry, before
+    one contraction per orbit with a nonzero signed weight sum."""
     sums = {}
     exact = True
-    for g, (rep, sign) in star_orbits(n, m).items():
-        entry = entry_of(g)
+    for g, (rep, sign) in star_orbits(n, 2).items():
+        entry = _entry(table, g)
         exact = exact and entry.exact is not None
         sums[rep] = sums.get(rep, 0) + sign * _entry_weight(entry)
     terms = {}
@@ -119,7 +119,7 @@ def _orbit_sum(pi: PolyVector, n: int, m: int, entry_of):
             w *= _level_prefactor(n)
             for key, c in graph_to_operator(rep, [pi] * n).terms.items():
                 _accumulate(terms, key, c * w)
-    return PolyDiffOperator._trusted(pi.dim, m, terms), exact
+    return PolyDiffOperator._trusted(pi.dim, 2, terms), exact
 
 
 class StarProduct:
@@ -165,7 +165,7 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     levels = [PolyDiffOperator.multiplication(dim)]
     all_exact = True
     for n in range(1, order + 1):
-        level, exact = _orbit_sum(pi, n, 2, lambda g: _entry(table, g))
+        level, exact = _orbit_sum(pi, table, n)
         levels.append(level)
         all_exact = all_exact and exact
     return StarProduct(pi, order, levels, all_exact)
@@ -239,18 +239,6 @@ def check_closed(s: StarProduct, vol: VolumeForm) -> dict:
     _require_exact(s, "closedness check", vol)
     return _order_report("closed", s, ((n, level.ibp_normal_form(vol))
                                        for n, level in enumerate(s.levels) if n))
-
-
-def assemble_trilinear(pi: PolyVector, alphas, table: WeightTable, order: int) -> PolyDiffOperator:
-    """Alpha-weighted trilinear operator sum_Gamma W_Gamma^alpha U_Gamma.
-
-    Same prefactor convention as the star levels; the table must cover
-    star_graphs(order, 3) at the given alphas.
-    """
-    if pi.degree != 1:
-        raise ValueError("pi must be a bivector")
-    alphas = tuple(float(a) for a in alphas)
-    return _orbit_sum(pi, order, 3, lambda g: _entry(table, g, alphas))[0]
 
 
 def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable,

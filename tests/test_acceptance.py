@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from angle_oracle import key_lemma_residual
 from starcycle import (
     AdmissibleGraph,
     AngleContext,
@@ -24,7 +25,6 @@ from starcycle import (
     check_closed,
     check_cyclic,
     compute_weight,
-    key_lemma_residual,
     star_graphs,
 )
 

@@ -7,20 +7,19 @@ import random
 
 import pytest
 
-from starcycle import (
-    AngleContext,
+from angle_oracle import (
     alpha_angle,
     alpha_angle_gradient,
     geodesic_angle,
     geodesic_angle_gradient,
-    key_lemma_residual,
-)
-from starcycle.angles import (
-    cayley,
     geodesic_angle_gradient_fd,
     harmonic_angle_halfplane,
+    key_lemma_residual,
     wrap_angle,
 )
+import starcycle
+from starcycle import AngleContext
+from starcycle.angles import cayley
 
 
 def random_config(rng):
@@ -203,3 +202,22 @@ def test_wrap_angle():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
     assert wrap_angle(-7 * math.pi) == pytest.approx(math.pi)
+
+
+_ORACLE = ["wrap_angle", "harmonic_angle_halfplane", "_check_pair", "geodesic_angle",
+           "geodesic_angle_gradient", "geodesic_angle_gradient_fd", "alpha_angle",
+           "alpha_angle_gradient", "key_lemma_residual"]
+
+
+def test_public_api_is_pinned():
+    # a name added to the package's API shows up as an edit here
+    assert sorted(starcycle.__all__) == [
+        "AdmissibleGraph", "AngleContext", "PolyDiffOperator", "PolyVector", "Polynomial",
+        "StarProduct", "VolumeForm", "WeightEntry", "WeightTable", "__version__",
+        "assemble_star", "check_alpha_independence", "check_associative", "check_closed",
+        "check_cyclic", "compute_weight", "default_threads", "enumerate_graphs",
+        "graph_to_operator", "halfplane_weight", "mixed_edge_integral", "star_graphs",
+        "top_edge_count",
+    ]
+    for module in (starcycle, starcycle.angles):
+        assert [name for name in _ORACLE if hasattr(module, name)] == []

@@ -1,6 +1,7 @@
 """Exact-rational polynomial ring: arithmetic, calculus, parse/render."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +302,13 @@ def assert_matches(r, ref, dim):
             assert hash(r) == hash(v)
 
 
+def assert_stored(r):
+    """r keeps the storage contract: nonzero int numerators over one
+    positive denominator, in lowest terms."""
+    assert all(type(v) is int and v != 0 for v in r._num.values())
+    assert r._den >= 1 and gcd(r._den, *r._num.values()) == 1
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_arithmetic_matches_a_fraction_reference(data):
@@ -330,3 +338,4 @@ def test_arithmetic_matches_a_fraction_reference(data):
     ]
     for r, ref in cases:
         assert_matches(r, ref, dim)
+        assert_stored(r)

@@ -18,7 +18,6 @@ from starcycle import (
     WeightEntry,
     WeightTable,
     assemble_star,
-    assemble_trilinear,
     check_alpha_independence,
     check_associative,
     check_closed,
@@ -351,6 +350,20 @@ def test_exact_checks_refuse_monte_carlo_tables():
             check(s)
 
 
+def assemble_trilinear(pi, alphas, table, order):
+    """The alpha-weighted trilinear operator sum_Gamma W_Gamma^alpha U_Gamma
+    over star_graphs(order, 3), one contraction per labeled graph, with the
+    star levels' prefactor."""
+    alphas = tuple(map(float, alphas))
+    total = D.zero(pi.dim, 3)
+    for g in star_graphs(order, 3):
+        e = table.get(g.canonical_key(), alphas)
+        w = e.exact if e.exact is not None else Fraction(e.value)
+        if w:
+            total = total + graph_to_operator(g, [pi] * order) * w
+    return total * Fraction(1, math.factorial(order) * 2 ** order)
+
+
 def test_assemble_trilinear_exact_pattern():
     # weight on the third boundary point: differentiate the first two slots
     T = assemble_trilinear(so3(), (0.0, 0.0, 1.0), TABLE, order=1)
@@ -583,7 +596,7 @@ def test_assembly_builds_no_graph_after_warm_up(monkeypatch):
 
     def assemble():
         assemble_star(so3(), TABLE, order=2)
-        assemble_trilinear(so3(), alphas, table, order=2)
+        check_alpha_independence(so3(), alphas, alphas, table, 2, VolumeForm.constant(3))
 
     assemble()
     built = []

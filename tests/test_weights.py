@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from angle_oracle import harmonic_angle_halfplane, wrap_angle
 from starcycle import (
     AdmissibleGraph,
     AngleContext,
@@ -22,7 +23,7 @@ from starcycle import (
     mixed_edge_integral,
     star_graphs,
 )
-from starcycle.angles import cayley, harmonic_angle_halfplane, wrap_angle
+from starcycle.angles import cayley
 from starcycle.graphs import enumerate_graphs, star_orbits
 from starcycle import weights
 from starcycle.weights import CHUNK, _HALFPLANE, _disk_rows, _laplace_det
