@@ -32,7 +32,9 @@ def _decode_stars(n, m, stars):
 
 
 class AdmissibleGraph:
-    __slots__ = ("n", "m", "stars")
+    # _key: the canonical key, set on first read; it takes no part in
+    # equality, hashing or pickling
+    __slots__ = ("n", "m", "stars", "_key")
 
     def __init__(self, n: int, m: int, stars):
         stars = tuple(tuple(int(t) for t in star) for star in stars)
@@ -53,6 +55,7 @@ class AdmissibleGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "stars", stars)
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AdmissibleGraph is immutable")
@@ -69,8 +72,10 @@ class AdmissibleGraph:
         return "b%d" % (t - self.n) if t > self.n else str(t)
 
     def canonical_key(self) -> str:
-        body = "|".join(",".join(self._target_name(t) for t in star) for star in self.stars)
-        return "%d;%d;%s" % (self.n, self.m, body)
+        if self._key is None:
+            body = "|".join(",".join(self._target_name(t) for t in star) for star in self.stars)
+            object.__setattr__(self, "_key", "%d;%d;%s" % (self.n, self.m, body))
+        return self._key
 
     @classmethod
     def from_key(cls, key: str) -> "AdmissibleGraph":
@@ -93,6 +98,9 @@ class AdmissibleGraph:
 
     def __hash__(self):
         return hash((self.n, self.m, self.stars))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.m, self.stars)
 
     def __repr__(self):
         return "AdmissibleGraph(%r)" % self.canonical_key()

@@ -20,6 +20,14 @@ uses only that identity of contractions, not any symmetry of the table,
 so it equals the per-graph sum for every table.  Each weighted graph sum
 walks the cached star_orbits map and reads weights through one reader, _entry.
 
+One assembly builds one table of pi's nonzero ordered components
+(_component_table), each component with its own derivative cache, and
+every orbit of every level contracts against that table (_contract), since
+the same pi sits at every vertex.  A level's signed weights, its
+contractions and its sum run on int numerators over one denominator, and
+the level's Polynomials are formed once, at the end.  graph_to_operator
+builds one table per distinct multivector and calls the same contraction.
+
 Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k} with B_0 the
 multiplication, which StarProduct requires (see assoc_defect).  Checks return
 JSON-friendly report dicts; exactness-critical checks (associativity,
@@ -29,6 +37,7 @@ cyclicity, closedness) refuse Monte Carlo-backed tables.
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .diffops import PolyDiffOperator
 from .graphs import AdmissibleGraph, star_orbits
@@ -41,15 +50,85 @@ def _level_prefactor(n: int) -> Fraction:
     return Fraction(1, math.factorial(n) * 2 ** n)
 
 
+def _component_table(gamma: PolyVector):
+    """gamma's nonzero ordered components, built once for many contractions:
+    (dim, den, [(idx, base, derivs)]), with den the lcm of the components'
+    denominators and base a component times den, so with denominator 1.
+    derivs is its derivative cache: it maps a multi-index to the int
+    numerators {exponents: numerator} of that derivative of base."""
+    comps = [(idx, f) for idx in itertools.product(range(1, gamma.dim + 1), repeat=gamma.degree + 1)
+             for f in [gamma.coefficient(idx)] if f]
+    den = math.lcm(*(f._den for _, f in comps))
+    return gamma.dim, den, [(idx, f * den, {}) for idx, f in comps]
+
+
+def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
+    """out += scale * U_graph on int numerators, for the component tables
+    of the multivectors at vertices 1..n: out maps operator keys to
+    {exponents: numerator} over the product of the tables' denominators.
+
+    Sums over all assignments of an axis to every edge.  Internal vertex k
+    contributes the component of its multivector picked out by its ordered
+    star; every edge pointing at k differentiates that factor; edges into
+    boundary vertices become derivatives on the argument slots.  Only
+    assignments that give every vertex a nonzero component are visited, and
+    one whose derivative at some vertex vanishes adds nothing.  The
+    multi-indices of all n + m vertices are held as one flat list, the sum
+    of each vertex's chosen component's edges.
+    """
+    n, m, dim = graph.n, graph.m, tables[0][0]
+    choices = []
+    for star, (_, _, comps) in zip(graph.stars, tables):
+        opts = []
+        for idx, base, derivs in comps:
+            flat = [0] * ((n + m) * dim)
+            for tgt, i in zip(star, idx):
+                flat[(tgt - 1) * dim + i - 1] += 1
+            opts.append((flat, base, derivs))
+        choices.append(opts)
+    cuts = [(k * dim, (k + 1) * dim) for k in range(n + m)]
+    for assign in itertools.product(*choices):
+        flat = assign[0][0]
+        for other, _, _ in assign[1:]:
+            # a list: tuples this long would fill CPython's free list for
+            # their length, which keeps up to 2000 of them for the life of
+            # the process (0.25 MiB more peak RSS on checks-exact)
+            flat = list(map(add, flat, other))
+        prod = None
+        for (a, b), (_, base, derivs) in zip(cuts, assign):
+            key = tuple(flat[a:b])
+            f = derivs.get(key)
+            if f is None:
+                f = derivs[key] = base.derive(key)._num
+            if not f:
+                break
+            prod = ([(e, c * scale) for e, c in f.items()] if prod is None else
+                    [(tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in prod for e2, c2 in f.items()])
+        else:
+            slots = tuple([tuple(flat[a:b]) for a, b in cuts[n:]])
+            acc = out.setdefault(slots, {})
+            for e, c in prod:
+                c += acc.get(e, 0)
+                if c:
+                    acc[e] = c
+                else:
+                    del acc[e]
+            if not acc:
+                del out[slots]
+
+
+def _operator(dim: int, arity: int, out: dict, den: int) -> PolyDiffOperator:
+    """The operator of _contract's int numerators over den."""
+    return PolyDiffOperator._trusted(dim, arity, {key: Polynomial._trusted(dim, num, den)
+                                                  for key, num in out.items()})
+
+
 def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
     """Kontsevich contraction of an admissible graph against multivectors.
 
-    Sums over all assignments of an axis to every edge.  Internal vertex k
-    contributes the component of gammas[k-1] picked out by its ordered
-    star; every edge pointing at k differentiates that factor; edges into
-    boundary vertices become derivatives on the argument slots.  The
-    result has arity m.  Only assignments that give every vertex a nonzero
-    component are visited, vertex by vertex, in the order of the edges.
+    Internal vertex k carries gammas[k-1]; the result has arity m.  Each
+    distinct multivector gets one component table, which _contract reads
+    (see there for the sum).
     """
     gammas = list(gammas)
     if len(gammas) != graph.n:
@@ -63,29 +142,14 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
         if len(graph.stars[k]) != g.degree + 1:
             raise ValueError("vertex %d has out-degree %d but its multivector needs %d"
                              % (k + 1, len(graph.stars[k]), g.degree + 1))
-    n, m = graph.n, graph.m
-    choices = [[(idx, f) for idx in itertools.product(range(1, dim + 1), repeat=len(star))
-                for f in [g.coefficient(idx)] if not f.is_zero()]
-               for g, star in zip(gammas, graph.stars)]
-    derived = {}
+    by_id = {}
+    for g in gammas:
+        if id(g) not in by_id:
+            by_id[id(g)] = _component_table(g)
+    tables = [by_id[id(g)] for g in gammas]
     out = {}
-    for assign in itertools.product(*choices):
-        mi = [[0] * dim for _ in range(n + m)]
-        for star, (idx, _) in zip(graph.stars, assign):
-            for tgt, i in zip(star, idx):
-                mi[tgt - 1][i - 1] += 1
-        coeff = None
-        for v, (idx, f) in enumerate(assign):
-            key = (v, idx, tuple(mi[v]))
-            if key not in derived:
-                derived[key] = f.derive(key[2])
-            f = derived[key]
-            if f.is_zero():
-                break
-            coeff = f if coeff is None else coeff * f
-        else:
-            _accumulate(out, tuple(tuple(b) for b in mi[n:]), coeff)
-    return PolyDiffOperator._trusted(dim, m, out)
+    _contract(graph, tables, out, 1)
+    return _operator(dim, graph.m, out, math.prod(den for _, den, _ in tables))
 
 
 def _entry(table: WeightTable, graph: AdmissibleGraph, alphas=None):
@@ -103,23 +167,25 @@ def _entry_weight(entry) -> Fraction:
     return entry.exact if entry.exact is not None else Fraction(entry.value)
 
 
-def _orbit_sum(pi: PolyVector, table: WeightTable, n: int):
+def _orbit_sum(pi_table, table: WeightTable, n: int):
     """(level, is_exact) of (1/n! 2^n) sum_Gamma w_Gamma U_Gamma over
-    star_orbits(n, 2): each graph's entry is read once, by _entry, before
-    one contraction per orbit with a nonzero signed weight sum."""
+    star_orbits(n, 2).  Every graph's entry is read first, by _entry.  Each
+    orbit's signed weights are summed as int numerators over the common
+    denominator of the level's weights, and each orbit with a nonzero sum
+    is contracted once against pi's component table pi_table."""
+    entries = [(rep, sign, _entry(table, g)) for g, (rep, sign) in star_orbits(n, 2).items()]
+    weights = [(rep, sign, _entry_weight(entry)) for rep, sign, entry in entries]
+    den = math.lcm(*(w.denominator for _, _, w in weights))
     sums = {}
-    exact = True
-    for g, (rep, sign) in star_orbits(n, 2).items():
-        entry = _entry(table, g)
-        exact = exact and entry.exact is not None
-        sums[rep] = sums.get(rep, 0) + sign * _entry_weight(entry)
-    terms = {}
-    for rep, w in sums.items():
-        if w:
-            w *= _level_prefactor(n)
-            for key, c in graph_to_operator(rep, [pi] * n).terms.items():
-                _accumulate(terms, key, c * w)
-    return PolyDiffOperator._trusted(pi.dim, 2, terms), exact
+    for rep, sign, w in weights:
+        sums[rep] = sums.get(rep, 0) + sign * w.numerator * (den // w.denominator)
+    out = {}
+    for rep, s in sums.items():
+        if s:
+            _contract(rep, [pi_table] * n, out, s)
+    dim, pi_den, _ = pi_table
+    den *= _level_prefactor(n).denominator * pi_den ** n
+    return _operator(dim, 2, out, den), all(entry.exact is not None for _, _, entry in entries)
 
 
 class StarProduct:
@@ -164,8 +230,9 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
     dim = pi.dim
     levels = [PolyDiffOperator.multiplication(dim)]
     all_exact = True
+    pi_table = _component_table(pi)
     for n in range(1, order + 1):
-        level, exact = _orbit_sum(pi, table, n)
+        level, exact = _orbit_sum(pi_table, table, n)
         levels.append(level)
         all_exact = all_exact and exact
     return StarProduct(pi, order, levels, all_exact)

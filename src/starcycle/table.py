@@ -70,6 +70,10 @@ def _alpha_key(alphas):
     return tuple(round(float(a), 12) for a in alphas)
 
 
+# where a 2-boundary star graph's 3-boundary embedding is stored
+_STAR_ALPHAS = _alpha_key((0.0, 0.0, 1.0))
+
+
 class WeightTable:
     __slots__ = ("entries",)
 
@@ -87,11 +91,11 @@ class WeightTable:
         when present, else its 3-boundary embedding under alpha = (0, 0, 1)."""
         key = graph.canonical_key()
         if graph.m == 2:
-            native = self.get(key, ())
+            native = self.entries.get((key, ()))
             if native is not None:
                 return native
             key = key.replace(";2;", ";3;", 1)  # an unused b3 renames no target
-        return self.get(key, (0.0, 0.0, 1.0))
+        return self.entries.get((key, _STAR_ALPHAS))
 
     def to_json(self) -> dict:
         items = sorted(self.entries.values(), key=lambda e: (e.graph_key, e.alphas))

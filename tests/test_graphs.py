@@ -1,6 +1,7 @@
 """Directed graph enumeration and canonical labeling."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -16,6 +17,20 @@ def test_basic_construction():
     assert g.edge_count == 4
     assert g.stars == ((3, 2), (4, 1))
     assert g.canonical_key() == "2;2;b1,2|b2,1"
+
+
+def test_a_read_key_leaves_the_graph_an_immutable_value():
+    # canonical_key caches the key in the graph once read
+    read, unread = (AdmissibleGraph.from_key("2;2;b1,2|b2,1") for _ in range(2))
+    key = read.canonical_key()
+    for name, value in (("n", 3), ("stars", ()), ("_key", "1;2;b1,b2")):
+        with pytest.raises(AttributeError):
+            setattr(read, name, value)
+    assert read == unread and hash(read) == hash(unread)
+    assert pickle.dumps(read) == pickle.dumps(unread)
+    back = pickle.loads(pickle.dumps(read))
+    assert back == read and hash(back) == hash(read) and back.canonical_key() == key
+    assert read.canonical_key() == unread.canonical_key() == key
 
 
 def test_edges_ordered_by_source_slot():

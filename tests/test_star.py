@@ -523,7 +523,7 @@ def test_forced_zero_orbits_contract_to_zero():
         assert graph_to_operator(rep, [pi] * 3).is_zero()
 
 
-def per_graph_levels(pi, table, order):
+def per_graph_levels(pi, table, order, contract=graph_to_operator):
     """The reference: B_n as the sum over every labeled graph, one
     contraction each."""
     levels = [D.multiplication(pi.dim)]
@@ -533,7 +533,7 @@ def per_graph_levels(pi, table, order):
             e = table.lookup_star(g)
             w = e.exact if e.exact is not None else Fraction(e.value)
             if w:
-                total = total + graph_to_operator(g, [pi] * n) * w
+                total = total + contract(g, [pi] * n) * w
         levels.append(total * Fraction(1, math.factorial(n) * 2 ** n))
     return levels
 
@@ -576,13 +576,13 @@ def order3_table():
 def test_assembly_contracts_one_graph_per_orbit(monkeypatch):
     table = order3_table()
     calls = []
-    contract = star.graph_to_operator
+    contract = star._contract
 
-    def counted(graph, gammas):
+    def counted(graph, tables, out, scale):
         calls.append(graph.n)
-        return contract(graph, gammas)
+        return contract(graph, tables, out, scale)
 
-    monkeypatch.setattr(star, "graph_to_operator", counted)
+    monkeypatch.setattr(star, "_contract", counted)
     s = assemble_star(so3(), table, order=3)
     assert [calls.count(n) for n in (1, 2, 3)] == [1, 4, 38]
     assert s.is_exact and not s.levels[3].is_zero()
@@ -631,11 +631,40 @@ def dense_graph_to_operator(graph, gammas):
     return D(dim, m, out)
 
 
-@pytest.mark.parametrize("name", ["so3", "casimir3", "planar2", "moyal"])
+def rational_so3():
+    """so3 with its components scaled by 1/2, -1/3 and 1: still Poisson,
+    and its components have different denominators."""
+    return PolyVector(3, 1, {(1, 2): P.parse("1/2*x3", 3), (1, 3): P.parse("1/3*x2", 3),
+                             (2, 3): P.parse("x1", 3)})
+
+
+def structure(name):
+    """A new object for the structures built by a function, else the shared one."""
+    made = {"so3": so3, "equal_so3": so3, "moyal": moyal, "rational_so3": rational_so3}.get(name)
+    return made() if made else ASSOC_STRUCTURES[name]
+
+
+@pytest.mark.parametrize("name", ["so3", "casimir3", "planar2", "moyal", "rational_so3",
+                                  "so3,casimir3", "so3,equal_so3"])
 def test_pruned_contraction_equals_dense_loop(name):
-    pi = {"so3": so3(), "moyal": moyal()}.get(name) or ASSOC_STRUCTURES[name]
+    # one multivector at both vertices, or two: different ones, or equal
+    # but distinct objects, which get a component table each
+    parts = name.split(",")
+    gammas = [structure(p) for p in parts] if len(parts) == 2 else [structure(name)] * 2
+    if name == "so3,equal_so3":
+        assert gammas[0] == gammas[1] and gammas[0] is not gammas[1]
     for g in star_graphs(2, 2):
-        assert graph_to_operator(g, [pi, pi]).render() == dense_graph_to_operator(g, [pi, pi]).render()
+        assert graph_to_operator(g, gammas).render() == dense_graph_to_operator(g, gammas).render()
+
+
+def test_assemblies_in_one_process_share_no_component_table():
+    # each assembly builds its own table of pi's components; one kept past
+    # its assembly would hand the next structure the wrong components
+    dense = {name: per_graph_levels(structure(name), TABLE, 2, dense_graph_to_operator)
+             for name in ("so3", "casimir3", "rational_so3")}
+    for name in ("so3", "casimir3", "so3", "rational_so3", "so3"):
+        levels = assemble_star(structure(name), TABLE, order=2).levels
+        assert [b.render() for b in levels] == [b.render() for b in dense[name]]
 
 
 def test_pruned_contraction_equals_dense_loop_at_order_3():
