@@ -18,11 +18,12 @@ cyclicity rows: at order 2 associativity leaves one direction (the orbit
 of the +-1/24 graphs) free, and cyclicity pins it.  An inconsistent
 system or a free direction exits nonzero and writes nothing.  Each
 labelled graph's weight is sign times its representative's, and 0 on a
-forced-zero orbit.  The four first-order 3-boundary graphs with an edge
-into b3 are exact zeros: under alpha = (0, 0, 1) that edge's angle form
-vanishes.  Last, the table is re-validated through assemble_star and the
-package checks.  Its Monte Carlo cross-check against the harmonic-angle
-integrals is acceptance criterion 4 (tests/test_acceptance.py).
+forced-zero orbit.  The first-order 3-boundary graphs whose form
+weights._vanishes certifies zero under alpha = (0, 0, 1), the four with an
+edge into b3, are exact zeros.  Last, the table is re-validated through
+assemble_star and the package checks.  Its Monte Carlo cross-check
+against the harmonic-angle integrals is acceptance criterion 4
+(tests/test_acceptance.py).
 
 Run from the repository root (the default output is the bundled table):
 
@@ -45,6 +46,7 @@ from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
 from starcycle.star import (StarProduct, _level_prefactor, assemble_star, assoc_defect,
                             check_cyclic, graph_to_operator)
+from starcycle.weights import _vanishes
 
 ALPHAS = (0.0, 0.0, 1.0)
 ORDERS = (1, 2)
@@ -137,11 +139,9 @@ def derive():
 
 def build_table(weights):
     """Exact entries under alpha = (0, 0, 1): each 2-boundary graph by its
-    3-boundary embedding, plus the first-order graphs with an edge into b3,
-    whose angle form vanishes identically under these alphas (an edge into
-    b3 has beta = 0 in rule 1 of weights._vanishes, its rank rule at a
-    vertex: its pair and gauge terms cancel)."""
-    zeros = [g for g in star_graphs(1, 3) if any(t == 4 for t in g.stars[0])]
+    3-boundary embedding, plus the first-order graphs whose form
+    weights._vanishes certifies zero under these alphas."""
+    zeros = [g for g in star_graphs(1, 3) if _vanishes(g, [ALPHAS] * g.edge_count)]
     table = WeightTable()
     for g, w in [*weights.items(), *((g, Fraction(0)) for g in zeros)]:
         g3 = g.add_boundary_vertex() if g.m == 2 else g

@@ -142,6 +142,14 @@ def _parse_poly(text: str, dim: int) -> Polynomial:
 
 # ---------------------------------------------------------------- output
 
+def _render(p) -> str:
+    """p.render(); a coefficient too long for str() is an InputError."""
+    try:
+        return p.render()
+    except ValueError as e:
+        raise InputError(str(e))
+
+
 def _check_writable(path):
     """An InputError unless the output file `path` can be written: an
     existing file, or a new one in an existing directory."""
@@ -286,7 +294,7 @@ def _cmd_star_apply(args):
         "command": "star apply",
         "inputs": {"pi": pi_meta, "table": table_meta},
         "options": {"order": args.order, "f": args.f, "g": args.g},
-        "result": {"levels": [p.render() for p in levels]},
+        "result": {"levels": [_render(p) for p in levels]},
         "passed": True,
     }
 
@@ -299,12 +307,12 @@ def _cmd_check(args):
         vol, inputs["vol"] = _load_vol(args.vol, pi.dim)
     if args.which == "jacobi":
         jac = pi.schouten(pi)
-        result = {"components": {",".join(map(str, k)): p.render()
+        result = {"components": {",".join(map(str, k)): _render(p)
                                  for k, p in sorted(jac.components.items())}}
         passed = jac.is_zero()
     elif args.which == "divergence":
         div = pi.divergence(vol)
-        result = {"divergence": div.render() if not div.is_zero() else None}
+        result = {"divergence": _render(div) if not div.is_zero() else None}
         passed = div.is_zero()
     elif args.which in ("cyclic", "closed", "assoc"):
         options["order"] = args.order

@@ -28,11 +28,6 @@ def _accumulate(terms, key, c):
         terms[key] = s
 
 
-def _position(tokens, i, text):
-    """Where a parse error at token i points: its start, or the end of text."""
-    return tokens[i][2] if i < len(tokens) else len(text)
-
-
 class Polynomial:
     """Polynomial in x1..x{dim} with rational coefficients.
 
@@ -217,90 +212,66 @@ class Polynomial:
         return Polynomial._trusted(self.dim, out, self._den)
 
     # -- text form ----------------------------------------------------------
-    #
-    # Grammar: terms joined by + / -; a term is a rational "a/b" or integer
-    # and/or "*"-joined powers "xK^E"; whitespace ignored.
 
-    _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[\^\*\+\-]))")
+    _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[\^\*\+\-])|(?P<bad>\S))")
 
     @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
+        """Polynomial from text.  Grammar: terms joined by + or - (the first
+        may carry a sign); a term is factors joined by *; a factor is an
+        integer, a rational a/b, xK or xK^E; whitespace is ignored.  A
+        ValueError names a position; a character outside the grammar is
+        reported first, at the whitespace before it."""
         tokens = []
-        pos = 0
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ValueError("syntax error at position %d: %r" % (pos, text[pos:pos + 10]))
-            kind = m.lastgroup
+        for m in cls._TOKEN.finditer(text):
+            kind, at = m.lastgroup, m.start()
+            if kind == "bad":
+                raise ValueError("syntax error at position %d: %r" % (at, text[at:at + 10]))
             tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
         if not tokens:
             raise ValueError("empty polynomial text")
+        tokens.append(("end", "", len(text)))
 
         terms = {}
-        i = 0
-        sign = 1
-        if tokens[0][0] == "op" and tokens[0][1] in "+-":
-            sign = -1 if tokens[0][1] == "-" else 1
-            i = 1
+        i = 1 if tokens[0][1] in ("+", "-") else 0
+        coeff, exps = (-1 if tokens[0][1] == "-" else 1), [0] * dim
         while True:
-            exps, coeff, i = cls._parse_term(tokens, i, dim, text)
-            _accumulate(terms, exps, sign * coeff)
-            if i >= len(tokens):
-                break
-            kind, val, at = tokens[i]
-            if kind != "op" or val not in "+-":
-                raise ValueError("expected + or - at position %d" % at)
-            sign = -1 if val == "-" else 1
-            i += 1
-            if i >= len(tokens):
-                raise ValueError("dangling %r at end of input" % val)
-        return cls(dim, terms)
-
-    @classmethod
-    def _parse_term(cls, tokens, i, dim, text):
-        coeff = 1
-        exps = [0] * dim
-        seen = False
-        while True:
-            if i >= len(tokens):
-                break
             kind, val, at = tokens[i]
             if kind == "num":
                 try:
                     coeff *= Fraction(val) if "/" in val else int(val)
                 except ZeroDivisionError:
                     raise ValueError("zero denominator at position %d" % at) from None
-                seen = True
-                i += 1
             elif kind == "var":
                 k = int(val[1:])
                 if not 1 <= k <= dim:
                     raise ValueError("unknown variable %s at position %d (dim=%d)" % (val, at, dim))
                 power = 1
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num" or "/" in tokens[i][1]:
-                        raise ValueError("expected integer exponent after ^ at position %d"
-                                         % _position(tokens, i, text))
-                    power = int(tokens[i][1])
-                    i += 1
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    kind, val, at = tokens[i]
+                    if kind != "num" or "/" in val:
+                        raise ValueError("expected integer exponent after ^ at position %d" % at)
+                    power = int(val)
                 exps[k - 1] += power
-                seen = True
             else:
-                break
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
+                raise ValueError("expected a term at position %d" % at)
+            i += 1
+            kind, val, at = tokens[i]
+            if val == "*":
                 i += 1
-                if i >= len(tokens) or tokens[i][0] == "op":
-                    raise ValueError("dangling * in term at position %d" % _position(tokens, i, text))
+                if tokens[i][0] not in ("num", "var"):
+                    raise ValueError("dangling * in term at position %d" % tokens[i][2])
                 continue
-            break
-        if not seen:
-            raise ValueError("expected a term at position %d" % _position(tokens, i, text))
-        return tuple(exps), coeff, i
+            _accumulate(terms, tuple(exps), coeff)
+            if kind == "end":
+                return cls(dim, terms)
+            if val not in ("+", "-"):
+                raise ValueError("expected + or - at position %d" % at)
+            i += 1
+            if tokens[i][0] == "end":
+                raise ValueError("dangling %r at end of input" % val)
+            coeff, exps = (-1 if val == "-" else 1), [0] * dim
 
     def render(self) -> str:
         """Inverse of parse: parse(p.render(), p.dim) == p."""

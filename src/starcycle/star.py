@@ -55,9 +55,11 @@ def _component_table(gamma: PolyVector):
     (dim, den, [(idx, base, derivs)]), with den the lcm of the components'
     denominators and base a component times den, so with denominator 1.
     derivs is its derivative cache: it maps a multi-index to the int
-    numerators {exponents: numerator} of that derivative of base."""
-    comps = [(idx, f) for idx in itertools.product(range(1, gamma.dim + 1), repeat=gamma.degree + 1)
-             for f in [gamma.coefficient(idx)] if f]
+    numerators {exponents: numerator} of that derivative of base.  The
+    nonzero components are the permutations of the stored keys, in index
+    order."""
+    idxs = sorted(idx for key in gamma.components for idx in itertools.permutations(key))
+    comps = [(idx, gamma.coefficient(idx)) for idx in idxs]
     den = math.lcm(*(f._den for _, f in comps))
     return gamma.dim, den, [(idx, f * den, {}) for idx, f in comps]
 

@@ -454,6 +454,37 @@ def test_non_finite_table_entry_exits_2_naming_the_graph(capsys, tmp_path, field
     assert out == ""
 
 
+@pytest.fixture
+def int_str_limit_640():
+    """Python's int-to-str digit limit at its minimum, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+_NINES = "9" * 400  # a 400-digit coefficient; its products have about 800 digits
+
+
+@pytest.mark.parametrize("argv, files", [
+    (("star", "apply", "--pi", "moyal", "--f", _NINES + "*x1", "--g", _NINES + "*x2", "--order", "1"),
+     {}),
+    (("check", "jacobi"),
+     {"--pi": {"dim": 3, "degree": 1, "components": {"1,2": _NINES + "*x3", "1,3": _NINES + "*x1"}}}),
+    (("check", "divergence"),
+     {"--pi": {"dim": 3, "degree": 1, "components": {"1,2": _NINES + "*x1*x3", "2,3": _NINES + "*x1"}},
+      "--vol": {"dim": 3, "log_density": _NINES + "*x1^2*x2"}}),
+], ids=["star-apply", "check-jacobi", "check-divergence"])
+def test_result_too_long_to_print_exits_2(capsys, tmp_path, int_str_limit_640, argv, files):
+    for flag, obj in files.items():
+        path = tmp_path / (flag[2:] + ".json")
+        path.write_text(json.dumps(obj))
+        argv += (flag, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "integer string conversion" in err
+
+
 # ------------------------------------------------- state reused across calls
 #
 # main() keeps one parser and one bundled table per process; these pin that
@@ -729,6 +760,24 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert starcycle.cli.main(["check", "cyclic", "--pi", "so3"]) == 0
 print(json.dumps([name for name in %r if name in sys.modules]))
 """ % _UNUSED, bare=True)
+    assert loaded == []
+
+
+def test_exact_commands_load_only_what_they_use_on_every_exit_path():
+    runs = [(["check", which, "--pi", "so3"], 0) for which in ("cyclic", "closed", "assoc", "jacobi")]
+    runs += [(["check", "divergence", "--pi", "nondiv"], 1),
+             (["star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2"], 0),
+             (["graphs", "enumerate", "--n", "1", "--m", "2", "--edges", "2"], 0),
+             (["check", "cyclic", "--pi", "nondiv", "--order", "1"], 1),
+             (["star", "apply", "--pi", "so3", "--f", "x1 +", "--g", "x2"], 2)]
+    loaded = _fresh("""
+import contextlib, io, json, sys
+from starcycle.cli import main
+for argv, code in %r:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code, argv
+print(json.dumps([name for name in %r if name in sys.modules]))
+""" % (runs, _UNUSED), bare=True)
     assert loaded == []
 
 

@@ -110,6 +110,31 @@ def test_parse_errors():
         P.parse("x1*-2", 2)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x1 $2", "syntax error at position 2: ' $2'"),
+    ("x1 x2", "expected + or - at position 3"),
+    ("2^3", "expected + or - at position 1"),
+    ("x1 +", "dangling '+' at end of input"),
+    ("*x1", "expected a term at position 0"),
+    ("1/0*x1", "zero denominator at position 0"),
+    ("x1 * ", "dangling * in term at position 5"),
+    ("   ", "empty polynomial text"),
+    ("x3", "unknown variable x3 at position 0 (dim=2)"),
+    ("x1^", "expected integer exponent after ^ at position 3"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        P.parse(text, 2)
+    assert str(err.value) == message
+
+
+def test_parse_accepts_leading_zeros_and_spaces_around_every_token():
+    assert P.parse("x01 + 0/5", 2) == P.variable(2, 1)
+    f = P.parse(" - 2 * x1 ^ 3 + 4/6", 2)
+    assert f == P.monomial(2, (3, 0), -2) + Fraction(2, 3)
+    assert f.render() == "-2*x1^3 + 2/3"
+
+
 def test_render_canonical():
     assert P.parse("x1^2 - 1/2*x2", 2).render() == "x1^2 - 1/2*x2"
     assert P.zero(3).render() == "0"

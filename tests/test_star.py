@@ -667,6 +667,22 @@ def test_assemblies_in_one_process_share_no_component_table():
         assert [b.render() for b in levels] == [b.render() for b in dense[name]]
 
 
+def test_component_table_holds_the_stored_components_in_index_order():
+    pi = PolyVector(200, 1, {(150, 7): P.parse("3*x2", 200)})
+    dim, den, comps = star._component_table(pi)
+    assert (dim, den) == (200, 1)
+    assert [(idx, base) for idx, base, _ in comps] == [
+        ((7, 150), P.parse("-3*x2", 200)), ((150, 7), P.parse("3*x2", 200))]
+    # the same table as a scan over every index tuple
+    trivector = PolyVector(4, 2, {(1, 2, 4): P.parse("1/2*x3", 4), (2, 3, 4): P.parse("x1 - 1/3", 4)})
+    for gamma in (so3(), rational_so3(), trivector):
+        dim, den, comps = star._component_table(gamma)
+        scan = [(idx, gamma.coefficient(idx) * den)
+                for idx in itertools.product(range(1, dim + 1), repeat=gamma.degree + 1)
+                if gamma.coefficient(idx)]
+        assert [(idx, base) for idx, base, _ in comps] == scan
+
+
 def test_pruned_contraction_equals_dense_loop_at_order_3():
     pi = so3()
     reps = {rep for rep, sign in star_orbits(3, 2).values() if sign}
