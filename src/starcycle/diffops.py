@@ -1,7 +1,7 @@
 """Polydifferential operators and the cyclic calculus.
 
 A k-ary operator is sum_t c_t(x) * d^{I_1}f_1 ... d^{I_k}f_k.  The module
-provides the Hochschild differential, the Gerstenhaber bracket, and the
+provides the Hochschild differential, insertion into a slot, and the
 cyclic shift C obtained by moving all derivatives off the first argument
 slot by integration by parts against a volume density exp(rho).  Local
 functionals are compared through that slot-1 normal form, which is the
@@ -252,19 +252,7 @@ class PolyDiffOperator:
         sign = -1 if self.arity % 2 else 1
         return sign * self.extended_by_slot().ibp_normal_form(vol)
 
-    def is_cyclic(self, vol: VolumeForm) -> bool:
-        return self.cyclic_shift(vol) == self
-
-    def cyclic_projector(self, vol: VolumeForm) -> "PolyDiffOperator":
-        """Average of C^0..C^k; the output satisfies is_cyclic."""
-        total = self
-        power = self
-        for _ in range(self.arity):
-            power = power.cyclic_shift(vol)
-            total = total + power
-        return total * Fraction(1, self.arity + 1)
-
-    # -- Hochschild / Gerstenhaber -------------------------------------------
+    # -- Hochschild differential and insertion --------------------------------
 
     def hochschild_differential(self) -> "PolyDiffOperator":
         """(d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
@@ -313,20 +301,6 @@ class PolyDiffOperator:
                         mid = tuple(_mi_add(j, s) for j, s in zip(key2, rest))
                         _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
         return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
-
-    def circ(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        """Gerstenhaber pre-Lie composition sum_i +- self o_i other."""
-        k2 = other.arity
-        total = PolyDiffOperator.zero(self.dim, self.arity + k2 - 1)
-        for i in range(1, self.arity + 1):
-            sign = -1 if ((i - 1) * (k2 - 1)) % 2 else 1
-            total = total + sign * self.insert(other, i)
-        return total
-
-    def gerstenhaber(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        """[psi1, psi2] = psi1 o psi2 - (-1)^{(k1-1)(k2-1)} psi2 o psi1."""
-        sign = -1 if ((self.arity - 1) * (other.arity - 1)) % 2 else 1
-        return self.circ(other) - sign * other.circ(self)
 
     # -- serialization ---------------------------------------------------------
 

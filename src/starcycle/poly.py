@@ -242,8 +242,13 @@ class Polynomial:
                     coeff *= Fraction(val) if "/" in val else int(val)
                 except ZeroDivisionError:
                     raise ValueError("zero denominator at position %d" % at) from None
+                except ValueError:  # more digits than int() converts
+                    raise ValueError("too many digits at position %d" % at) from None
             elif kind == "var":
-                k = int(val[1:])
+                try:
+                    k = int(val[1:])
+                except ValueError:
+                    raise ValueError("too many digits at position %d" % at) from None
                 if not 1 <= k <= dim:
                     raise ValueError("unknown variable %s at position %d (dim=%d)" % (val, at, dim))
                 power = 1
@@ -252,7 +257,10 @@ class Polynomial:
                     kind, val, at = tokens[i]
                     if kind != "num" or "/" in val:
                         raise ValueError("expected integer exponent after ^ at position %d" % at)
-                    power = int(val)
+                    try:
+                        power = int(val)
+                    except ValueError:
+                        raise ValueError("too many digits at position %d" % at) from None
                 exps[k - 1] += power
             else:
                 raise ValueError("expected a term at position %d" % at)

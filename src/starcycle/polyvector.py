@@ -30,6 +30,15 @@ def _normalize_key(key):
     return tuple(key), sign
 
 
+def _wedge_into(out, ka, kb, p):
+    """out[ka ^ kb] += p in place, signed by the sort of ka + kb; nothing
+    when the keys share an axis."""
+    norm = _normalize_key(ka + kb)
+    if norm is not None:
+        key, sign = norm
+        _accumulate(out, key, sign * p)
+
+
 class PolyVector:
     """Skew multivector field with Polynomial coefficients."""
 
@@ -79,13 +88,6 @@ class PolyVector:
     @classmethod
     def zero(cls, dim: int, degree: int) -> "PolyVector":
         return cls(dim, degree, {})
-
-    @classmethod
-    def vector(cls, dim: int, components) -> "PolyVector":
-        """Vector field from {axis: Polynomial} or a length-dim sequence."""
-        if not isinstance(components, dict):
-            components = {i: p for i, p in enumerate(components, start=1)}
-        return cls(dim, 0, {(i,): p for i, p in components.items()})
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -158,65 +160,38 @@ class PolyVector:
 
     # -- odd calculus --------------------------------------------------------
 
-    def theta_derivative(self, i: int) -> "PolyVector":
-        """Left derivative with respect to theta_i; arity drops by one."""
-        out = {}
-        for key, p in self.components.items():
-            if i not in key:
-                continue
-            pos = key.index(i)
-            sign = -1 if pos % 2 else 1
-            new_key = key[:pos] + key[pos + 1:]
-            out[new_key] = sign * p
-        return PolyVector(self.dim, max(self.degree - 1, -1) if not out else self.degree - 1, out)
-
-    def x_derivative(self, i: int) -> "PolyVector":
-        out = {}
-        for key, p in self.components.items():
-            d = p.partial(i)
-            if not d.is_zero():
-                out[key] = d
-        return PolyVector(self.dim, self.degree, out)
-
     def wedge(self, other: "PolyVector") -> "PolyVector":
         """Exterior product; returns a zero multivector on degree overflow."""
         self._check(other)
-        degree = self.degree + other.degree + 1
         out = {}
         for ka, pa in self.components.items():
             for kb, pb in other.components.items():
-                norm = _normalize_key(ka + kb)
-                if norm is None:
-                    continue
-                key, sign = norm
-                _accumulate(out, key, sign * (pa * pb))
-        return PolyVector(self.dim, degree, out)
+                _wedge_into(out, ka, kb, pa * pb)
+        return PolyVector(self.dim, self.degree + other.degree + 1, out)
 
     def schouten(self, other: "PolyVector") -> "PolyVector":
         """Schouten-Nijenhuis bracket.
 
         In the odd-coordinate picture, with |A| the geometric arity,
             [A, B] = sum_i ( (-1)^{|A|+1} (d_theta_i A) ^ (d_x_i B)
-                             - (d_x_i A) ^ (d_theta_i B) ).
-        On two vector fields this is the Lie bracket; on a vector field
-        and a function it is the directional derivative.
+                             - (d_x_i A) ^ (d_theta_i B) ),
+        where d_theta_i takes theta_i out of a key at (0-based) position
+        pos with the sign (-1)^pos.  On two vector fields this is the Lie
+        bracket; on a vector field and a function it is the directional
+        derivative.
         """
         self._check(other)
-        degree = self.degree + other.degree
-        result = PolyVector.zero(self.dim, degree)
-        sign_a = 1 if (self.arity + 1) % 2 == 0 else -1
-        for i in range(1, self.dim + 1):
-            ta = self.theta_derivative(i)
-            if not ta.is_zero():
-                xb = other.x_derivative(i)
-                if not xb.is_zero():
-                    result = result + sign_a * ta.wedge(xb)
-            xa = self.x_derivative(i)
-            if not xa.is_zero():
-                tb = other.theta_derivative(i)
-                if not tb.is_zero():
-                    result = result - xa.wedge(tb)
-        return result
+        sign_a = 1 if self.arity % 2 else -1
+        out = {}
+        for ka, pa in self.components.items():
+            for kb, pb in other.components.items():
+                for pos, i in enumerate(ka):
+                    sign = -sign_a if pos % 2 else sign_a
+                    _wedge_into(out, ka[:pos] + ka[pos + 1:], kb, sign * (pa * pb.partial(i)))
+                for pos, i in enumerate(kb):
+                    sign = 1 if pos % 2 else -1
+                    _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], sign * (pa.partial(i) * pb))
+        return PolyVector(self.dim, self.degree + other.degree, out)
 
     def divergence(self, vol: "VolumeForm") -> "PolyVector":
         """Divergence with respect to vol; degree drops by one.
@@ -228,16 +203,13 @@ class PolyVector:
             raise ValueError("dimension mismatch with volume form")
         if self.degree < 0:
             raise ValueError("divergence of a function (degree -1) is undefined")
-        result = PolyVector.zero(self.dim, self.degree - 1)
-        for i in range(1, self.dim + 1):
-            ti = self.theta_derivative(i)
-            if ti.is_zero():
-                continue
-            result = result + ti.x_derivative(i)
-            drho = vol.log_density.partial(i)
-            if not drho.is_zero():
-                result = result + ti * drho
-        return result
+        grad_rho = [vol.log_density.partial(i) for i in range(1, self.dim + 1)]
+        out = {}
+        for key, p in self.components.items():
+            for pos, i in enumerate(key):
+                d = p.partial(i) + grad_rho[i - 1] * p
+                _accumulate(out, key[:pos] + key[pos + 1:], -d if pos % 2 else d)
+        return PolyVector(self.dim, self.degree - 1, out)
 
     # -- serialization ---------------------------------------------------------
 

@@ -538,6 +538,33 @@ def test_failing_assoc_report_is_pinned(capsys, tmp_path, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == _FAILING_ASSOC_PIN
 
 
+# sha256 of failing jacobi and divergence reports, taken before the bracket
+# and the divergence each became one pass over the components
+_FAILING_HYPOTHESIS_PINS = {
+    "jacobi": "200169a8a19004f37b36c988f570186b85de81e1637aae4f5ed59548800256db",
+    "nondiv": "37e520ac8efdebbbb9d72b2f9f089207661ea0e6f04ae82fb091dba4e3168630",
+    "so3-vol": "91051d3057202c45bd462781b9539ab3b7adcaf1c8b4ddec5a4511c3d239d00c",
+}
+
+
+@pytest.mark.parametrize("case, argv, residual", [
+    # [pi, pi]_{1,2,3} = 2*x1*x3 for this bivector
+    ("jacobi", ["check", "jacobi", "--pi", "pi.json"], "2*x1*x3"),
+    ("nondiv", ["check", "divergence", "--pi", "nondiv"], "(1) d2"),
+    # so3 is divergence-free only for a constant density
+    ("so3-vol", ["check", "divergence", "--pi", "so3", "--vol", "vol.json"], "(x2^2 - x3^2) d1"),
+])
+def test_failing_hypothesis_reports_are_pinned(capsys, tmp_path, monkeypatch, case, argv, residual):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pi.json").write_text(json.dumps(
+        {"dim": 3, "degree": 1, "components": {"1,2": "x3", "2,3": "x1*x2"}}))
+    (tmp_path / "vol.json").write_text(json.dumps({"dim": 3, "log_density": "x1^2 + x2*x3"}))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert residual in out
+    assert hashlib.sha256(out.encode()).hexdigest() == _FAILING_HYPOTHESIS_PINS[case]
+
+
 # sha256 of sampled reports, taken before the weighted graph sums walked
 # star_orbits: check alpha at orders 1 and 2, and star apply on a Monte Carlo
 # table, whose float weights take the other branch of the weight reader

@@ -128,6 +128,21 @@ def test_parse_error_messages(text, message):
     assert str(err.value) == message
 
 
+_LONG = "9" * 5000  # int() refuses more than 4300 digits by default
+
+
+@pytest.mark.parametrize("text, at", [
+    ("x2 - " + _LONG, 5),
+    ("x2 - " + _LONG + "/7", 5),
+    ("x2 - x1^" + _LONG, 8),
+    ("x2 - x" + "1" * 5000, 5),
+], ids=["number", "rational", "exponent", "variable"])
+def test_parse_names_the_position_of_a_token_with_too_many_digits(text, at):
+    with pytest.raises(ValueError) as err:
+        P.parse(text, 2)
+    assert str(err.value) == "too many digits at position %d" % at
+
+
 def test_parse_accepts_leading_zeros_and_spaces_around_every_token():
     assert P.parse("x01 + 0/5", 2) == P.variable(2, 1)
     f = P.parse(" - 2 * x1 ^ 3 + 4/6", 2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from operator_oracle import vector
 from starcycle import Polynomial, PolyVector, VolumeForm
 
 P = Polynomial
@@ -49,7 +50,7 @@ def poisson_bracket(pi, f, g):
 
 
 def test_constructors_and_validation():
-    v = PolyVector.vector(2, [P.one(2), P.variable(2, 1)])
+    v = vector(2, [P.one(2), P.variable(2, 1)])
     assert v.degree == 0 and v.arity == 1
     b = moyal_bivector()
     assert b.degree == 1 and b.arity == 2
@@ -73,20 +74,39 @@ def test_coefficient_skew():
 
 
 def test_wedge():
-    d1 = PolyVector.vector(2, [P.one(2), P.zero(2)])
-    d2 = PolyVector.vector(2, [P.zero(2), P.one(2)])
+    d1 = vector(2, [P.one(2), P.zero(2)])
+    d2 = vector(2, [P.zero(2), P.one(2)])
     assert d1.wedge(d2).components == {(1, 2): P.one(2)}
     assert d1.wedge(d1).is_zero()
-    x2d1 = PolyVector.vector(2, [P.variable(2, 2), P.zero(2)])
-    x1d2 = PolyVector.vector(2, [P.zero(2), P.variable(2, 1)])
+    x2d1 = vector(2, [P.variable(2, 2), P.zero(2)])
+    x1d2 = vector(2, [P.zero(2), P.variable(2, 1)])
     assert x2d1.wedge(x1d2).components == {(1, 2): P.parse("x1*x2", 2)}
 
 
 def test_schouten_vector_fields():
     # on vector fields the bracket is the Lie bracket
-    d1 = PolyVector.vector(2, [P.one(2), P.zero(2)])
-    x1d2 = PolyVector.vector(2, [P.zero(2), P.variable(2, 1)])
+    d1 = vector(2, [P.one(2), P.zero(2)])
+    x1d2 = vector(2, [P.zero(2), P.variable(2, 1)])
     assert d1.schouten(x1d2).components == {(2,): P.one(2)}
+
+
+def test_schouten_with_a_function():
+    # a function is a degree -1 polyvector with the one key ()
+    f = PolyVector(2, -1, {(): P.parse("x1^2*x2", 2)})
+    g = PolyVector(2, -1, {(): P.variable(2, 2)})
+    X = vector(2, [P.variable(2, 2), P.constant(2, 3)])  # x2 d1 + 3 d2
+    Xf = X.schouten(f)
+    assert Xf.degree == -1
+    assert Xf.coefficient(()).render() == "2*x1*x2^2 + 3*x1^2"
+    assert f.schouten(X) == -Xf
+    # with this sign convention, [[pi, f], g] = -pi^{ij} d_i f d_j g
+    pi = PolyVector(2, 1, {(1, 2): P.variable(2, 1)})
+    pfg = pi.schouten(f).schouten(g)
+    assert pfg.degree == -1
+    assert pfg.coefficient(()).render() == "-2*x1^2*x2"
+    assert pfg.coefficient(()) == -poisson_bracket(pi, f.coefficient(()), g.coefficient(()))
+    square = moyal_bivector().schouten(moyal_bivector())
+    assert square.is_zero() and square.degree == 2
 
 
 def test_schouten_poisson_squares():
@@ -127,7 +147,7 @@ def test_divergence_examples():
     xpi = PolyVector(2, 1, {(1, 2): P.variable(2, 1)})
     assert xpi.divergence(vol).components == {(2,): P.one(2)}
     assert so3_bivector().divergence(VolumeForm.constant(3)).is_zero()
-    d1 = PolyVector.vector(2, [P.one(2), P.zero(2)])
+    d1 = vector(2, [P.one(2), P.zero(2)])
     weighted = VolumeForm(2, P.variable(2, 1))
     assert d1.divergence(weighted).coefficient(()).render() == "1"
     with pytest.raises(ValueError):
@@ -234,7 +254,7 @@ def test_from_json():
          so3_bivector()),
         ({"dim": 2, "degree": 1, "components": {"1,2": "1"}}, moyal_bivector()),
         ({"dim": 2, "degree": 0, "components": {"1": "x1*x2"}},
-         PolyVector.vector(2, [P.parse("x1*x2", 2), P.zero(2)])),
+         vector(2, [P.parse("x1*x2", 2), P.zero(2)])),
         ({"dim": 3, "degree": 2, "components": {}}, PolyVector.zero(3, 2)),
     ):
         back = PolyVector.from_json(obj)
