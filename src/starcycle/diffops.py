@@ -3,9 +3,11 @@
 A k-ary operator is sum_t c_t(x) * d^{I_1}f_1 ... d^{I_k}f_k.  The module
 provides the Hochschild differential, insertion into a slot, and the
 cyclic shift C obtained by moving all derivatives off the first argument
-slot by integration by parts against a volume density exp(rho).  Local
-functionals are compared through that slot-1 normal form, which is the
-faithful finite representation of equality modulo total derivatives.
+slot by integration by parts against a volume density exp(rho).  The
+differential and insertion expand each derivative of a product by one
+Leibniz rule, _leibniz.  Local functionals are compared through that
+slot-1 normal form, which is the faithful finite representation of
+equality modulo total derivatives.
 """
 
 from __future__ import annotations
@@ -23,49 +25,22 @@ def _mi_zero(dim):
     return (0,) * dim
 
 
-def _mi_add(a, b):
-    return tuple(map(add, a, b))
-
-
-def _mi_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _mi_binom(a, b):
-    """prod_axis C(a_axis, b_axis); 0 if b exceeds a anywhere."""
-    total = 1
-    for x, y in zip(a, b):
-        if y > x:
-            return 0
-        total *= comb(x, y)
-    return total
-
-
-def _mi_below(a):
-    """All multi-indices J with 0 <= J <= a componentwise."""
-    ranges = [range(x + 1) for x in a]
-    return itertools.product(*ranges)
-
-
-def _splits(a, parts):
-    """All ways to write a as an ordered sum of `parts` multi-indices."""
+def _leibniz(a, parts):
+    """Yield (split, multinomial) for each way to write the multi-index a
+    as an ordered sum of `parts` multi-indices, where the multinomial is
+    prod_axis a_axis! / prod_l split_l[axis]!: the coefficient of
+    prod_l d^{split_l} u_l in d^a (u_1 ... u_parts).  Zero parts split
+    only a zero a, as the empty split with coefficient 1."""
     if parts < 2:
         if parts or not any(a):
-            yield (a,) * parts
+            yield (a,) * parts, 1
         return
-    for first in _mi_below(a):
-        for rest in _splits(_mi_sub(a, first), parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(a, split):
-    """Multinomial coefficient for a = sum(split), componentwise."""
-    total = 1
-    rem = a
-    for part in split[:-1]:
-        total *= _mi_binom(rem, part)
-        rem = _mi_sub(rem, part)
-    return total
+    for first in itertools.product(*[range(x + 1) for x in a]):
+        b = 1
+        for x, y in zip(a, first):
+            b *= comb(x, y)
+        for rest, m in _leibniz(tuple(map(sub, a, first)), parts - 1):
+            yield (first,) + rest, b * m
 
 
 class PolyDiffOperator:
@@ -267,11 +242,8 @@ class PolyDiffOperator:
             _accumulate(out, key + (z,), signed[k % 2])
             for i in range(k):
                 sc = signed[i % 2]
-                I = key[i]
-                for J in _mi_below(I):
-                    b = _mi_binom(I, J)
-                    _accumulate(out, key[:i] + (J, _mi_sub(I, J)) + key[i + 1:],
-                                sc if b == 1 else b * sc)
+                for split, b in _leibniz(key[i], 2):
+                    _accumulate(out, key[:i] + split + key[i + 1:], sc if b == 1 else b * sc)
         return PolyDiffOperator._trusted(self.dim, k + 1, out)
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
@@ -289,16 +261,16 @@ class PolyDiffOperator:
             pre, post = key1[:slot - 1], key1[slot:]
             for key2, c2 in other.terms.items():
                 # d^I applied to (c2 * prod d^{J_l} g_l): split I over c2 and the J's
-                for s0 in _mi_below(I):
+                for (s0, left), b in _leibniz(I, 2):
                     dc2 = derived.get((key2, s0))
                     if dc2 is None:
                         dc2 = derived[key2, s0] = c2.derive(s0)
                     if dc2.is_zero():
                         continue
                     prod = c1 * dc2
-                    for rest in _splits(_mi_sub(I, s0), k2):
-                        mult = _multinomial(I, (s0,) + rest)
-                        mid = tuple(_mi_add(j, s) for j, s in zip(key2, rest))
+                    for rest, m in _leibniz(left, k2):
+                        mult = b * m
+                        mid = tuple(tuple(map(add, j, s)) for j, s in zip(key2, rest))
                         _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
         return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
 

@@ -30,6 +30,15 @@ def _normalize_key(key):
     return tuple(key), sign
 
 
+def _json_int(obj, name):
+    """obj[name], which must be a JSON integer: a number such as 2.9 or a
+    boolean is refused, not truncated."""
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
 def _wedge_into(out, ka, kb, p):
     """out[ka ^ kb] += p in place, signed by the sort of ka + kb; nothing
     when the keys share an axis."""
@@ -217,8 +226,8 @@ class PolyVector:
     def from_json(cls, obj: dict) -> "PolyVector":
         """Keys list their axes strictly increasing, one key per basis
         element: the constructor would fold a key "2,1" into "1,2" by sign."""
-        dim = int(obj["dim"])
-        degree = int(obj["degree"])
+        dim = _json_int(obj, "dim")
+        degree = _json_int(obj, "degree")
         comps = {}
         for key, text in obj.get("components", {}).items():
             indices = tuple(int(s) for s in key.split(",")) if key else ()
@@ -270,7 +279,7 @@ class VolumeForm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VolumeForm":
-        dim = int(obj["dim"])
+        dim = _json_int(obj, "dim")
         return cls(dim, Polynomial.parse(obj.get("log_density", "0"), dim))
 
     def __repr__(self):

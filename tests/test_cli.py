@@ -395,8 +395,13 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
      ("check", "jacobi")),
     ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,1": "1", "1,2": "x1"}}),
      ("check", "jacobi")),
+    # a dim or degree that is not a JSON integer would pass by truncation
+    ("--pi", json.dumps({"dim": 2.9, "degree": 1, "components": {"1,2": "x1"}}), ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1.7, "components": {"1,2": "x1"}}), ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": True, "degree": 1, "components": {}}), ("check", "jacobi")),
     ("--vol", "[]", ("check", "divergence", "--pi", "so3")),
     ("--vol", json.dumps({"dim": 3, "log_density": 1}), ("check", "cyclic", "--pi", "so3")),
+    ("--vol", json.dumps({"dim": 3.0, "log_density": "0"}), ("check", "cyclic", "--pi", "so3")),
     ("--table", "[]", ("check", "assoc", "--pi", "so3")),
     ("--table", json.dumps({"entries": [dict(_ENTRY, exact="1/0")]}),
      ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2")),
@@ -407,14 +412,15 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
     ("--out-table", "[]", ("weights", "compute", "--n", "1", "--m", "2",
                            "--samples", "16", "--seed", "1")),
 ], ids=["pi-list", "pi-int-component", "pi-nested-too-deep", "pi-skew-matrix",
-        "pi-symmetric-pair", "pi-repeated-axis", "vol-list", "vol-int-density", "table-list",
+        "pi-symmetric-pair", "pi-repeated-axis", "pi-float-dim", "pi-float-degree", "pi-bool-dim",
+        "vol-list", "vol-int-density", "vol-float-dim", "table-list",
         "table-exact-div-zero", "table-value-null", "table-repeated-entry", "out-table-list"])
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     path = tmp_path / "input.json"
     path.write_text(text)
     code, out, err = run(capsys, *argv, flag, str(path))
     assert code == 2
-    assert err.startswith("error: bad ")
+    assert err.startswith("error: bad ") and err.count("\n") == 1
     assert out == ""
 
 

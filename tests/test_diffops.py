@@ -1,5 +1,7 @@
 """Multidifferential operators: IBP adjoints, cyclic shift, Hochschild calculus."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,16 +9,17 @@ import pytest
 
 from operator_oracle import cyclic_projector, gerstenhaber, is_cyclic, vector
 from starcycle import Polynomial, PolyDiffOperator, VolumeForm
+from starcycle.diffops import _leibniz
 
 P = Polynomial
 D = PolyDiffOperator
 
 
-def random_operator(dim, arity, rng, n_terms=3):
+def random_operator(dim, arity, rng, n_terms=3, order=1):
     terms = {}
     for _ in range(n_terms):
         key = tuple(
-            tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(arity)
+            tuple(rng.randint(0, order) for _ in range(dim)) for _ in range(arity)
         )
         exps = tuple(rng.randint(0, 1) for _ in range(dim))
         terms[key] = terms.get(key, P.zero(dim)) + P.monomial(
@@ -157,6 +160,38 @@ def test_hochschild_differential_examples():
     m = D.multiplication(2)
     assert (ident.hochschild_differential() - m).is_zero()
     assert m.hochschild_differential().is_zero()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_leibniz_yields_every_split_once_with_its_multinomial(dim):
+    for a in itertools.product(range(3), repeat=dim):
+        below = list(itertools.product(*[range(x + 1) for x in a]))
+        for parts in range(4):
+            got = list(_leibniz(a, parts))
+            splits = [split for split, _ in got]
+            assert len(splits) == len(set(splits))
+            brute = {split for split in itertools.product(below, repeat=parts)
+                     if all(sum(p[i] for p in split) == a[i] for i in range(dim))}
+            assert set(splits) == brute
+            for split, coeff in got:
+                den = math.prod(math.factorial(e) for p in split for e in p)
+                assert coeff == math.prod(math.factorial(x) for x in a) // den
+
+
+def test_hochschild_differential_by_its_defining_formula():
+    # (d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
+    #                        + (-1)^{k+1} psi(f1..fk) f_{k+1}
+    rng = random.Random(12)
+    fs = [P.parse(t, 2) for t in ("x1^3*x2 + 2*x2^2", "x1*x2^3 - x1", "x1^2 + 3*x1*x2^2", "x2^2 - 5*x1")]
+    for arity in range(4):
+        for _ in range(6):
+            psi = random_operator(2, arity, rng, n_terms=4, order=2)
+            args = fs[:arity + 1]
+            expected = args[0] * psi.apply(args[1:]) + (-1) ** (arity + 1) * psi.apply(args[:-1]) * args[-1]
+            for i in range(1, arity + 1):
+                merged = args[:i - 1] + [args[i - 1] * args[i]] + args[i + 1:]
+                expected = expected + (-1) ** i * psi.apply(merged)
+            assert psi.hochschild_differential().apply(args) == expected
 
 
 def test_hochschild_squares_to_zero():

@@ -246,6 +246,10 @@ def test_volume_form():
     assert vol.log_density.is_zero()
     weighted = VolumeForm(2, P.variable(2, 1))
     assert VolumeForm.from_json({"dim": 2, "log_density": "x1"}) == weighted
+    # a float or a boolean is refused, not truncated
+    for dim in (2.9, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            VolumeForm.from_json({"dim": dim, "log_density": "x1"})
 
 
 def test_from_json():
@@ -263,6 +267,12 @@ def test_from_json():
     for comps in ({"2,1": "1"}, {"1,2": "1", "2,1": "-1"}, {"1,1": "1"}, {"1,2": "1", "01,2": "1"}):
         with pytest.raises(ValueError, match="axes must increase"):
             PolyVector.from_json({"dim": 2, "degree": 1, "components": comps})
+    # a float or a boolean is refused, not truncated
+    for name, bad in (("dim", 2.9), ("dim", 2.0), ("dim", True), ("dim", "2"),
+                      ("degree", 1.7), ("degree", False)):
+        obj = dict({"dim": 2, "degree": 1, "components": {"1,2": "x1"}}, **{name: bad})
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            PolyVector.from_json(obj)
 
 
 def test_zero_polyvector():
