@@ -45,6 +45,7 @@ from .graphs import enumerate_graphs, star_graphs
 from .poly import Polynomial
 from .polyvector import PolyVector, VolumeForm
 from .star import (
+    _check_alpha_sums,
     assemble_star,
     check_alpha_independence,
     check_associative,
@@ -337,6 +338,7 @@ def _cmd_check(args):
         graphs = star_graphs(args.order, 3)
         stride = max(1000, len(graphs))  # the sides' seeds stay apart, as the tolerance needs
         try:
+            _check_alpha_sums(a1, a2)
             for side, alphas in enumerate((a1, a2)):
                 ctx = AngleContext.standard(alphas)
                 for k, g in enumerate(graphs):

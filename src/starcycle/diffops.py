@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add, sub
 
-from .poly import Polynomial, _accumulate
+from ._record import Frozen
+from .poly import Polynomial, _accumulate, _render_sum
 from .polyvector import VolumeForm
 
 
@@ -43,7 +44,7 @@ def _leibniz(a, parts):
             yield (first,) + rest, b * m
 
 
-class PolyDiffOperator:
+class PolyDiffOperator(Frozen):
     """Multilinear operator sum c(x) d^{I_1}f_1 ... d^{I_k}f_k.
 
     terms maps tuples of k exponent multi-indices to Polynomial
@@ -80,9 +81,7 @@ class PolyDiffOperator:
                 clean.pop(key, None)
             else:
                 clean[key] = coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
+        self._assign(dim, arity, clean)
 
     @classmethod
     def _trusted(cls, dim: int, arity: int, terms: dict) -> "PolyDiffOperator":
@@ -92,9 +91,6 @@ class PolyDiffOperator:
         object.__setattr__(op, "arity", arity)
         object.__setattr__(op, "terms", terms)
         return op
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyDiffOperator is immutable")
 
     # -- constructors -----------------------------------------------------
 
@@ -277,16 +273,8 @@ class PolyDiffOperator:
     # -- serialization ---------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key, c in sorted(self.terms.items()):
-            slots = "*".join("D[%s]" % ",".join(str(e) for e in mi) for mi in key)
-            if slots:
-                parts.append("(%s) %s" % (c.render(), slots))
-            else:
-                parts.append("(%s)" % c.render())
-        return " + ".join(parts)
+        return _render_sum(self.terms,
+                           lambda key: "*".join("D[%s]" % ",".join(map(str, mi)) for mi in key))
 
     def __repr__(self):
         return "PolyDiffOperator(%d, %d, %s)" % (self.dim, self.arity, self.render())

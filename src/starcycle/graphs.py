@@ -17,6 +17,8 @@ import functools
 import itertools
 from types import MappingProxyType
 
+from ._record import Frozen
+
 
 def _decode_stars(n, m, stars):
     """Target names to vertex numbers: "k" is internal vertex k in 1..n,
@@ -31,7 +33,7 @@ def _decode_stars(n, m, stars):
     return [tuple(decode(name) for name in star) for star in stars]
 
 
-class AdmissibleGraph:
+class AdmissibleGraph(Frozen):
     # _key: the canonical key, set on first read; it takes no part in
     # equality, hashing or pickling
     __slots__ = ("n", "m", "stars", "_key")
@@ -52,13 +54,7 @@ class AdmissibleGraph:
                     raise ValueError("target %d out of range" % t)
             if len(set(star)) != len(star):
                 raise ValueError("repeated target in star of vertex %d" % k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "stars", stars)
-        object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdmissibleGraph is immutable")
+        self._assign(n, m, stars, None)
 
     @property
     def edge_count(self) -> int:

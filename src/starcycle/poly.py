@@ -16,6 +16,8 @@ from math import gcd, lcm, perm
 from operator import add, sub
 from types import MappingProxyType
 
+from ._record import Frozen
+
 
 def _accumulate(terms, key, c):
     """terms[key] += c in place, dropping the key when the sum is zero.
@@ -28,14 +30,25 @@ def _accumulate(terms, key, c):
         terms[key] = s
 
 
-class Polynomial:
+def _render_sum(terms, basis):
+    """'(c) basis(key) + ...' over terms sorted by key, with '(c)' alone
+    where basis(key) is empty: the text form of operators and multivectors."""
+    if not terms:
+        return "0"
+    parts = []
+    for key, c in sorted(terms.items()):
+        b = basis(key)
+        parts.append("(%s) %s" % (c.render(), b) if b else "(%s)" % c.render())
+    return " + ".join(parts)
+
+
+class Polynomial(Frozen):
     """Polynomial in x1..x{dim} with rational coefficients.
 
     _num maps exponent tuples (length dim) to nonzero int numerators over
     the denominator _den (see the module docstring for both and for terms).
-    Instances are treated as immutable; all operations return new ones.
-    The constructor validates and canonicalises; _trusted does not (see
-    there).
+    All operations return new instances.  The constructor validates and
+    canonicalises; _trusted does not (see there).
     """
 
     __slots__ = ("dim", "_num", "_den")
@@ -54,9 +67,7 @@ class Polynomial:
             if c != 0:
                 clean[exps] = c
         den = lcm(*(c.denominator for c in clean.values()))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_num", {e: c.numerator * den // c.denominator for e, c in clean.items()})
-        object.__setattr__(self, "_den", den)
+        self._assign(dim, {e: c.numerator * den // c.denominator for e, c in clean.items()}, den)
 
     @classmethod
     def _trusted(cls, dim: int, num: dict, den: int = 1) -> "Polynomial":
@@ -74,9 +85,6 @@ class Polynomial:
         object.__setattr__(p, "_num", num)
         object.__setattr__(p, "_den", den)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def terms(self):

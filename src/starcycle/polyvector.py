@@ -9,9 +9,11 @@ degree 1.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .poly import Polynomial, _accumulate
+from ._record import Frozen, Record, _json_int
+from .poly import Polynomial, _accumulate, _render_sum
 
 
 def _normalize_key(key):
@@ -30,13 +32,8 @@ def _normalize_key(key):
     return tuple(key), sign
 
 
-def _json_int(obj, name):
-    """obj[name], which must be a JSON integer: a number such as 2.9 or a
-    boolean is refused, not truncated."""
-    value = obj[name]
-    if type(value) is not int:
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return value
+# an axis of a component key: a 1-based index in ASCII digits, no leading zero
+_AXIS = re.compile(r"[1-9][0-9]*")
 
 
 def _wedge_into(out, ka, kb, p):
@@ -48,7 +45,7 @@ def _wedge_into(out, ka, kb, p):
         _accumulate(out, key, sign * p)
 
 
-class PolyVector:
+class PolyVector(Frozen):
     """Skew multivector field with Polynomial coefficients."""
 
     __slots__ = ("dim", "degree", "components")
@@ -85,12 +82,7 @@ class PolyVector:
         # carry any degree label (wedge overflow returns such a zero)
         if clean and arity > dim:
             raise ValueError("degree %d exceeds dim-1=%d" % (degree, dim - 1))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVector is immutable")
+        self._assign(dim, degree, clean)
 
     # -- constructors -----------------------------------------------------
 
@@ -225,34 +217,29 @@ class PolyVector:
     @classmethod
     def from_json(cls, obj: dict) -> "PolyVector":
         """Keys list their axes strictly increasing, one key per basis
-        element: the constructor would fold a key "2,1" into "1,2" by sign."""
-        dim = _json_int(obj, "dim")
-        degree = _json_int(obj, "degree")
+        element: the constructor would fold a key "2,1" into "1,2" by sign.
+        A key is written as its axes joined by single commas ("" for a
+        function), so " 1,+2", "01,2" and "1, 2" are refused."""
+        dim = _json_int(obj["dim"], "dim")
+        degree = _json_int(obj["degree"], "degree")
         comps = {}
         for key, text in obj.get("components", {}).items():
-            indices = tuple(int(s) for s in key.split(",")) if key else ()
-            if any(a >= b for a, b in zip(indices, indices[1:])) or indices in comps:
-                raise ValueError("key %r: axes must increase, one key per element" % key)
+            indices = tuple(map(int, _AXIS.findall(key)))
+            if (",".join(map(str, indices)) != key or indices in comps
+                    or any(a >= b for a, b in zip(indices, indices[1:]))):
+                raise ValueError('key %r: axes must increase, written as in "1,2", one key per element'
+                                 % key)
             comps[indices] = Polynomial.parse(text, dim)
         return cls(dim, degree, comps)
 
     def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for key, p in sorted(self.components.items()):
-            basis = "^".join("d%d" % i for i in key)
-            if basis:
-                parts.append("(%s) %s" % (p.render(), basis))
-            else:
-                parts.append("(%s)" % p.render())
-        return " + ".join(parts)
+        return _render_sum(self.components, lambda key: "^".join("d%d" % i for i in key))
 
     def __repr__(self):
         return "PolyVector(%d, %d, %s)" % (self.dim, self.degree, self.render())
 
 
-class VolumeForm:
+class VolumeForm(Record):
     """Volume form exp(rho) dx1^...^dxd with polynomial log-density rho."""
 
     __slots__ = ("dim", "log_density")
@@ -262,24 +249,15 @@ class VolumeForm:
             log_density = Polynomial.zero(dim)
         if log_density.dim != dim:
             raise ValueError("log_density dim mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "log_density", log_density)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VolumeForm is immutable")
+        self._assign(dim, log_density)
 
     @classmethod
     def constant(cls, dim: int) -> "VolumeForm":
         return cls(dim)
 
-    def __eq__(self, other):
-        if not isinstance(other, VolumeForm):
-            return NotImplemented
-        return self.dim == other.dim and self.log_density == other.log_density
-
     @classmethod
     def from_json(cls, obj: dict) -> "VolumeForm":
-        dim = _json_int(obj, "dim")
+        dim = _json_int(obj["dim"], "dim")
         return cls(dim, Polynomial.parse(obj.get("log_density", "0"), dim))
 
     def __repr__(self):

@@ -39,6 +39,7 @@ import math
 from fractions import Fraction
 from operator import add
 
+from ._record import Frozen
 from .diffops import PolyDiffOperator
 from .graphs import AdmissibleGraph, star_orbits
 from .poly import Polynomial, _accumulate
@@ -190,22 +191,17 @@ def _orbit_sum(pi_table, table: WeightTable, n: int):
     return _operator(dim, 2, out, den), all(entry.exact is not None for _, _, entry in entries)
 
 
-class StarProduct:
+class StarProduct(Frozen):
     """Truncated star product: levels B_0..B_order, B_0 = multiplication;
     is_exact when every weight behind them is exact, as the exact checks need."""
 
     __slots__ = ("pi", "order", "levels", "is_exact")
 
     def __init__(self, pi: PolyVector, order: int, levels, is_exact: bool):
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "levels", tuple(levels))
-        if self.levels[:1] != (PolyDiffOperator.multiplication(pi.dim),):
+        levels = tuple(levels)
+        if levels[:1] != (PolyDiffOperator.multiplication(pi.dim),):
             raise ValueError("B_0 of a star product must be the multiplication")
-        object.__setattr__(self, "is_exact", bool(is_exact))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StarProduct is immutable")
+        self._assign(pi, order, levels, bool(is_exact))
 
     def apply(self, f: Polynomial, g: Polynomial):
         """Coefficients of hbar^0..hbar^order of f * g."""
@@ -310,6 +306,14 @@ def check_closed(s: StarProduct, vol: VolumeForm) -> dict:
                                        for n, level in enumerate(s.levels) if n))
 
 
+def _check_alpha_sums(a1, a2):
+    """Equal alpha sums are a precondition of the alpha-independence
+    statement; the CLI checks them before it samples either side."""
+    if abs(sum(a1) - sum(a2)) > 1e-9:
+        raise ValueError("alpha sums differ (%.6g vs %.6g): the statement "
+                         "compares equal-sum weight systems" % (sum(a1), sum(a2)))
+
+
 def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable,
                              order: int, vol: VolumeForm, floor: float = 1e-3) -> dict:
     """Compare slot-1 normal forms of the two alpha-weighted trilinear
@@ -324,9 +328,7 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
         raise ValueError("volume form dimension mismatch")
     a1 = tuple(float(x) for x in alphas)
     a2 = tuple(float(x) for x in alphas2)
-    if abs(sum(a1) - sum(a2)) > 1e-9:
-        raise ValueError("alpha sums differ (%.6g vs %.6g): the statement "
-                         "compares equal-sum weight systems" % (sum(a1), sum(a2)))
+    _check_alpha_sums(a1, a2)
     pref = _level_prefactor(order)
     orbits = star_orbits(order, 3)
     nfs = {rep: graph_to_operator(rep, [pi] * order).ibp_normal_form(vol)

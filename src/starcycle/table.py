@@ -13,7 +13,7 @@ import math
 import os
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, _json_int, _json_number
 from .graphs import AdmissibleGraph
 
 # the package's bundled files (weights_exact.json and pi/*.json), read by path
@@ -53,16 +53,18 @@ class WeightEntry(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightEntry":
+        """samples, seed and rejected must be JSON integers, and value,
+        std_error and the alphas JSON numbers: nothing is coerced."""
         exact = obj.get("exact")
         return cls(
             graph_key=obj["graph"],
-            alphas=tuple(float(a) for a in obj.get("alphas", [])),
-            value=float(obj["value"]),
-            std_error=float(obj.get("std_error", 0.0)),
-            samples=int(obj.get("samples", 0)),
-            seed=int(obj.get("seed", 0)),
+            alphas=tuple(_json_number(a, "alphas") for a in obj.get("alphas", [])),
+            value=_json_number(obj["value"], "value"),
+            std_error=_json_number(obj.get("std_error", 0.0), "std_error"),
+            samples=_json_int(obj.get("samples", 0), "samples"),
+            seed=_json_int(obj.get("seed", 0), "seed"),
             exact=None if exact is None else Fraction(exact),
-            rejected=int(obj.get("rejected", 0)),
+            rejected=_json_int(obj.get("rejected", 0), "rejected"),
         )
 
 

@@ -1,6 +1,6 @@
 """Operator calculus that only the tests use: the cyclic projector and the
-Gerstenhaber bracket of polydifferential operators, and vector fields from
-a list of components.
+Gerstenhaber bracket of polydifferential operators, vector fields from a
+list of components, and exact Gaussian integrals of polynomials.
 
 The package decides cyclicity through PolyDiffOperator.cyclic_shift and
 builds every operator it needs from insert and hochschild_differential;
@@ -8,6 +8,7 @@ these functions, built on the same methods, serve as the oracle for the
 calculus identities (acceptance criterion 2).
 """
 
+import math
 from fractions import Fraction
 
 from starcycle import PolyDiffOperator, PolyVector, VolumeForm
@@ -18,6 +19,18 @@ def vector(dim: int, components) -> PolyVector:
     if not isinstance(components, dict):
         components = {i: p for i, p in enumerate(components, start=1)}
     return PolyVector(dim, 0, {(i,): p for i, p in components.items()})
+
+
+def gauss_integral(poly) -> Fraction:
+    """The coefficient of pi^(d/2) in the integral of poly * exp(-|x|^2)
+    over R^d, exactly: a monomial gives the product of its moments
+    m(2k) = (2k-1)!!/2^k, and m(odd) = 0."""
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        if not any(e % 2 for e in exps):
+            moments = [Fraction(math.prod(range(e - 1, 0, -2)), 2 ** (e // 2)) for e in exps]
+            total += c * math.prod(moments)
+    return total
 
 
 def is_cyclic(op: PolyDiffOperator, vol: VolumeForm) -> bool:

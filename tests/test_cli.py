@@ -233,6 +233,20 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_check_alpha_refuses_unequal_sums_before_it_samples(capsys, monkeypatch):
+    from starcycle import weights
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a weight was sampled before the alpha sums were compared")
+
+    monkeypatch.setattr(weights, "compute_weight", unused)
+    code, out, err = run(capsys, "check", "alpha", "--pi", "so3", "--alpha", "0.3,-0.7,1.1",
+                         "--alpha2", "1,0,0", "--order", "2", "--samples", "262144", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: alpha sums differ (0.7 vs 1): the statement compares "
+                   "equal-sum weight systems\n")
+
+
 def test_weights_compute_without_star_graphs_exits_2(capsys, tmp_path):
     # a vertex of a star graph needs two targets other than itself, so
     # n = 1, m = 1 has none; nothing is sampled and no table is written
@@ -384,6 +398,19 @@ def test_bundled_names_match_exactly(capsys, tmp_path, monkeypatch):
 _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2"}
 
 
+def _sampled_table(**fields):
+    """A Monte Carlo table of the two order-1 star graphs, the first entry
+    with `fields` in place of its own: enough for star apply --order 1."""
+    entries = [{"graph": g, "alphas": [0, 0, 1], "value": v, "std_error": 0.01,
+                "samples": 16, "seed": 1, "exact": None, "rejected": 0}
+               for g, v in (("1;3;b1,b2", 0.5), ("1;3;b2,b1", -0.5))]
+    entries[0].update(fields)
+    return json.dumps({"entries": entries})
+
+
+_APPLY_1 = ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2", "--order", "1")
+
+
 @pytest.mark.parametrize("flag, text, argv", [
     ("--pi", "[]", ("check", "jacobi")),
     ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1,2": 3}}), ("check", "jacobi")),
@@ -399,6 +426,12 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
     ("--pi", json.dumps({"dim": 2.9, "degree": 1, "components": {"1,2": "x1"}}), ("check", "jacobi")),
     ("--pi", json.dumps({"dim": 2, "degree": 1.7, "components": {"1,2": "x1"}}), ("check", "jacobi")),
     ("--pi", json.dumps({"dim": True, "degree": 1, "components": {}}), ("check", "jacobi")),
+    # a key is its axes in ASCII digits joined by single commas
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {" 1,+2": "x1"}}), ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"01,2": "x1"}}), ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"1, 2": "x1"}}), ("check", "jacobi")),
+    ("--pi", json.dumps({"dim": 2, "degree": 1, "components": {"\u0661,\u0662": "x1"}}),
+     ("check", "jacobi")),
     ("--vol", "[]", ("check", "divergence", "--pi", "so3")),
     ("--vol", json.dumps({"dim": 3, "log_density": 1}), ("check", "cyclic", "--pi", "so3")),
     ("--vol", json.dumps({"dim": 3.0, "log_density": "0"}), ("check", "cyclic", "--pi", "so3")),
@@ -409,12 +442,23 @@ _ENTRY = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": 0.5, "exact": "1/2
      ("check", "closed", "--pi", "so3")),
     ("--table", json.dumps({"entries": [_ENTRY, dict(_ENTRY, value=0.0, exact="0/1")]}),
      ("check", "assoc", "--pi", "so3")),
+    # integer fields must be JSON integers, number fields JSON numbers
+    ("--table", _sampled_table(samples=1.9), _APPLY_1),
+    ("--table", _sampled_table(seed=True), _APPLY_1),
+    ("--table", _sampled_table(seed=2.5), _APPLY_1),
+    ("--table", _sampled_table(value="0.5"), _APPLY_1),
+    ("--table", _sampled_table(rejected=0.7), _APPLY_1),
+    ("--table", _sampled_table(std_error=False), _APPLY_1),
+    ("--table", _sampled_table(alphas=[0, 0, "1"]), _APPLY_1),
     ("--out-table", "[]", ("weights", "compute", "--n", "1", "--m", "2",
                            "--samples", "16", "--seed", "1")),
 ], ids=["pi-list", "pi-int-component", "pi-nested-too-deep", "pi-skew-matrix",
         "pi-symmetric-pair", "pi-repeated-axis", "pi-float-dim", "pi-float-degree", "pi-bool-dim",
+        "pi-key-space-sign", "pi-key-leading-zero", "pi-key-inner-space", "pi-key-non-ascii",
         "vol-list", "vol-int-density", "vol-float-dim", "table-list",
-        "table-exact-div-zero", "table-value-null", "table-repeated-entry", "out-table-list"])
+        "table-exact-div-zero", "table-value-null", "table-repeated-entry",
+        "table-float-samples", "table-bool-seed", "table-float-seed", "table-string-value",
+        "table-float-rejected", "table-bool-std-error", "table-string-alpha", "out-table-list"])
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -422,6 +466,21 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     assert code == 2
     assert err.startswith("error: bad ") and err.count("\n") == 1
     assert out == ""
+
+
+def test_sampled_tables_load(capsys, tmp_path):
+    # the well-typed table of the malformed cases above, and the tables that
+    # weights compute writes on both routes, are read by star apply
+    path = tmp_path / "table.json"
+    path.write_text(_sampled_table())
+    assert run(capsys, *_APPLY_1, "--table", str(path))[0] == 0
+    for route in (("--m", "3", "--alpha", "0,0,1"), ("--m", "2")):
+        path = tmp_path / ("table%s.json" % route[1])
+        code, _, _ = run(capsys, "weights", "compute", "--n", "1", *route, "--samples", "64",
+                         "--seed", "1", "--out-table", str(path))
+        assert code == 0
+        code, out, err = run(capsys, *_APPLY_1, "--table", str(path))
+        assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from operator_oracle import cyclic_projector, gerstenhaber, is_cyclic, vector
+from operator_oracle import cyclic_projector, gauss_integral, gerstenhaber, is_cyclic, vector
 from starcycle import Polynomial, PolyDiffOperator, VolumeForm
 from starcycle.diffops import _leibniz
 
@@ -291,6 +291,34 @@ def test_extended_by_slot():
     g = P.parse("x2", 2)
     h = P.parse("x1*x2", 2)
     assert ext.apply((f, g, h)) == b1.apply((f, g)) * h
+
+
+def test_gauss_integral_moments():
+    # int e^{-x^2} x^{2k} dx = (2k-1)!!/2^k sqrt(pi), and odd moments vanish
+    assert [gauss_integral(P.monomial(1, (e,))) for e in range(7)] == [
+        1, 0, Fraction(1, 2), 0, Fraction(3, 4), 0, Fraction(15, 8)]
+    expected = 3 * Fraction(1, 2) * Fraction(3, 4) - Fraction(1, 2)
+    assert gauss_integral(P.parse("3*x1^2*x2^4 - 1/2 + x1*x2^2", 2)) == expected
+
+
+def test_integration_by_parts_as_gaussian_integrals():
+    # int D(f1..fk) e^rho == int f1 E(f2..fk) e^rho for E = ibp_normal_form and
+    # rho = -|x|^2, as exact numbers; E computed without the density term
+    # (the constant volume form) must give a different number on some case
+    rng = random.Random(22)
+    missed = 0
+    for dim in (1, 2, 3):
+        gauss = VolumeForm(dim, P.parse(" ".join("- x%d^2" % i for i in range(1, dim + 1)), dim))
+        for arity in (1, 2, 3):
+            for _ in range(8):
+                op = random_operator(dim, arity, rng, order=2)
+                fs = [P(dim, {tuple(rng.randint(0, 2) for _ in range(dim)): rng.randint(-3, 3)
+                              for _ in range(3)}) + 1 for _ in range(arity)]
+                lhs = gauss_integral(op.apply(fs))
+                assert lhs == gauss_integral(fs[0] * op.ibp_normal_form(gauss).apply(fs[1:]))
+                flat = op.ibp_normal_form(VolumeForm.constant(dim))
+                missed += lhs != gauss_integral(fs[0] * flat.apply(fs[1:]))
+    assert missed
 
 
 def ibp_by_min_key(op, vol):

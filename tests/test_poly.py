@@ -243,7 +243,7 @@ def test_constructors_store_canonical_coefficients():
 
 def test_int_and_fraction_coefficients_are_interchangeable():
     a = P(2, {(1, 0): 3})
-    b = P._trusted(2, {(1, 0): Fraction(3)})
+    b = P(2, {(1, 0): Fraction(3)})
     assert a == b and hash(a) == hash(b)
     assert a.render() == b.render() == "3*x1"
     z = ((0, 0),)

@@ -246,6 +246,9 @@ def test_volume_form():
     assert vol.log_density.is_zero()
     weighted = VolumeForm(2, P.variable(2, 1))
     assert VolumeForm.from_json({"dim": 2, "log_density": "x1"}) == weighted
+    # a value: equal forms hash alike
+    assert len({weighted, VolumeForm(2, P.parse("x1", 2)), VolumeForm.constant(2)}) == 2
+    assert weighted != VolumeForm(3, P.variable(3, 1)) and weighted != P.variable(2, 1)
     # a float or a boolean is refused, not truncated
     for dim in (2.9, 2.0, True, "2"):
         with pytest.raises(ValueError, match="dim must be an integer"):
@@ -260,6 +263,9 @@ def test_from_json():
         ({"dim": 2, "degree": 0, "components": {"1": "x1*x2"}},
          vector(2, [P.parse("x1*x2", 2), P.zero(2)])),
         ({"dim": 3, "degree": 2, "components": {}}, PolyVector.zero(3, 2)),
+        ({"dim": 2, "degree": -1, "components": {"": "x1"}}, PolyVector(2, -1, {(): P.variable(2, 1)})),
+        ({"dim": 12, "degree": 1, "components": {"2,10": "x11"}},
+         PolyVector(12, 1, {(2, 10): P.variable(12, 11)})),
     ):
         back = PolyVector.from_json(obj)
         assert (back.dim, back.degree, back.components) == (pv.dim, pv.degree, pv.components)
@@ -267,6 +273,10 @@ def test_from_json():
     for comps in ({"2,1": "1"}, {"1,2": "1", "2,1": "-1"}, {"1,1": "1"}, {"1,2": "1", "01,2": "1"}):
         with pytest.raises(ValueError, match="axes must increase"):
             PolyVector.from_json({"dim": 2, "degree": 1, "components": comps})
+    # a key is its ASCII axes joined by single commas, and nothing else
+    for key in (" 1,+2", "01,2", "1, 2", "\u0661,\u0662", "1,,2", "1,2,", ",1,2", "+1,2", "1_0,2", "0,1"):
+        with pytest.raises(ValueError, match='axes must increase, written as in "1,2"'):
+            PolyVector.from_json({"dim": 2, "degree": 1, "components": {key: "x1"}})
     # a float or a boolean is refused, not truncated
     for name, bad in (("dim", 2.9), ("dim", 2.0), ("dim", True), ("dim", "2"),
                       ("degree", 1.7), ("degree", False)):

@@ -233,6 +233,39 @@ def test_weight_table_round_trip(tmp_path):
     assert loaded.get("absent", (0.0, 0.0, 1.0)) is None
 
 
+def test_saved_tables_load_with_every_field_typed(tmp_path):
+    # the bundled table, sampled tables on both routes and an empty one
+    # come back from save unchanged
+    sampled = WeightTable()
+    for k, g in enumerate(star_graphs(1, 3)):
+        sampled.add(compute_weight(g, CTX, 1 << 10, 40 + k))
+    for k, g in enumerate(star_graphs(1, 2)):
+        sampled.add(halfplane_weight(g, 1 << 10, 50 + k))
+    path = tmp_path / "table.json"
+    for table in (WeightTable.builtin(), sampled, WeightTable()):
+        table.save(str(path))
+        loaded = WeightTable.from_json(json.loads(path.read_text()))
+        assert loaded.entries == table.entries and loaded.fingerprint() == table.fingerprint()
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("samples", 1.9, "samples must be an integer"),
+    ("samples", "16", "samples must be an integer"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", 2.5, "seed must be an integer"),
+    ("rejected", 0.7, "rejected must be an integer"),
+    ("value", "0.5", "value must be a number"),
+    ("value", True, "value must be a number"),
+    ("std_error", "0", "std_error must be a number"),
+    ("alphas", [0, 0, "1"], "alphas must be a number"),
+    ("alphas", [0, 0, False], "alphas must be a number"),
+])
+def test_weight_entry_json_fields_are_typed(field, bad, message):
+    obj = dict(WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 0.5, 0.01, 16, 1).to_json(), **{field: bad})
+    with pytest.raises(ValueError, match=message):
+        WeightEntry.from_json(obj)
+
+
 def test_builtin_table():
     t = WeightTable.builtin()
     prov = t.provenance()
