@@ -1,9 +1,9 @@
 """Immutable value objects written by hand.  Frozen fields are __slots__,
 set once by _assign in a validating constructor (a hot trusted constructor
 may call object.__setattr__ itself); assigning or deleting a field later
-is an AttributeError.  Record adds equality, hash, repr and pickling that
-read the fields in order.  _json_int and _json_number check the
-typed fields of their JSON forms.
+is an AttributeError, and unpickling sets them by __setstate__.  Record
+adds equality, hash, repr and pickling that read the fields in order.
+_json_int and _json_number check the typed fields of their JSON forms.
 (dataclasses would cost every process inspect, ast and an exec per class.)"""
 
 
@@ -19,6 +19,10 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class Record(Frozen):

@@ -1,24 +1,24 @@
 """Polydifferential operators and the cyclic calculus.
 
 A k-ary operator is sum_t c_t(x) * d^{I_1}f_1 ... d^{I_k}f_k.  The module
-provides the Hochschild differential, insertion into a slot, and the
-cyclic shift C obtained by moving all derivatives off the first argument
-slot by integration by parts against a volume density exp(rho).  The
-differential and insertion expand each derivative of a product by one
-Leibniz rule, _leibniz.  Local functionals are compared through that
-slot-1 normal form, which is the faithful finite representation of
-equality modulo total derivatives.
+provides the Hochschild differential d, insertion into a slot, and the
+cyclic shift C, which moves all derivatives off slot 1 by integration by
+parts against exp(rho); that slot-1 normal form faithfully represents
+local functionals modulo total derivatives.  d and insertion expand each
+derivative of a product by one Leibniz rule, _leibniz, and add int
+numerators into one {key: {exponents: int}} table over one denominator
+(_d_into, _insert_into); _operator forms its Polynomials once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import add, sub
 
 from ._record import Frozen
-from .poly import Polynomial, _accumulate, _render_sum
+from .poly import Polynomial, _accumulate, _add, _derive_num, _render_sum, _times
 from .polyvector import VolumeForm
 
 
@@ -51,9 +51,9 @@ class PolyDiffOperator(Frozen):
     coefficients.  Arity 0 is allowed (a plain polynomial, the result of
     integrating all slots away).  The constructor validates; _trusted,
     like Polynomial._trusted, only wraps the package's own results (+, -,
-    *, insert, ibp_normal_form, hochschild_differential, and the
-    contractions and defects of star), whose keys are valid and whose
-    coefficients are nonzero Polynomials.
+    *, extended_by_slot, and the numerator tables of _operator: insert, d,
+    ibp_normal_form, star's contractions and defects), whose keys are valid
+    and whose coefficients are nonzero Polynomials.
     """
 
     __slots__ = ("dim", "arity", "terms")
@@ -75,12 +75,7 @@ class PolyDiffOperator(Frozen):
                 coeff = Polynomial.constant(dim, coeff)
             if coeff.dim != dim:
                 raise ValueError("coefficient dim mismatch")
-            if key in clean:
-                coeff = clean[key] + coeff
-            if coeff.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = coeff
+            _accumulate(clean, key, coeff)
         self._assign(dim, arity, clean)
 
     @classmethod
@@ -145,22 +140,24 @@ class PolyDiffOperator(Frozen):
     __rmul__ = __mul__
 
     def apply(self, args) -> Polynomial:
-        """Evaluate on a list of arity Polynomials."""
+        """Evaluate on arity Polynomials, on int numerators over one denominator."""
         args = list(args)
         if len(args) != self.arity:
             raise ValueError("expected %d arguments, got %d" % (self.arity, len(args)))
-        for f in args:
-            if f.dim != self.dim:
-                raise ValueError("argument dim mismatch")
-        total = Polynomial.zero(self.dim)
+        if any(f.dim != self.dim for f in args):
+            raise ValueError("argument dim mismatch")
+        den = _den(self)
+        derived = {}
+        total = {}
         for key, c in self.terms.items():
-            prod = c
-            for mi, f in zip(key, args):
-                prod = prod * f.derive(mi)
-                if prod.is_zero():
-                    break
-            total = total + prod
-        return total
+            num = c._num
+            for slot, mi in enumerate(key):
+                d = derived.get((slot, mi))
+                if d is None:
+                    d = derived[slot, mi] = _derive_num(args[slot]._num, mi)
+                num = _times(num, d)
+            _add(total, num, den // c._den)
+        return Polynomial._trusted(self.dim, total, den * prod(f._den for f in args))
 
     # -- integration by parts ---------------------------------------------
 
@@ -183,7 +180,7 @@ class PolyDiffOperator(Frozen):
         drho = [vol.log_density.partial(a + 1) for a in range(self.dim)]
         r = lcm(*(p._den for p in drho))
         drho = [{f: w * (r // p._den) for f, w in p._num.items()} for p in drho]
-        d = lcm(*(c._den for c in self.terms.values()))
+        d = _den(self)
         top = max((sum(key[0]) for key in self.terms), default=0)
         levels = {}
         for key, c in self.terms.items():
@@ -204,17 +201,14 @@ class PolyDiffOperator(Frozen):
                 for j in range(1, len(key)):
                     ij = key[j]
                     spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
-                    out = below.setdefault(spill, {})
-                    for e, v in c.items():
-                        _accumulate(out, e, -v * r)
-        den = d * r ** top
-        done = {key[1:]: Polynomial._trusted(self.dim, c, den) for key, c in levels.get(0, {}).items() if c}
-        return PolyDiffOperator._trusted(self.dim, self.arity - 1, done)
+                    _add(below.setdefault(spill, {}), c, -r)
+        return _operator(self.dim, self.arity - 1, {key[1:]: c for key, c in levels.get(0, {}).items()},
+                         d * r ** top)
 
     def extended_by_slot(self) -> "PolyDiffOperator":
         """D(f1,..,f_{k+1}) = self(f1,..,fk) * f_{k+1}."""
-        z = _mi_zero(self.dim)
-        return PolyDiffOperator(self.dim, self.arity + 1, {k + (z,): c for k, c in self.terms.items()})
+        z = (_mi_zero(self.dim),)
+        return PolyDiffOperator._trusted(self.dim, self.arity + 1, {k + z: c for k, c in self.terms.items()})
 
     def cyclic_shift(self, vol: VolumeForm) -> "PolyDiffOperator":
         """C with  int psi(f1..fk) f_{k+1} Omega = (-1)^k int C(psi)(f2..f_{k+1}) f1 Omega."""
@@ -228,19 +222,7 @@ class PolyDiffOperator(Frozen):
     def hochschild_differential(self) -> "PolyDiffOperator":
         """(d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
         + (-1)^{k+1} psi(..fk) f_{k+1}."""
-        k = self.arity
-        z = _mi_zero(self.dim)
-        out = {}
-
-        for key, c in self.terms.items():
-            signed = (-c, c)  # signed[i % 2] == (-1)^(i+1) c
-            _accumulate(out, (z,) + key, c)
-            _accumulate(out, key + (z,), signed[k % 2])
-            for i in range(k):
-                sc = signed[i % 2]
-                for split, b in _leibniz(key[i], 2):
-                    _accumulate(out, key[:i] + split + key[i + 1:], sc if b == 1 else b * sc)
-        return PolyDiffOperator._trusted(self.dim, k + 1, out)
+        return _operator(self.dim, self.arity + 1, _d_into(self, {}, 1), _den(self))
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
         """Composition inserting `other` into argument slot `slot` (1-based)."""
@@ -248,27 +230,8 @@ class PolyDiffOperator(Frozen):
             raise ValueError("dimension mismatch")
         if not 1 <= slot <= self.arity:
             raise ValueError("slot out of range")
-        k2 = other.arity
-        out = {}
-        derived = {}
-
-        for key1, c1 in self.terms.items():
-            I = key1[slot - 1]
-            pre, post = key1[:slot - 1], key1[slot:]
-            for key2, c2 in other.terms.items():
-                # d^I applied to (c2 * prod d^{J_l} g_l): split I over c2 and the J's
-                for (s0, left), b in _leibniz(I, 2):
-                    dc2 = derived.get((key2, s0))
-                    if dc2 is None:
-                        dc2 = derived[key2, s0] = c2.derive(s0)
-                    if dc2.is_zero():
-                        continue
-                    prod = c1 * dc2
-                    for rest, m in _leibniz(left, k2):
-                        mult = b * m
-                        mid = tuple(tuple(map(add, j, s)) for j, s in zip(key2, rest))
-                        _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
-        return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
+        out = _insert_into(self, other, slot, {}, 1)
+        return _operator(self.dim, self.arity + other.arity - 1, out, _den(self) * _den(other))
 
     # -- serialization ---------------------------------------------------------
 
@@ -278,3 +241,50 @@ class PolyDiffOperator(Frozen):
 
     def __repr__(self):
         return "PolyDiffOperator(%d, %d, %s)" % (self.dim, self.arity, self.render())
+
+
+def _den(op: PolyDiffOperator) -> int:
+    """The lcm of the denominators of op's coefficients."""
+    return lcm(*(c._den for c in op.terms.values()))
+
+
+def _operator(dim: int, arity: int, out: dict, den: int) -> PolyDiffOperator:
+    """The operator of the numerator table out {key: {exponents: int}} over den."""
+    return PolyDiffOperator._trusted(dim, arity, {key: Polynomial._trusted(dim, num, den)
+                                                  for key, num in out.items() if num})
+
+
+def _d_into(op: PolyDiffOperator, out: dict, m: int):
+    """out += m * _den(op) * (d op) on int numerators; returns out."""
+    k, z, den = op.arity, _mi_zero(op.dim), _den(op)
+    for key, c in op.terms.items():
+        s = m * (den // c._den)  # the sign of slot i is (-1)^(i+1)
+        _add(out.setdefault((z,) + key, {}), c._num, s)
+        _add(out.setdefault(key + (z,), {}), c._num, s if k % 2 else -s)
+        for i in range(k):
+            for split, b in _leibniz(key[i], 2):
+                _add(out.setdefault(key[:i] + split + key[i + 1:], {}), c._num, b * s if i % 2 else -b * s)
+    return out
+
+
+def _insert_into(a: PolyDiffOperator, b: PolyDiffOperator, slot: int, out: dict, m: int):
+    """out += m * _den(a) * _den(b) * (a o_slot b) on int numerators; returns out.
+    d^I of c2 * prod d^{J_l} g_l splits I over c2 and the J's."""
+    da, db = _den(a), _den(b)
+    derived = {}
+    for key1, c1 in a.terms.items():
+        I = key1[slot - 1]
+        pre, post = key1[:slot - 1], key1[slot:]
+        for key2, c2 in b.terms.items():
+            s = m * (da // c1._den) * (db // c2._den)
+            for (s0, left), c in _leibniz(I, 2):
+                dn2 = derived.get((key2, s0))
+                if dn2 is None:
+                    dn2 = derived[key2, s0] = _derive_num(c2._num, s0)
+                if not dn2:
+                    continue
+                num = _times(c1._num, dn2)
+                for rest, mult in _leibniz(left, b.arity):
+                    mid = tuple(tuple(map(add, j, t)) for j, t in zip(key2, rest))
+                    _add(out.setdefault(pre + mid + post, {}), num, s * c * mult)
+    return out

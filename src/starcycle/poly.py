@@ -30,6 +30,34 @@ def _accumulate(terms, key, c):
         terms[key] = s
 
 
+def _add(acc, num, m):
+    """acc += m * num in place, on numerator maps {exponents: int}."""
+    for e, n in num.items():
+        _accumulate(acc, e, n * m)
+
+
+def _derive_num(num, multi_index):
+    """d^multi_index of the numerators num, over num's denominator."""
+    out = {}
+    for exps, n in num.items():
+        for e, k in zip(exps, multi_index):
+            if e < k:
+                break
+            n *= perm(e, k)
+        else:
+            out[tuple(map(sub, exps, multi_index))] = n
+    return out
+
+
+def _times(num1, num2):
+    """The numerators of the product of two numerator maps."""
+    out = {}
+    for e1, c1 in num1.items():
+        for e2, c2 in num2.items():
+            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+    return out
+
+
 def _render_sum(terms, basis):
     """'(c) basis(key) + ...' over terms sorted by key, with '(c)' alone
     where basis(key) is empty: the text form of operators and multivectors."""
@@ -137,8 +165,7 @@ class Polynomial(Frozen):
         den = lcm(self._den, other._den)
         m1, m2 = den // self._den, (-den if negate else den) // other._den
         out = dict(self._num) if m1 == 1 else {e: n * m1 for e, n in self._num.items()}
-        for e, n in other._num.items():
-            _accumulate(out, e, n * m2)
+        _add(out, other._num, m2)
         return Polynomial._trusted(self.dim, out, den)
 
     def __add__(self, other):
@@ -163,11 +190,7 @@ class Polynomial(Frozen):
             num = {e: n * p for e, n in self._num.items()} if p else {}
             return Polynomial._trusted(self.dim, num, self._den * other.denominator)
         self._check_dim(other)
-        out = {}
-        for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-        return Polynomial._trusted(self.dim, out, self._den * other._den)
+        return Polynomial._trusted(self.dim, _times(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -209,15 +232,7 @@ class Polynomial(Frozen):
         """Iterated partial derivative for an exponent multi-index."""
         if len(multi_index) != self.dim:
             raise ValueError(f"multi-index length {len(multi_index)} != dim {self.dim}")
-        out = {}
-        for exps, n in self._num.items():
-            for e, k in zip(exps, multi_index):
-                if e < k:
-                    break
-                n *= perm(e, k)
-            else:
-                out[tuple(map(sub, exps, multi_index))] = n
-        return Polynomial._trusted(self.dim, out, self._den)
+        return Polynomial._trusted(self.dim, _derive_num(self._num, multi_index), self._den)
 
     # -- text form ----------------------------------------------------------
 

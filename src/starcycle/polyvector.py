@@ -71,13 +71,7 @@ class PolyVector(Frozen):
                 poly = Polynomial.constant(dim, poly)
             if poly.dim != dim:
                 raise ValueError("component polynomial dim %d != %d" % (poly.dim, dim))
-            p = sign * poly
-            if skey in clean:
-                p = clean[skey] + p
-            if p.is_zero():
-                clean.pop(skey, None)
-            else:
-                clean[skey] = p
+            _accumulate(clean, skey, sign * poly)
         # a nonzero multivector cannot exceed top degree; the zero one may
         # carry any degree label (wedge overflow returns such a zero)
         if clean and arity > dim:

@@ -29,9 +29,9 @@ the level's Polynomials are formed once, at the end.  graph_to_operator
 builds one table per distinct multivector and calls the same contraction.
 
 Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k} with B_0 the
-multiplication, which StarProduct requires (see assoc_defect).  Checks return
-JSON-friendly report dicts; exactness-critical checks (associativity,
-cyclicity, closedness) refuse Monte Carlo-backed tables.
+multiplication, which StarProduct requires; assoc_defect sums both sides in
+one int numerator table.  Checks return JSON-friendly report dicts; the exact
+checks (associativity, cyclicity, closedness) refuse Monte Carlo tables.
 """
 
 import itertools
@@ -40,9 +40,9 @@ from fractions import Fraction
 from operator import add
 
 from ._record import Frozen
-from .diffops import PolyDiffOperator
+from .diffops import PolyDiffOperator, _d_into, _den, _insert_into, _operator
 from .graphs import AdmissibleGraph, star_orbits
-from .poly import Polynomial, _accumulate
+from .poly import Polynomial, _accumulate, _derive_num
 from .polyvector import PolyVector, VolumeForm
 from .table import WeightTable
 
@@ -102,7 +102,7 @@ def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
             key = tuple(flat[a:b])
             f = derivs.get(key)
             if f is None:
-                f = derivs[key] = base.derive(key)._num
+                f = derivs[key] = _derive_num(base._num, key)
             if not f:
                 break
             prod = ([(e, c * scale) for e, c in f.items()] if prod is None else
@@ -111,19 +111,7 @@ def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
             slots = tuple([tuple(flat[a:b]) for a, b in cuts[n:]])
             acc = out.setdefault(slots, {})
             for e, c in prod:
-                c += acc.get(e, 0)
-                if c:
-                    acc[e] = c
-                else:
-                    del acc[e]
-            if not acc:
-                del out[slots]
-
-
-def _operator(dim: int, arity: int, out: dict, den: int) -> PolyDiffOperator:
-    """The operator of _contract's int numerators over den."""
-    return PolyDiffOperator._trusted(dim, arity, {key: Polynomial._trusted(dim, num, den)
-                                                  for key, num in out.items()})
+                _accumulate(acc, e, c)
 
 
 def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
@@ -250,16 +238,18 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
     when it is zero.  As B_0 is the multiplication, the k = 0 and k = n
     terms are B_n(f,g)h - f B_n(g,h) + B_n(fg,h) - B_n(f,gh) = -(d B_n)(f,g,h)
     for (d psi)(f,g,h) = f psi(g,h) - psi(fg,h) + psi(f,gh) - psi(f,g)h, so
-    the defect is -d B_n + sum_{0<k<n}, and -d B_0 = 0 at n = 0.
+    the defect is -d B_n + sum_{0<k<n}, and -d B_0 = 0 at n = 0.  It is summed
+    as int numerators in one table, and each of its Polynomials formed once.
     """
-    terms = (-s.levels[n].hochschild_differential()).terms
+    levels, dens = s.levels, [_den(b) for b in s.levels]
+    den = math.lcm(dens[n], *(dens[k] * dens[n - k] for k in range(1, n)))
+    out = {}
+    _d_into(levels[n], out, -(den // dens[n]))
     for k in range(1, n):
-        bk, bl = s.levels[k], s.levels[n - k]
-        for key, c in bk.insert(bl, 1).terms.items():
-            _accumulate(terms, key, c)
-        for key, c in bk.insert(bl, 2).terms.items():
-            _accumulate(terms, key, -c)
-    return PolyDiffOperator._trusted(s.pi.dim, 3, terms)
+        m = den // (dens[k] * dens[n - k])
+        _insert_into(levels[k], levels[n - k], 1, out, m)
+        _insert_into(levels[k], levels[n - k], 2, out, -m)
+    return _operator(s.pi.dim, 3, out, den)
 
 
 def _order_report(check: str, s: StarProduct, residuals) -> dict:

@@ -31,6 +31,8 @@ class WeightEntry(Record):
         if not (math.isfinite(value) and math.isfinite(std_error)):
             raise ValueError("weight of %s: value %r and std_error %r must be finite"
                              % (graph_key, value, std_error))
+        if exact is not None and float(exact) != value:
+            raise ValueError("value %r of %s is not its exact weight %s" % (value, graph_key, exact))
         if std_error < 0:
             raise ValueError("std_error must be >= 0")
         if exact is None and samples <= 0:
@@ -53,11 +55,18 @@ class WeightEntry(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "WeightEntry":
-        """samples, seed and rejected must be JSON integers, and value,
-        std_error and the alphas JSON numbers: nothing is coerced."""
-        exact = obj.get("exact")
+        """samples, seed and rejected must be JSON integers, value, std_error
+        and the alphas JSON numbers, graph a string, and exact null or a
+        string p/q or p of ASCII digits with q > 0: nothing is coerced."""
+        graph, exact = obj["graph"], obj.get("exact")
+        if type(graph) is not str:
+            raise ValueError("graph must be a string, got %r" % (graph,))
+        num, slash, den = exact.partition("/") if type(exact) is str else ("", "", "")
+        if exact is not None and not (num.removeprefix("-").isdecimal() and exact.isascii()
+                                      and (not slash or den.isdecimal() and int(den))):
+            raise ValueError("exact must be null or a string p/q, got %r" % (exact,))
         return cls(
-            graph_key=obj["graph"],
+            graph_key=graph,
             alphas=tuple(_json_number(a, "alphas") for a in obj.get("alphas", [])),
             value=_json_number(obj["value"], "value"),
             std_error=_json_number(obj.get("std_error", 0.0), "std_error"),

@@ -6,12 +6,20 @@ The package decides cyclicity through PolyDiffOperator.cyclic_shift and
 builds every operator it needs from insert and hochschild_differential;
 these functions, built on the same methods, serve as the oracle for the
 calculus identities (acceptance criterion 2).
+
+apply, hochschild_differential and insert below compute on whole
+Polynomials, one Polynomial sum per term: the package's methods of those
+names sum int numerators over one denominator instead, and are checked
+against these.
 """
 
 import math
 from fractions import Fraction
+from operator import add
 
-from starcycle import PolyDiffOperator, PolyVector, VolumeForm
+from starcycle import Polynomial, PolyDiffOperator, PolyVector, VolumeForm
+from starcycle.diffops import _leibniz, _mi_zero
+from starcycle.poly import _accumulate
 
 
 def vector(dim: int, components) -> PolyVector:
@@ -61,3 +69,79 @@ def gerstenhaber(op: PolyDiffOperator, other: PolyDiffOperator) -> PolyDiffOpera
     """[psi1, psi2] = psi1 o psi2 - (-1)^{(k1-1)(k2-1)} psi2 o psi1."""
     sign = -1 if ((op.arity - 1) * (other.arity - 1)) % 2 else 1
     return circ(op, other) - sign * circ(other, op)
+
+
+def apply(self: PolyDiffOperator, args) -> Polynomial:
+    """Evaluate on a list of arity Polynomials."""
+    args = list(args)
+    if len(args) != self.arity:
+        raise ValueError("expected %d arguments, got %d" % (self.arity, len(args)))
+    for f in args:
+        if f.dim != self.dim:
+            raise ValueError("argument dim mismatch")
+    total = Polynomial.zero(self.dim)
+    for key, c in self.terms.items():
+        prod = c
+        for mi, f in zip(key, args):
+            prod = prod * f.derive(mi)
+            if prod.is_zero():
+                break
+        total = total + prod
+    return total
+
+
+def hochschild_differential(self: PolyDiffOperator) -> PolyDiffOperator:
+    """(d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
+    + (-1)^{k+1} psi(..fk) f_{k+1}."""
+    k = self.arity
+    z = _mi_zero(self.dim)
+    out = {}
+
+    for key, c in self.terms.items():
+        signed = (-c, c)  # signed[i % 2] == (-1)^(i+1) c
+        _accumulate(out, (z,) + key, c)
+        _accumulate(out, key + (z,), signed[k % 2])
+        for i in range(k):
+            sc = signed[i % 2]
+            for split, b in _leibniz(key[i], 2):
+                _accumulate(out, key[:i] + split + key[i + 1:], sc if b == 1 else b * sc)
+    return PolyDiffOperator._trusted(self.dim, k + 1, out)
+
+
+def insert(self: PolyDiffOperator, other: PolyDiffOperator, slot: int) -> PolyDiffOperator:
+    """Composition inserting `other` into argument slot `slot` (1-based)."""
+    if self.dim != other.dim:
+        raise ValueError("dimension mismatch")
+    if not 1 <= slot <= self.arity:
+        raise ValueError("slot out of range")
+    k2 = other.arity
+    out = {}
+    derived = {}
+
+    for key1, c1 in self.terms.items():
+        I = key1[slot - 1]
+        pre, post = key1[:slot - 1], key1[slot:]
+        for key2, c2 in other.terms.items():
+            # d^I applied to (c2 * prod d^{J_l} g_l): split I over c2 and the J's
+            for (s0, left), b in _leibniz(I, 2):
+                dc2 = derived.get((key2, s0))
+                if dc2 is None:
+                    dc2 = derived[key2, s0] = c2.derive(s0)
+                if dc2.is_zero():
+                    continue
+                prod = c1 * dc2
+                for rest, m in _leibniz(left, k2):
+                    mult = b * m
+                    mid = tuple(tuple(map(add, j, s)) for j, s in zip(key2, rest))
+                    _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
+    return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
+
+
+def assoc_defect(s, n: int) -> PolyDiffOperator:
+    """-d B_n + sum_{0<k<n} B_k o_1 B_{n-k} - B_k o_2 B_{n-k}, summed as
+    whole operators from the functions above."""
+    total = PolyDiffOperator.zero(s.pi.dim, 3) - hochschild_differential(s.levels[n])
+    for k in range(1, n):
+        bk, bl = s.levels[k], s.levels[n - k]
+        total = total + insert(bk, bl, 1) - insert(bk, bl, 2)
+    return total

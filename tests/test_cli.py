@@ -440,6 +440,13 @@ _APPLY_1 = ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2", "--order",
      ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2")),
     ("--table", json.dumps({"entries": [dict(_ENTRY, value=None)]}),
      ("check", "closed", "--pi", "so3")),
+    # exact is null or a string p/q of ASCII digits that value equals; graph a string
+    ("--table", _sampled_table(exact=True, samples=0, std_error=0.0), _APPLY_1),
+    ("--table", _sampled_table(exact=0.5, samples=0, std_error=0.0), _APPLY_1),
+    ("--table", _sampled_table(exact="1e-3", samples=0, std_error=0.0), _APPLY_1),
+    ("--table", _sampled_table(exact="1/3", samples=0, std_error=0.0), _APPLY_1),
+    ("--table", json.dumps({"entries": json.loads(_sampled_table())["entries"] + [dict(_ENTRY, graph=7)]}),
+     _APPLY_1),
     ("--table", json.dumps({"entries": [_ENTRY, dict(_ENTRY, value=0.0, exact="0/1")]}),
      ("check", "assoc", "--pi", "so3")),
     # integer fields must be JSON integers, number fields JSON numbers
@@ -456,7 +463,8 @@ _APPLY_1 = ("star", "apply", "--pi", "so3", "--f", "x1", "--g", "x2", "--order",
         "pi-symmetric-pair", "pi-repeated-axis", "pi-float-dim", "pi-float-degree", "pi-bool-dim",
         "pi-key-space-sign", "pi-key-leading-zero", "pi-key-inner-space", "pi-key-non-ascii",
         "vol-list", "vol-int-density", "vol-float-dim", "table-list",
-        "table-exact-div-zero", "table-value-null", "table-repeated-entry",
+        "table-exact-div-zero", "table-value-null", "table-bool-exact", "table-float-exact",
+        "table-sci-exact", "table-exact-not-value", "table-int-graph", "table-repeated-entry",
         "table-float-samples", "table-bool-seed", "table-float-seed", "table-string-value",
         "table-float-rejected", "table-bool-std-error", "table-string-alpha", "out-table-list"])
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
@@ -723,10 +731,10 @@ def test_table_file_is_read_on_every_call(capsys, tmp_path):
     table = json.loads((resources.files("starcycle") / "data/weights_exact.json").read_text())
     path = tmp_path / "table.json"
     shas = []
-    for exact in ("1/2", "1/3"):
+    for exact, value in (("1/2", 0.5), ("1/3", 1 / 3)):
         for entry in table["entries"]:
             if entry["graph"] == "1;3;b1,b2":
-                entry["exact"] = exact
+                entry["exact"], entry["value"] = exact, value
         path.write_text(json.dumps(table))
         code, out, _ = run(capsys, "check", "closed", "--pi", "so3", "--order", "1",
                            "--table", str(path), "--format", "json")

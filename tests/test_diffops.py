@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import operator_oracle
 from operator_oracle import cyclic_projector, gauss_integral, gerstenhaber, is_cyclic, vector
 from starcycle import Polynomial, PolyDiffOperator, VolumeForm
 from starcycle.diffops import _leibniz
@@ -378,3 +379,51 @@ def test_ibp_with_a_rational_log_density_equals_min_key_loop(dim):
             assert nf.render() == ibp_by_min_key(op, vol).render()
             sign = -1 if arity % 2 else 1
             assert op.cyclic_shift(vol) == sign * ibp_by_min_key(op.extended_by_slot(), vol)
+
+
+def mixed_poly(dim, rng):
+    """A polynomial with coefficients p/q over mixed denominators q, plus
+    x_i^2/2, whose derivative d_i lowers the denominator."""
+    i = rng.randrange(dim)
+    p = P.monomial(dim, tuple(2 * (a == i) for a in range(dim)), Fraction(1, 2))
+    for _ in range(rng.randint(0, 3)):
+        exps = tuple(rng.randint(0, 2) for _ in range(dim))
+        p = p + P.monomial(dim, exps, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))))
+    return p
+
+
+def mixed_operator(dim, arity, rng):
+    """A random operator with mixed_poly coefficients and derivatives of
+    order at most 2 on every slot."""
+    def multi_index():
+        while True:
+            mi = tuple(rng.randint(0, 2) for _ in range(dim))
+            if sum(mi) <= 2:
+                return mi
+
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(multi_index() for _ in range(arity))
+        terms[key] = terms.get(key, P.zero(dim)) + mixed_poly(dim, rng)
+    return D(dim, arity, terms)
+
+
+def test_int_numerator_composition_equals_the_polynomial_oracle():
+    # d, insert and apply sum int numerators over one denominator; the
+    # oracle sums whole Polynomials.  Reading numerators off a derivative
+    # that lowered its denominator would break the equality.
+    rng = random.Random(34)
+    count = 0
+    for dim in (1, 2, 3):
+        for arity in (0, 1, 2, 3):
+            for _ in range(17):
+                op = mixed_operator(dim, arity, rng)
+                other = mixed_operator(dim, rng.randint(0, 3), rng)
+                count += 2
+                assert op.hochschild_differential() == operator_oracle.hochschild_differential(op)
+                assert other.hochschild_differential() == operator_oracle.hochschild_differential(other)
+                for slot in range(1, arity + 1):
+                    assert op.insert(other, slot) == operator_oracle.insert(op, other, slot)
+                args = [mixed_poly(dim, rng) for _ in range(arity)]
+                assert op.apply(args) == operator_oracle.apply(op, args)
+    assert count >= 400

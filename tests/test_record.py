@@ -1,5 +1,7 @@
 """The value classes: every field is set once, by the constructor."""
 
+import pickle
+
 import pytest
 
 from starcycle import (
@@ -40,3 +42,15 @@ def test_fields_can_be_neither_assigned_nor_deleted(value):
             delattr(value, name)
     assert all(getattr(value, name) is old for name, old in zip(fields, before))
     assert repr(value) == text and value == value
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_values_survive_a_pickle_round_trip(value):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        blob = pickle.dumps(value, protocol)
+        back = pickle.loads(blob)
+        assert type(back) is type(value) and pickle.dumps(back, protocol) == blob
+        if type(value).__eq__ is not object.__eq__:  # a star product compares by identity
+            assert back == value
+        with pytest.raises(AttributeError):
+            setattr(back, type(value).__slots__[0], None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import operator_oracle
 from operator_oracle import is_cyclic, vector
 from starcycle import (
     AdmissibleGraph,
@@ -269,6 +270,24 @@ def test_assoc_defect_equals_the_composed_sum_at_order_3():
     defect = assoc_defect(s, 3)
     assert len(defect.terms) == 882
     assert defect == composed_defect(s, 3)
+
+
+def test_assoc_defect_equals_the_polynomial_oracle():
+    for table in (TABLE, corrupted_table("2;2;b1,2|b1,b2")):
+        for pi in (so3(), moyal(), nondiv(), *ASSOC_STRUCTURES.values()):
+            s = assemble_star(pi, table, order=2)
+            for n in range(3):
+                assert assoc_defect(s, n) == operator_oracle.assoc_defect(s, n)
+
+
+def test_assoc_defect_forms_one_polynomial_per_term(monkeypatch):
+    s = assemble_star(so3(), corrupted_table("2;2;b1,2|b1,b2"), order=2)
+    made = []
+    trusted, init = P._trusted, P.__init__
+    monkeypatch.setattr(P, "_trusted", lambda *args: made.append(1) or trusted(*args))
+    monkeypatch.setattr(P, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+    defect = assoc_defect(s, 2)
+    assert len(made) == len(defect.terms) > 0
 
 
 def test_star_product_needs_the_multiplication_as_b0():

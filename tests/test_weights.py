@@ -259,11 +259,29 @@ def test_saved_tables_load_with_every_field_typed(tmp_path):
     ("std_error", "0", "std_error must be a number"),
     ("alphas", [0, 0, "1"], "alphas must be a number"),
     ("alphas", [0, 0, False], "alphas must be a number"),
+    # exact is null or a string p/q or p of ASCII digits, q > 0, and graph a string
+    ("exact", True, "exact must be null or a string"),
+    ("exact", 0.5, "exact must be null or a string"),
+    ("exact", "1e-3", "exact must be null or a string"),
+    ("exact", " 1/2", "exact must be null or a string"),
+    ("exact", "1/0", "exact must be null or a string"),
+    ("exact", "1/-2", "exact must be null or a string"),
+    ("exact", "\u0661/2", "exact must be null or a string"),
+    ("exact", "1_000", "exact must be null or a string"),
+    ("exact", "-", "exact must be null or a string"),
+    ("exact", "1/3", "is not its exact weight"),
+    ("graph", 7, "graph must be a string"),
 ])
 def test_weight_entry_json_fields_are_typed(field, bad, message):
     obj = dict(WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 0.5, 0.01, 16, 1).to_json(), **{field: bad})
     with pytest.raises(ValueError, match=message):
         WeightEntry.from_json(obj)
+
+
+def test_weight_entry_json_reads_exact_strings():
+    for text, value in (("-1/12", -1 / 12), ("3", 3.0), ("0/1", 0.0), ("2/04", 0.5)):
+        obj = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": value, "exact": text}
+        assert WeightEntry.from_json(obj).exact == Fraction(text)
 
 
 def test_builtin_table():
