@@ -40,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from starcycle import WeightEntry, WeightTable
 from starcycle._linsolve import coefficient_rows, solve
-from starcycle.diffops import PolyDiffOperator
+from starcycle.diffops import PolyDiffOperator, _cyclic_residual
 from starcycle.graphs import star_graphs, star_orbits
 from starcycle.poly import Polynomial
 from starcycle.polyvector import PolyVector, VolumeForm
@@ -101,7 +101,7 @@ def equations(n, lower):
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)
             rows += coefficient_rows("cyclicity", zero, {
-                rep: op.cyclic_shift(vol) - op for rep, op in u.items()})
+                rep: _cyclic_residual(op, vol) for rep, op in u.items()})
     return rows, reps, units
 
 

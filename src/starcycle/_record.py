@@ -20,6 +20,9 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
 
+    def __getstate__(self):  # pickle protocols 0 and 1 have no default for __slots__
+        return None, {name: getattr(self, name) for name in self.__slots__}
+
     def __setstate__(self, state):
         for name, value in state[1].items():
             object.__setattr__(self, name, value)

@@ -5,13 +5,15 @@ provides the Hochschild differential d, insertion into a slot, and the
 cyclic shift C, which moves all derivatives off slot 1 by integration by
 parts against exp(rho); that slot-1 normal form faithfully represents
 local functionals modulo total derivatives.  d and insertion expand each
-derivative of a product by one Leibniz rule, _leibniz, and add int
-numerators into one {key: {exponents: int}} table over one denominator
-(_d_into, _insert_into); _operator forms its Polynomials once, at the end.
+derivative of a product by one Leibniz rule, _leibniz.  They, the normal
+form and the cyclic residual C(B) - B add int numerators into one
+{key: {exponents: int}} table over one denominator (_d_into, _insert_into,
+_ibp_into, _cyclic_residual); _operator forms its Polynomials once, at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, lcm, prod
@@ -26,22 +28,20 @@ def _mi_zero(dim):
     return (0,) * dim
 
 
+@functools.cache
 def _leibniz(a, parts):
-    """Yield (split, multinomial) for each way to write the multi-index a
+    """The pairs (split, multinomial) for each way to write the multi-index a
     as an ordered sum of `parts` multi-indices, where the multinomial is
     prod_axis a_axis! / prod_l split_l[axis]!: the coefficient of
     prod_l d^{split_l} u_l in d^a (u_1 ... u_parts).  Zero parts split
-    only a zero a, as the empty split with coefficient 1."""
+    only a zero a, as the empty split with coefficient 1.  Memoized: it reads no input data."""
     if parts < 2:
-        if parts or not any(a):
-            yield (a,) * parts, 1
-        return
+        return (((a,) * parts, 1),) if parts or not any(a) else ()
+    out = []
     for first in itertools.product(*[range(x + 1) for x in a]):
-        b = 1
-        for x, y in zip(a, first):
-            b *= comb(x, y)
-        for rest, m in _leibniz(tuple(map(sub, a, first)), parts - 1):
-            yield (first,) + rest, b * m
+        b = prod(map(comb, a, first))
+        out += [((first,) + rest, b * m) for rest, m in _leibniz(tuple(map(sub, a, first)), parts - 1)]
+    return tuple(out)
 
 
 class PolyDiffOperator(Frozen):
@@ -175,35 +175,7 @@ class PolyDiffOperator(Frozen):
         """
         if self.arity < 1:
             raise ValueError("ibp_normal_form needs arity >= 1")
-        if self.dim != vol.dim:
-            raise ValueError("dimension mismatch with volume form")
-        drho = [vol.log_density.partial(a + 1) for a in range(self.dim)]
-        r = lcm(*(p._den for p in drho))
-        drho = [{f: w * (r // p._den) for f, w in p._num.items()} for p in drho]
-        d = _den(self)
-        top = max((sum(key[0]) for key in self.terms), default=0)
-        levels = {}
-        for key, c in self.terms.items():
-            m = d // c._den * r ** (top - sum(key[0]))
-            levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in c._num.items()}
-        for level in range(top, 0, -1):
-            below = levels.setdefault(level - 1, {})
-            for key, c in levels.pop(level, {}).items():
-                i1 = key[0]
-                a = next(ax for ax in range(self.dim) if i1[ax])
-                head = (i1[:a] + (i1[a] - 1,) + i1[a + 1:],)
-                nc = below.setdefault(head + key[1:], {})
-                for e, v in c.items():
-                    if e[a]:
-                        _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a] * r)
-                    for f, w in drho[a].items():
-                        _accumulate(nc, tuple(map(add, e, f)), -v * w)
-                for j in range(1, len(key)):
-                    ij = key[j]
-                    spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
-                    _add(below.setdefault(spill, {}), c, -r)
-        return _operator(self.dim, self.arity - 1, {key[1:]: c for key, c in levels.get(0, {}).items()},
-                         d * r ** top)
+        return _operator(self.dim, self.arity - 1, *_ibp_into(self, vol, 1))
 
     def extended_by_slot(self) -> "PolyDiffOperator":
         """D(f1,..,f_{k+1}) = self(f1,..,fk) * f_{k+1}."""
@@ -212,10 +184,7 @@ class PolyDiffOperator(Frozen):
 
     def cyclic_shift(self, vol: VolumeForm) -> "PolyDiffOperator":
         """C with  int psi(f1..fk) f_{k+1} Omega = (-1)^k int C(psi)(f2..f_{k+1}) f1 Omega."""
-        if self.arity < 1:
-            raise ValueError("cyclic_shift needs arity >= 1")
-        sign = -1 if self.arity % 2 else 1
-        return sign * self.extended_by_slot().ibp_normal_form(vol)
+        return _cyclic_residual(self, vol, 0)
 
     # -- Hochschild differential and insertion --------------------------------
 
@@ -288,3 +257,46 @@ def _insert_into(a: PolyDiffOperator, b: PolyDiffOperator, slot: int, out: dict,
                     mid = tuple(tuple(map(add, j, t)) for j, t in zip(key2, rest))
                     _add(out.setdefault(pre + mid + post, {}), num, s * c * mult)
     return out
+
+
+def _ibp_into(op: PolyDiffOperator, vol: VolumeForm, s: int):
+    """(out, den): s * op.ibp_normal_form(vol) as the numerator table out over den (see there)."""
+    if op.dim != vol.dim:
+        raise ValueError("dimension mismatch with volume form")
+    drho = [vol.log_density.partial(a + 1) for a in range(op.dim)]
+    r = lcm(*(p._den for p in drho))
+    drho = [{f: w * (r // p._den) for f, w in p._num.items()} for p in drho]
+    d = _den(op)
+    top = max((sum(key[0]) for key in op.terms), default=0)
+    levels = {}
+    for key, c in op.terms.items():
+        m = s * (d // c._den) * r ** (top - sum(key[0]))
+        levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in c._num.items()}
+    for level in range(top, 0, -1):
+        below = levels.setdefault(level - 1, {})
+        for key, c in levels.pop(level, {}).items():
+            i1 = key[0]
+            a = next(ax for ax in range(op.dim) if i1[ax])
+            head = (i1[:a] + (i1[a] - 1,) + i1[a + 1:],)
+            nc = below.setdefault(head + key[1:], {})
+            for e, v in c.items():
+                if e[a]:
+                    _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a] * r)
+                for f, w in drho[a].items():
+                    _accumulate(nc, tuple(map(add, e, f)), -v * w)
+            for j in range(1, len(key)):
+                ij = key[j]
+                spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
+                _add(below.setdefault(spill, {}), c, -r)
+    return {key[1:]: c for key, c in levels.get(0, {}).items()}, d * r ** top
+
+
+def _cyclic_residual(op: PolyDiffOperator, vol: VolumeForm, m: int = 1) -> PolyDiffOperator:
+    """C(op) - m * op in one numerator table (op is cyclic when C(op) - op = 0):
+    the sign (-1)^k of C scales the normal form of op's extension."""
+    if op.arity < 1:
+        raise ValueError("cyclic_shift needs arity >= 1")
+    out, den = _ibp_into(op.extended_by_slot(), vol, -1 if op.arity % 2 else 1)
+    for key, c in op.terms.items() if m else ():
+        _add(out.setdefault(key, {}), c._num, -m * (den // c._den))
+    return _operator(op.dim, op.arity, out, den)

@@ -31,9 +31,13 @@ def _accumulate(terms, key, c):
 
 
 def _add(acc, num, m):
-    """acc += m * num in place, on numerator maps {exponents: int}."""
+    """acc += m * num in place, on numerator maps {exponents: int}; a zero sum drops its key."""
+    get = acc.get
     for e, n in num.items():
-        _accumulate(acc, e, n * m)
+        if s := get(e, 0) + n * m:
+            acc[e] = s
+        else:
+            acc.pop(e, None)
 
 
 def _derive_num(num, multi_index):
@@ -52,10 +56,12 @@ def _derive_num(num, multi_index):
 def _times(num1, num2):
     """The numerators of the product of two numerator maps."""
     out = {}
+    get = out.get
     for e1, c1 in num1.items():
         for e2, c2 in num2.items():
-            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-    return out
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
 def _render_sum(terms, basis):
@@ -102,7 +108,7 @@ class Polynomial(Frozen):
         """num/den in lowest terms, for the package's own results only: num
         maps dim-tuples of non-negative ints to nonzero int numerators and
         is held by no one else, and den > 0.  Outside input goes through
-        the constructor or parse."""
+        the constructor or parse, which checks its text first."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -220,13 +226,7 @@ class Polynomial(Frozen):
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.dim:
             raise ValueError("axis %d out of range for dim %d" % (i, self.dim))
-        a = i - 1
-        out = {}
-        for exps, n in self._num.items():
-            k = exps[a]
-            if k:
-                out[exps[:a] + (k - 1,) + exps[a + 1:]] = n * k
-        return Polynomial._trusted(self.dim, out, self._den)
+        return self.derive(tuple(int(a == i) for a in range(1, self.dim + 1)))
 
     def derive(self, multi_index) -> "Polynomial":
         """Iterated partial derivative for an exponent multi-index."""
@@ -295,8 +295,10 @@ class Polynomial(Frozen):
                     raise ValueError("dangling * in term at position %d" % tokens[i][2])
                 continue
             _accumulate(terms, tuple(exps), coeff)
-            if kind == "end":
-                return cls(dim, terms)
+            if kind == "end":  # the grammar made terms' keys valid and its values nonzero
+                den = lcm(*(c.denominator for c in terms.values()))
+                num = {e: c.numerator * den // c.denominator for e, c in terms.items()}
+                return cls._trusted(dim, num, den)
             if val not in ("+", "-"):
                 raise ValueError("expected + or - at position %d" % at)
             i += 1

@@ -4,16 +4,19 @@ A k-vector field is stored through its strictly increasing basis keys,
 i.e. as an element of the odd polynomial algebra in theta_1..theta_d
 with Polynomial coefficients.  The Lie grading of the bracket is
 degree = arity - 1, so functions sit in degree -1 and bivectors in
-degree 1.
+degree 1.  The wedge and the bracket put each side over the lcm of its
+denominators, take each d_x_i of a component once, and sum int numerators
+in one {key: {exponents: int}} table; its Polynomials are formed once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from ._record import Frozen, Record, _json_int
-from .poly import Polynomial, _accumulate, _render_sum
+from .poly import Polynomial, _accumulate, _add, _derive_num, _render_sum, _times
 
 
 def _normalize_key(key):
@@ -36,13 +39,26 @@ def _normalize_key(key):
 _AXIS = re.compile(r"[1-9][0-9]*")
 
 
-def _wedge_into(out, ka, kb, p):
-    """out[ka ^ kb] += p in place, signed by the sort of ka + kb; nothing
-    when the keys share an axis."""
+def _wedge_into(out, ka, kb, num1, num2, m):
+    """out[ka ^ kb] += m * num1 * num2 in place, on numerator maps, signed
+    by the sort of ka + kb; nothing when the keys share an axis."""
     norm = _normalize_key(ka + kb)
-    if norm is not None:
+    if norm is not None and num1 and num2:
         key, sign = norm
-        _accumulate(out, key, sign * p)
+        _add(out.setdefault(key, {}), _times(num1, num2), sign * m)
+
+
+def _numerators(v):
+    """(den, {key: numerators over den}) of v's components, den the lcm of their denominators."""
+    den = lcm(*(p._den for p in v.components.values()))
+    return den, {k: p._num if p._den == den else {e: n * (den // p._den) for e, n in p._num.items()}
+                 for k, p in v.components.items()}
+
+
+def _vector(dim, degree, out, den):
+    """The multivector of the numerator table out {key: {exponents: int}} over den."""
+    return PolyVector(dim, degree, {key: Polynomial._trusted(dim, num, den)
+                                    for key, num in out.items() if num})
 
 
 class PolyVector(Frozen):
@@ -158,11 +174,12 @@ class PolyVector(Frozen):
     def wedge(self, other: "PolyVector") -> "PolyVector":
         """Exterior product; returns a zero multivector on degree overflow."""
         self._check(other)
+        (da, a), (db, b) = _numerators(self), _numerators(other)
         out = {}
-        for ka, pa in self.components.items():
-            for kb, pb in other.components.items():
-                _wedge_into(out, ka, kb, pa * pb)
-        return PolyVector(self.dim, self.degree + other.degree + 1, out)
+        for ka, na in a.items():
+            for kb, nb in b.items():
+                _wedge_into(out, ka, kb, na, nb, 1)
+        return _vector(self.dim, self.degree + other.degree + 1, out, da * db)
 
     def schouten(self, other: "PolyVector") -> "PolyVector":
         """Schouten-Nijenhuis bracket.
@@ -176,17 +193,20 @@ class PolyVector(Frozen):
         derivative.
         """
         self._check(other)
+        (da, a), (db, b) = _numerators(self), _numerators(other)
+        units = [tuple(int(x == i) for x in range(self.dim)) for i in range(self.dim)]
+        grad_a = {k: [_derive_num(n, u) for u in units] for k, n in a.items()}
+        grad_b = {k: [_derive_num(n, u) for u in units] for k, n in b.items()}
         sign_a = 1 if self.arity % 2 else -1
         out = {}
-        for ka, pa in self.components.items():
-            for kb, pb in other.components.items():
+        for ka, na in a.items():
+            for kb, nb in b.items():
                 for pos, i in enumerate(ka):
-                    sign = -sign_a if pos % 2 else sign_a
-                    _wedge_into(out, ka[:pos] + ka[pos + 1:], kb, sign * (pa * pb.partial(i)))
+                    _wedge_into(out, ka[:pos] + ka[pos + 1:], kb, na, grad_b[kb][i - 1],
+                                -sign_a if pos % 2 else sign_a)
                 for pos, i in enumerate(kb):
-                    sign = 1 if pos % 2 else -1
-                    _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], sign * (pa.partial(i) * pb))
-        return PolyVector(self.dim, self.degree + other.degree, out)
+                    _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], grad_a[ka][i - 1], nb, 1 if pos % 2 else -1)
+        return _vector(self.dim, self.degree + other.degree, out, da * db)
 
     def divergence(self, vol: "VolumeForm") -> "PolyVector":
         """Divergence with respect to vol; degree drops by one.

@@ -28,10 +28,12 @@ contractions and its sum run on int numerators over one denominator, and
 the level's Polynomials are formed once, at the end.  graph_to_operator
 builds one table per distinct multivector and calls the same contraction.
 
-Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k} with B_0 the
-multiplication, which StarProduct requires; assoc_defect sums both sides in
-one int numerator table.  Checks return JSON-friendly report dicts; the exact
-checks (associativity, cyclicity, closedness) refuse Monte Carlo tables.
+Assembly first requires [pi, pi] = 0, which PolyVector.schouten sums on int
+numerators.  Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k}
+with B_0 the multiplication, which StarProduct requires; assoc_defect sums
+both sides in one int numerator table, as check_cyclic sums C(B_n) - B_n.
+Checks return JSON-friendly report dicts; the exact checks (associativity,
+cyclicity, closedness) refuse Monte Carlo tables.
 """
 
 import itertools
@@ -40,7 +42,7 @@ from fractions import Fraction
 from operator import add
 
 from ._record import Frozen
-from .diffops import PolyDiffOperator, _d_into, _den, _insert_into, _operator
+from .diffops import PolyDiffOperator, _cyclic_residual, _d_into, _den, _insert_into, _operator
 from .graphs import AdmissibleGraph, star_orbits
 from .poly import Polynomial, _accumulate, _derive_num
 from .polyvector import PolyVector, VolumeForm
@@ -282,10 +284,11 @@ def check_cyclic(s: StarProduct, vol: VolumeForm) -> dict:
     """int B_n(f,g) h Omega == int f B_n(g,h) Omega, exactly, per order.
 
     Per level this is C(B_n) == B_n for the cyclic shift C of
-    PolyDiffOperator.cyclic_shift, whose sign is +1 at arity 2.
+    PolyDiffOperator.cyclic_shift, whose sign is +1 at arity 2; the residual
+    C(B_n) - B_n is summed in one int numerator table.
     """
     _require_exact(s, "cyclicity check", vol)
-    return _order_report("cyclic", s, ((n, level.cyclic_shift(vol) - level)
+    return _order_report("cyclic", s, ((n, _cyclic_residual(level, vol))
                                        for n, level in enumerate(s.levels)))
 
 

@@ -31,6 +31,8 @@ class WeightEntry(Record):
         if not (math.isfinite(value) and math.isfinite(std_error)):
             raise ValueError("weight of %s: value %r and std_error %r must be finite"
                              % (graph_key, value, std_error))
+        if exact is not None and type(exact) not in (int, Fraction):
+            raise ValueError("exact weight of %s must be None, an int or a Fraction: %r" % (graph_key, exact))
         if exact is not None and float(exact) != value:
             raise ValueError("value %r of %s is not its exact weight %s" % (value, graph_key, exact))
         if std_error < 0:

@@ -7,10 +7,12 @@ builds every operator it needs from insert and hochschild_differential;
 these functions, built on the same methods, serve as the oracle for the
 calculus identities (acceptance criterion 2).
 
-apply, hochschild_differential and insert below compute on whole
-Polynomials, one Polynomial sum per term: the package's methods of those
-names sum int numerators over one denominator instead, and are checked
-against these.
+apply, hochschild_differential, insert, wedge and schouten below compute
+on whole Polynomials, one Polynomial sum per term: the package's methods
+of those names sum int numerators over one denominator instead, and are
+checked against these.  ibp_by_min_key steps one key at a time, on whole
+Polynomials, and cyclic_shift and cyclic_residual are built on it, so they
+share no code with the package's integration by parts.
 """
 
 import math
@@ -20,6 +22,7 @@ from operator import add
 from starcycle import Polynomial, PolyDiffOperator, PolyVector, VolumeForm
 from starcycle.diffops import _leibniz, _mi_zero
 from starcycle.poly import _accumulate
+from starcycle.polyvector import _normalize_key
 
 
 def vector(dim: int, components) -> PolyVector:
@@ -145,3 +148,74 @@ def assoc_defect(s, n: int) -> PolyDiffOperator:
         bk, bl = s.levels[k], s.levels[n - k]
         total = total + insert(bk, bl, 1) - insert(bk, bl, 2)
     return total
+
+
+def _wedge_into(out, ka, kb, p):
+    """out[ka ^ kb] += p in place, signed by the sort of ka + kb; nothing
+    when the keys share an axis."""
+    norm = _normalize_key(ka + kb)
+    if norm is not None:
+        key, sign = norm
+        _accumulate(out, key, sign * p)
+
+
+def wedge(self: PolyVector, other: PolyVector) -> PolyVector:
+    """Exterior product; returns a zero multivector on degree overflow."""
+    self._check(other)
+    out = {}
+    for ka, pa in self.components.items():
+        for kb, pb in other.components.items():
+            _wedge_into(out, ka, kb, pa * pb)
+    return PolyVector(self.dim, self.degree + other.degree + 1, out)
+
+
+def schouten(self: PolyVector, other: PolyVector) -> PolyVector:
+    """Schouten-Nijenhuis bracket, with the sign convention of
+    PolyVector.schouten."""
+    self._check(other)
+    sign_a = 1 if self.arity % 2 else -1
+    out = {}
+    for ka, pa in self.components.items():
+        for kb, pb in other.components.items():
+            for pos, i in enumerate(ka):
+                sign = -sign_a if pos % 2 else sign_a
+                _wedge_into(out, ka[:pos] + ka[pos + 1:], kb, sign * (pa * pb.partial(i)))
+            for pos, i in enumerate(kb):
+                sign = 1 if pos % 2 else -1
+                _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], sign * (pa.partial(i) * pb))
+    return PolyVector(self.dim, self.degree + other.degree, out)
+
+
+def ibp_by_min_key(op: PolyDiffOperator, vol: VolumeForm) -> PolyDiffOperator:
+    """The slot-1 normal form of ibp_normal_form, by stepping the least
+    remaining key until none has a derivative on slot 1."""
+    rho = vol.log_density
+    work, done = dict(op.terms), {}
+    while work:
+        key = min(work)
+        c = work.pop(key)
+        if sum(key[0]) == 0:
+            done[key[1:]] = done.get(key[1:], Polynomial.zero(op.dim)) + c
+            continue
+        a = next(ax for ax in range(op.dim) if key[0][ax] > 0)
+        i1m = tuple(e - (ax == a) for ax, e in enumerate(key[0]))
+        spills = [(i1m,) + key[1:], -(c.partial(a + 1) + c * rho.partial(a + 1))]
+        for j in range(1, len(key)):
+            ij = tuple(e + (ax == a) for ax, e in enumerate(key[j]))
+            spills += [(i1m,) + key[1:j] + (ij,) + key[j + 1:], -c]
+        for k, v in zip(spills[::2], spills[1::2]):
+            work[k] = work.get(k, Polynomial.zero(op.dim)) + v
+    return PolyDiffOperator(op.dim, op.arity - 1, done)
+
+
+def cyclic_shift(self: PolyDiffOperator, vol: VolumeForm) -> PolyDiffOperator:
+    """C with  int psi(f1..fk) f_{k+1} Omega = (-1)^k int C(psi)(f2..f_{k+1}) f1 Omega."""
+    if self.arity < 1:
+        raise ValueError("cyclic_shift needs arity >= 1")
+    sign = -1 if self.arity % 2 else 1
+    return sign * ibp_by_min_key(self.extended_by_slot(), vol)
+
+
+def cyclic_residual(op: PolyDiffOperator, vol: VolumeForm) -> PolyDiffOperator:
+    """C(op) - op, as a difference of whole operators."""
+    return cyclic_shift(op, vol) - op

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 import operator_oracle
-from operator_oracle import cyclic_projector, gauss_integral, gerstenhaber, is_cyclic, vector
+from operator_oracle import cyclic_projector, gauss_integral, gerstenhaber, ibp_by_min_key, is_cyclic, vector
 from starcycle import Polynomial, PolyDiffOperator, VolumeForm
-from starcycle.diffops import _leibniz
+from starcycle.diffops import _cyclic_residual, _leibniz
 
 P = Polynomial
 D = PolyDiffOperator
@@ -322,28 +322,6 @@ def test_integration_by_parts_as_gaussian_integrals():
     assert missed
 
 
-def ibp_by_min_key(op, vol):
-    """The reference: step the least remaining key until none has a
-    derivative on slot 1."""
-    rho = vol.log_density
-    work, done = dict(op.terms), {}
-    while work:
-        key = min(work)
-        c = work.pop(key)
-        if sum(key[0]) == 0:
-            done[key[1:]] = done.get(key[1:], P.zero(op.dim)) + c
-            continue
-        a = next(ax for ax in range(op.dim) if key[0][ax] > 0)
-        i1m = tuple(e - (ax == a) for ax, e in enumerate(key[0]))
-        spills = [(i1m,) + key[1:], -(c.partial(a + 1) + c * rho.partial(a + 1))]
-        for j in range(1, len(key)):
-            ij = tuple(e + (ax == a) for ax, e in enumerate(key[j]))
-            spills += [(i1m,) + key[1:j] + (ij,) + key[j + 1:], -c]
-        for k, v in zip(spills[::2], spills[1::2]):
-            work[k] = work.get(k, P.zero(op.dim)) + v
-    return D(op.dim, op.arity - 1, done)
-
-
 @pytest.mark.parametrize("volp", [None, "x1 - 2*x2^2 + 1/3*x1*x2"])
 def test_ibp_by_levels_equals_min_key_loop(volp):
     rng = random.Random(11)
@@ -427,3 +405,26 @@ def test_int_numerator_composition_equals_the_polynomial_oracle():
                 args = [mixed_poly(dim, rng) for _ in range(arity)]
                 assert op.apply(args) == operator_oracle.apply(op, args)
     assert count >= 400
+
+
+def test_cyclic_residual_equals_the_polynomial_oracle():
+    # C(B) - B summed in one numerator table, with the sign of C folded in,
+    # against the difference of whole operators; the oracle's normal form
+    # shares no code with the package's, so a dropped density term shows
+    rng = random.Random(35)
+    nonzero = 0
+    for dim in (1, 2, 3):
+        vols = [VolumeForm.constant(dim),
+                VolumeForm(dim, P.parse(" ".join("- x%d^2" % i for i in range(1, dim + 1)), dim))]
+        for arity in (1, 2, 3):
+            for _ in range(6):
+                op = mixed_operator(dim, arity, rng)
+                for vol in vols + [VolumeForm(dim, mixed_poly(dim, rng))]:
+                    shift = op.cyclic_shift(vol)
+                    assert shift == operator_oracle.cyclic_shift(op, vol)
+                    got = _cyclic_residual(op, vol)
+                    assert got == operator_oracle.cyclic_residual(op, vol)
+                    assert got.render() == (shift - op).render()
+                    nonzero += not got.is_zero()
+                    assert _cyclic_residual(cyclic_projector(op, vol), vol).is_zero()
+    assert nonzero >= 120

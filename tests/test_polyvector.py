@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import operator_oracle
 from operator_oracle import vector
 from starcycle import Polynomial, PolyVector, VolumeForm
 
@@ -298,3 +299,41 @@ def test_hash_agrees_with_equality_on_zero_polyvectors():
     assert PolyVector.zero(3, 1) in {PolyVector.zero(3, 0)}
     assert so3_bivector() in {PolyVector(3, 1, dict(so3_bivector().components))}
     assert so3_bivector() not in {PolyVector.zero(3, 1)}
+
+
+def mixed_multivector(dim, arity, rng):
+    """A random arity-vector with coefficients p/q over mixed denominators
+    q, x_i^2/2 among them; some components are zero, and so is every
+    multivector above top degree."""
+    keys = list(itertools.combinations(range(1, dim + 1), arity))
+    comps = {}
+    for key in rng.sample(keys, rng.randint(0, len(keys))):
+        i = rng.randrange(dim)
+        p = P.monomial(dim, tuple(2 * (a == i) for a in range(dim)), Fraction(1, 2))
+        for _ in range(rng.randint(0, 3)):
+            exps = tuple(rng.randint(0, 2) for _ in range(dim))
+            p = p + P.monomial(dim, exps, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))))
+        comps[key] = p if rng.random() < 0.8 else P.zero(dim)
+    return PolyVector(dim, arity - 1, comps)
+
+
+def test_int_numerator_bracket_and_wedge_equal_the_polynomial_oracle():
+    # both sides over their lcm denominators, summed as int numerators in one
+    # table, against one Polynomial sum per term
+    rng = random.Random(35)
+    nonzero = 0
+    for dim in (1, 2, 3, 4):
+        for arity_a, arity_b in itertools.product(range(4), repeat=2):
+            for _ in range(6):
+                a, b = mixed_multivector(dim, arity_a, rng), mixed_multivector(dim, arity_b, rng)
+                pairs = [(a.wedge(b), operator_oracle.wedge(a, b))]
+                if arity_a + arity_b:
+                    pairs.append((a.schouten(b), operator_oracle.schouten(a, b)))
+                else:  # the bracket of two functions would have degree -2
+                    with pytest.raises(ValueError, match="degree must be >= -1"):
+                        a.schouten(b)
+                for got, want in pairs:
+                    assert got == want and got.degree == want.degree
+                    assert got.render() == want.render()
+                    nonzero += not got.is_zero()
+    assert nonzero >= 100

@@ -46,7 +46,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(value):
 
 @pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
 def test_values_survive_a_pickle_round_trip(value):
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         blob = pickle.dumps(value, protocol)
         back = pickle.loads(blob)
         assert type(back) is type(value) and pickle.dumps(back, protocol) == blob

@@ -184,6 +184,18 @@ def test_assemble_star_validation():
         assemble_star(moyal(), TABLE, order=-1)
 
 
+def test_non_poisson_message_is_pinned():
+    # rational coefficients, and four nonzero components of [pi, pi], of
+    # which the least key is named; the message was taken before the bracket
+    # summed int numerators
+    pi = PolyVector.from_json({"dim": 4, "degree": 1, "components": {
+        "1,2": "1/3*x3^2 + x4", "1,3": "-2/5*x1*x2", "2,4": "x1^2 + 7/6", "3,4": "1/2*x2*x4"}})
+    assert len(pi.schouten(pi).components) == 4
+    with pytest.raises(ValueError) as err:
+        assemble_star(pi, TABLE, order=1)
+    assert str(err.value) == "pi is not Poisson: [pi,pi] component 1,2,3 = -4/15*x2*x3^2 + 1/5*x2*x4"
+
+
 def casimir(c):
     """pi^{ij} = eps^{ijk} d_k C on R^3: Poisson and divergence-free for any C."""
     d1, d2, d3 = (c.derive(tuple(int(a == k) for a in range(3))) for k in range(3))

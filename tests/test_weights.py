@@ -278,6 +278,14 @@ def test_weight_entry_json_fields_are_typed(field, bad, message):
         WeightEntry.from_json(obj)
 
 
+@pytest.mark.parametrize("exact, value", [(0.5, 0.5), (True, 1.0), ("1/2", 0.5)])
+def test_weight_entry_refuses_an_exact_weight_that_is_not_rational(exact, value):
+    with pytest.raises(ValueError, match="exact weight of 1;3;b1,b2 must be None, an int or a Fraction"):
+        WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), value, 0.0, 0, 0, exact)
+    for rational in (1, Fraction(1)):
+        assert WeightEntry("1;3;b1,b2", (0.0, 0.0, 1.0), 1.0, 0.0, 0, 0, rational).to_json()["exact"] == "1/1"
+
+
 def test_weight_entry_json_reads_exact_strings():
     for text, value in (("-1/12", -1 / 12), ("3", 3.0), ("0/1", 0.0), ("2/04", 0.5)):
         obj = {"graph": "1;3;b1,b2", "alphas": [0, 0, 1], "value": value, "exact": text}
