@@ -96,7 +96,7 @@ def equations(n, lower):
             # the defect is affine in B_n: its part in B_n is -d B_n
             rows += coefficient_rows(
                 "associativity",
-                assoc_defect(StarProduct(pi, n, lower[name] + [zero], True), n),
+                assoc_defect(StarProduct(pi, lower[name] + [zero], True), n),
                 {rep: -op.hochschild_differential() for rep, op in u.items()})
         if name in CYCLIC:
             vol = VolumeForm.constant(pi.dim)

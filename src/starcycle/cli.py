@@ -12,13 +12,17 @@ Subcommands map one-to-one onto library operations:
 --alpha).
 
 Exit codes: 0 all checks passed, 1 a check failed (report emitted), 2
-usage or input error.  Reports embed the sha256 of each bivector and
-volume-form file.  A weight table is named by WeightTable.fingerprint(),
-the sha256 of its canonical JSON, and its provenance; that is not the
-sha256 of the file's bytes (the bundled table reports 844069..., while
-sha256sum of its file gives 5f2c63...).  Reports contain no timestamps
-and are dumped canonically, so identical invocations produce
-byte-identical JSON.
+usage or input error.  Bad input is a ValueError, whether the CLI or the
+library raises it: main() alone turns one into exit 2 and a single
+`error: <message>` line on stderr; any other exception is a traceback.
+
+Reports embed the sha256 of each bivector and volume-form file.  A
+weight table is named by WeightTable.fingerprint(), the sha256 of its
+canonical JSON, and its provenance; that is not the sha256 of the
+file's bytes (the bundled table reports 844069..., while sha256sum of
+its file gives 5f2c63...).  Reports contain no timestamps and are
+dumped canonically, so identical invocations produce byte-identical
+JSON.
 Thread count comes from the STARCYCLE_THREADS environment variable only.
 
 The two sampling commands, `weights compute` and `check alpha`, import
@@ -57,10 +61,6 @@ from .table import DATA_DIR, WeightTable
 BUNDLED_PI = ("moyal", "so3", "nondiv")
 
 
-class InputError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------- inputs
 
 def _sha256(data: bytes) -> str:
@@ -70,7 +70,7 @@ def _sha256(data: bytes) -> str:
 def _read(spec: str, what: str, from_json, bundled=()):
     """(object, file bytes, label) of an input file: the bundled bivector
     data/pi/SPEC.json when spec is one of `bundled`, else the file at path
-    spec.  A file that cannot be read or built is an InputError."""
+    spec.  A file that cannot be read or built is a ValueError."""
     try:
         if spec in bundled:
             path, label = os.path.join(DATA_DIR, "pi", spec + ".json"), "bundled:" + spec
@@ -79,19 +79,19 @@ def _read(spec: str, what: str, from_json, bundled=()):
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as e:
-        raise InputError("cannot read %s %r: %s" % (what, spec, e))
+        raise ValueError("cannot read %s %r: %s" % (what, spec, e))
     try:
         return from_json(json.loads(blob)), blob, label
     except (ValueError, KeyError, TypeError, AttributeError, ArithmeticError,
             RecursionError) as e:
-        raise InputError("bad %s file %r: %s" % (what, spec, e))
+        raise ValueError("bad %s file %r: %s" % (what, spec, e))
 
 
 def _load_pi(spec: str):
     """Bivector from a JSON path or a bundled name (moyal, so3, nondiv)."""
     pi, blob, label = _read(spec, "bivector", PolyVector.from_json, BUNDLED_PI)
     if pi.degree != 1:
-        raise InputError("%r is not a bivector (degree %d)" % (spec, pi.degree))
+        raise ValueError("%r is not a bivector (degree %d)" % (spec, pi.degree))
     return pi, {"path": label, "sha256": _sha256(blob)}
 
 
@@ -101,7 +101,7 @@ def _load_vol(spec, dim: int):
         return VolumeForm.constant(dim), {"path": "constant", "sha256": None}
     vol, blob, label = _read(spec, "volume form", VolumeForm.from_json)
     if vol.dim != dim:
-        raise InputError("volume form dim %d does not match bivector dim %d" % (vol.dim, dim))
+        raise ValueError("volume form dim %d does not match bivector dim %d" % (vol.dim, dim))
     return vol, {"path": label, "sha256": _sha256(blob)}
 
 
@@ -126,38 +126,23 @@ def _parse_alpha(text: str, m: int):
     try:
         alphas = tuple(float(a) for a in text.split(","))
     except ValueError:
-        raise InputError("bad alpha list %r" % text)
+        raise ValueError("bad alpha list %r" % text)
     if len(alphas) != m:
-        raise InputError("alpha list %r has %d entries, expected %d" % (text, len(alphas), m))
+        raise ValueError("alpha list %r has %d entries, expected %d" % (text, len(alphas), m))
     if not all(map(math.isfinite, alphas)):
-        raise InputError("alpha list %r has a non-finite entry" % text)
+        raise ValueError("alpha list %r has a non-finite entry" % text)
     return alphas
-
-
-def _parse_poly(text: str, dim: int) -> Polynomial:
-    try:
-        return Polynomial.parse(text, dim)
-    except ValueError as e:
-        raise InputError(str(e))
 
 
 # ---------------------------------------------------------------- output
 
-def _render(p) -> str:
-    """p.render(); a coefficient too long for str() is an InputError."""
-    try:
-        return p.render()
-    except ValueError as e:
-        raise InputError(str(e))
-
-
 def _check_writable(path):
-    """An InputError unless the output file `path` can be written: an
+    """A ValueError unless the output file `path` can be written: an
     existing file, or a new one in an existing directory."""
     parent = os.path.dirname(path) or "."
     target = path if os.path.exists(path) else parent
     if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
-        raise InputError("cannot write %r: not a writable file path" % path)
+        raise ValueError("cannot write %r: not a writable file path" % path)
 
 
 def _emit(report: dict, args) -> int:
@@ -212,11 +197,8 @@ def _text_summary(report: dict):
 
 def _cmd_graphs_enumerate(args):
     if args.edges < 0:
-        raise InputError("--edges must be at least 0, got %d" % args.edges)
-    try:
-        graphs = enumerate_graphs(args.n, args.m, args.edges)
-    except ValueError as e:
-        raise InputError(str(e))
+        raise ValueError("--edges must be at least 0, got %d" % args.edges)
+    graphs = enumerate_graphs(args.n, args.m, args.edges)
     return {
         "command": "graphs enumerate",
         "options": {"n": args.n, "m": args.m, "edges": args.edges},
@@ -227,44 +209,38 @@ def _cmd_graphs_enumerate(args):
 
 def _check_sampling(args):
     if args.samples < 1:
-        raise InputError("--samples must be at least 1, got %d" % args.samples)
+        raise ValueError("--samples must be at least 1, got %d" % args.samples)
     if args.seed is None:
-        raise InputError("--seed is required when --samples > 0")
+        raise ValueError("--seed is required when --samples > 0")
     if args.seed < 0:
-        raise InputError("--seed must be at least 0, got %d" % args.seed)
+        raise ValueError("--seed must be at least 0, got %d" % args.seed)
 
 
 def _cmd_weights_compute(args):
     _check_sampling(args)
     if args.m not in (2, 3):
-        raise InputError("no star graphs have top degree at m=%d; weights compute takes "
+        raise ValueError("no star graphs have top degree at m=%d; weights compute takes "
                          "--m 2 (the half-plane slice) or --m 3 (with --alpha)" % args.m)
-    try:
-        graphs = star_graphs(args.n, args.m)
-    except ValueError as e:
-        raise InputError(str(e))
+    graphs = star_graphs(args.n, args.m)
     table = WeightTable()
     if args.out_table and os.path.exists(args.out_table):
         table = _read(args.out_table, "weight table", WeightTable.from_json)[0]
     if args.m == 2:
         if args.alpha is not None:
-            raise InputError("the 2-boundary route has no alpha weights; drop --alpha")
+            raise ValueError("the 2-boundary route has no alpha weights; drop --alpha")
         # looked up per command, so that a caller may rebind weights.halfplane_weight
         from .weights import halfplane_weight as sample
     else:
         if args.alpha is None:
-            raise InputError("--alpha is required for m = 3")
+            raise ValueError("--alpha is required for m = 3")
         from .weights import compute_weight
         ctx = AngleContext.standard(_parse_alpha(args.alpha, args.m))
         sample = lambda g, **kw: compute_weight(g, ctx, **kw)
     entries = []
-    try:
-        for k, g in enumerate(graphs):
-            entry = sample(g, samples=args.samples, seed=args.seed + k)
-            table.add(entry)
-            entries.append(entry.to_json())
-    except ValueError as e:
-        raise InputError(str(e))
+    for k, g in enumerate(graphs):
+        entry = sample(g, samples=args.samples, seed=args.seed + k)
+        table.add(entry)
+        entries.append(entry.to_json())
     if args.out_table:
         table.save(args.out_table)
     return {
@@ -276,26 +252,17 @@ def _cmd_weights_compute(args):
     }
 
 
-def _exact(pi, args, use):
-    """use(star product of pi through args.order from the --table weights),
-    and the table's input metadata; a ValueError is an InputError."""
-    table, table_meta = _load_table(args.table)
-    try:
-        return use(assemble_star(pi, table, args.order)), table_meta
-    except ValueError as e:
-        raise InputError(str(e))
-
-
 def _cmd_star_apply(args):
     pi, pi_meta = _load_pi(args.pi)
-    f = _parse_poly(args.f, pi.dim)
-    g = _parse_poly(args.g, pi.dim)
-    levels, table_meta = _exact(pi, args, lambda s: s.apply(f, g))
+    f = Polynomial.parse(args.f, pi.dim)
+    g = Polynomial.parse(args.g, pi.dim)
+    table, table_meta = _load_table(args.table)
+    levels = assemble_star(pi, table, args.order).apply(f, g)
     return {
         "command": "star apply",
         "inputs": {"pi": pi_meta, "table": table_meta},
         "options": {"order": args.order, "f": args.f, "g": args.g},
-        "result": {"levels": [_render(p) for p in levels]},
+        "result": {"levels": [p.render() for p in levels]},
         "passed": True,
     }
 
@@ -308,25 +275,26 @@ def _cmd_check(args):
         vol, inputs["vol"] = _load_vol(args.vol, pi.dim)
     if args.which == "jacobi":
         jac = pi.schouten(pi)
-        result = {"components": {",".join(map(str, k)): _render(p)
+        result = {"components": {",".join(map(str, k)): p.render()
                                  for k, p in sorted(jac.components.items())}}
         passed = jac.is_zero()
     elif args.which == "divergence":
         div = pi.divergence(vol)
-        result = {"divergence": _render(div) if not div.is_zero() else None}
+        result = {"divergence": div.render() if not div.is_zero() else None}
         passed = div.is_zero()
     elif args.which in ("cyclic", "closed", "assoc"):
         options["order"] = args.order
         check = {"cyclic": check_cyclic, "closed": check_closed,
                  "assoc": check_associative}[args.which]
-        use = (lambda s: check(s, vol)) if "vol" in args else check
-        result, inputs["table"] = _exact(pi, args, use)
+        table, inputs["table"] = _load_table(args.table)
+        s = assemble_star(pi, table, args.order)
+        result = check(s, vol) if "vol" in args else check(s)
         passed = result["passed"]
     else:  # alpha
         if args.order < 1:
-            raise InputError("--order must be at least 1, got %d" % args.order)
+            raise ValueError("--order must be at least 1, got %d" % args.order)
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise InputError("--tolerance must be finite and >= 0, got %r" % args.tolerance)
+            raise ValueError("--tolerance must be finite and >= 0, got %r" % args.tolerance)
         _check_sampling(args)
         a1 = _parse_alpha(args.alpha, 3)
         a2 = _parse_alpha(args.alpha2, 3)
@@ -337,17 +305,14 @@ def _cmd_check(args):
         table = WeightTable()
         graphs = star_graphs(args.order, 3)
         stride = max(1000, len(graphs))  # the sides' seeds stay apart, as the tolerance needs
-        try:
-            _check_alpha_sums(a1, a2)
-            for side, alphas in enumerate((a1, a2)):
-                ctx = AngleContext.standard(alphas)
-                for k, g in enumerate(graphs):
-                    table.add(compute_weight(g, ctx, samples=args.samples,
-                                             seed=args.seed + stride * side + k))
-            result = check_alpha_independence(pi, a1, a2, table, args.order, vol,
-                                              floor=args.tolerance)
-        except ValueError as e:
-            raise InputError(str(e))
+        _check_alpha_sums(a1, a2)
+        for side, alphas in enumerate((a1, a2)):
+            ctx = AngleContext.standard(alphas)
+            for k, g in enumerate(graphs):
+                table.add(compute_weight(g, ctx, samples=args.samples,
+                                         seed=args.seed + stride * side + k))
+        result = check_alpha_independence(pi, a1, a2, table, args.order, vol,
+                                          floor=args.tolerance)
         passed = result["passed"]
     return {
         "command": "check " + args.which,
@@ -455,10 +420,11 @@ def main(argv=None) -> int:
     try:
         for path in filter(None, (args.out, getattr(args, "out_table", None))):
             _check_writable(path)
-        return _emit(args.handler(args), args)
-    except InputError as e:
+        report = args.handler(args)
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    return _emit(report, args)
 
 
 if __name__ == "__main__":

@@ -132,6 +132,8 @@ class PolyDiffOperator(Frozen):
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Polynomial)):
+            if isinstance(scalar, Polynomial) and scalar.dim != self.dim:
+                raise ValueError("dimension mismatch: %d vs %d" % (self.dim, scalar.dim))
             terms = {k: c * scalar for k, c in self.terms.items()}
             # Q[x] has no zero divisors, so only a zero scalar empties a term
             return PolyDiffOperator._trusted(self.dim, self.arity, terms if scalar else {})

@@ -135,7 +135,7 @@ class PolyVector(Frozen):
 
     # -- linear structure ---------------------------------------------------
 
-    def _check(self, other: "PolyVector"):
+    def _check(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
 
@@ -164,6 +164,8 @@ class PolyVector(Frozen):
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Polynomial)):
+            if isinstance(scalar, Polynomial):
+                self._check(scalar)
             return PolyVector(self.dim, self.degree, {k: p * scalar for k, p in self.components.items()})
         return NotImplemented
 

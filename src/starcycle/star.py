@@ -183,15 +183,20 @@ def _orbit_sum(pi_table, table: WeightTable, n: int):
 
 class StarProduct(Frozen):
     """Truncated star product: levels B_0..B_order, B_0 = multiplication;
-    is_exact when every weight behind them is exact, as the exact checks need."""
+    is_exact when every weight behind them is exact, as the exact checks need.
+    The order is read off the levels, so it cannot disagree with them."""
 
-    __slots__ = ("pi", "order", "levels", "is_exact")
+    __slots__ = ("pi", "levels", "is_exact")
 
-    def __init__(self, pi: PolyVector, order: int, levels, is_exact: bool):
+    def __init__(self, pi: PolyVector, levels, is_exact: bool):
         levels = tuple(levels)
         if levels[:1] != (PolyDiffOperator.multiplication(pi.dim),):
             raise ValueError("B_0 of a star product must be the multiplication")
-        self._assign(pi, order, levels, bool(is_exact))
+        self._assign(pi, levels, bool(is_exact))
+
+    @property
+    def order(self) -> int:
+        return len(self.levels) - 1
 
     def apply(self, f: Polynomial, g: Polynomial):
         """Coefficients of hbar^0..hbar^order of f * g."""
@@ -223,7 +228,7 @@ def assemble_star(pi: PolyVector, table: WeightTable, order: int = 2) -> StarPro
         level, exact = _orbit_sum(pi_table, table, n)
         levels.append(level)
         all_exact = all_exact and exact
-    return StarProduct(pi, order, levels, all_exact)
+    return StarProduct(pi, levels, all_exact)
 
 
 def _require_exact(s: StarProduct, what: str, vol: VolumeForm = None):

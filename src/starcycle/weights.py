@@ -300,6 +300,8 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
     """WeightEntry from all chunks, reduced in chunk order."""
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if samples == 1:
+        raise ValueError("samples must be at least 2: one sample has no error bar")
     for edge in edge_alphas:
         if not math.isfinite(sum(edge)):
             raise ValueError("graph %s: edge alphas %s have a sum that is not finite"
@@ -326,9 +328,7 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
         raise ValueError("graph %s at alpha=%s: the determinants overflow (their sum of squares is %r)"
                          % (graph.canonical_key(), list(alphas), s2))
     mean = s1 / samples
-    var = max(s2 / samples - mean * mean, 0.0)
-    if samples > 1:
-        var *= samples / (samples - 1)
+    var = max(s2 / samples - mean * mean, 0.0) * (samples / (samples - 1))
     return WeightEntry(
         graph_key=graph.canonical_key(),
         alphas=tuple(alphas),

@@ -267,6 +267,60 @@ def test_missing_order_3_weight_exits_2_before_contracting(capsys):
     assert "3;2;2,3|1,3|1,2" in err
 
 
+_NON_POISSON = {"dim": 4, "degree": 1, "components": {
+    "1,2": "1/3*x3^2 + x4", "1,3": "-2/5*x1*x2", "2,4": "x1^2 + 7/6", "3,4": "1/2*x2*x4"}}
+_LONG_F, _LONG_G = "%s*x1" % ("9" * 3000), "%s*x2" % ("9" * 3000)
+
+
+def _bundled_pi(name):
+    return starcycle.PolyVector.from_json(
+        json.loads((resources.files("starcycle") / "data/pi" / (name + ".json")).read_text()))
+
+
+def _long_levels():
+    s = starcycle.assemble_star(_bundled_pi("moyal"), WeightTable.builtin(), 1)
+    parse = starcycle.Polynomial.parse
+    return [p.render() for p in s.apply(parse(_LONG_F, 2), parse(_LONG_G, 2))]
+
+
+# each command, and the library call on the same input that refuses it
+LIBRARY_REFUSALS = {
+    "parse error": (("star", "apply", "--pi", "so3", "--f", "x1 x2", "--g", "x1"),
+                    lambda: starcycle.Polynomial.parse("x1 x2", 3)),
+    "pi not Poisson": (("check", "cyclic", "--pi", "{non_poisson}"),
+                       lambda: starcycle.assemble_star(starcycle.PolyVector.from_json(_NON_POISSON),
+                                                       WeightTable.builtin())),
+    "missing weight": (("check", "cyclic", "--pi", "so3", "--order", "3"),
+                       lambda: starcycle.assemble_star(_bundled_pi("so3"), WeightTable.builtin(), 3)),
+    "negative order": (("check", "assoc", "--pi", "so3", "--order", "-1"),
+                       lambda: starcycle.assemble_star(_bundled_pi("so3"), WeightTable.builtin(), -1)),
+    "long coefficient": (("star", "apply", "--pi", "moyal", "--f", _LONG_F, "--g", _LONG_G,
+                          "--order", "1"), _long_levels),
+    "one sample": (("weights", "compute", "--n", "1", "--m", "2", "--samples", "1", "--seed", "3"),
+                   lambda: starcycle.halfplane_weight(starcycle.star_graphs(1, 2)[0], 1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refusal_exits_2_with_its_own_message(capsys, tmp_path, case):
+    pi_file = tmp_path / "non_poisson.json"
+    pi_file.write_text(json.dumps(_NON_POISSON))
+    argv, call = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError) as refusal:
+        call()
+    code, out, err = run(capsys, *(a.format(non_poisson=pi_file) for a in argv))
+    assert (code, out, err) == (2, "", "error: %s\n" % refusal.value)
+
+
+def test_an_error_that_is_not_a_value_error_is_a_traceback(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "assemble_star", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["check", "cyclic", "--pi", "so3"])
+
+
 SAMPLING_COMMANDS = [
     ("weights", "compute", "--n", "1", "--m", "2"),
     ("weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,0,1"),

@@ -8,7 +8,7 @@ import pytest
 
 import operator_oracle
 from operator_oracle import vector
-from starcycle import Polynomial, PolyVector, VolumeForm
+from starcycle import Polynomial, PolyDiffOperator, PolyVector, VolumeForm
 
 P = Polynomial
 
@@ -63,6 +63,16 @@ def test_constructors_and_validation():
     assert PolyVector(2, 1, {(1, 1): P.one(2)}).is_zero()
     flipped = PolyVector(2, 1, {(2, 1): P.one(2)})
     assert flipped.coefficient((1, 2)).render() == "-1"
+
+
+def test_scaling_by_a_polynomial_of_another_dimension_is_refused():
+    # a zero left side used to be accepted, a nonzero one refused
+    for left in (PolyVector.zero(2, 1), moyal_bivector(),
+                 PolyDiffOperator.zero(2, 1), PolyDiffOperator.multiplication(2)):
+        for scale in (lambda: left * P.one(3), lambda: P.one(3) * left):
+            with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+                scale()
+        assert left * P.one(2) == left
 
 
 def test_coefficient_skew():

@@ -306,10 +306,20 @@ def test_star_product_needs_the_multiplication_as_b0():
     b1 = assemble_star(so3(), TABLE, order=1).levels[1]
     for b0 in (D.zero(3, 2), D.multiplication(3) * 2, D.multiplication(2), b1):
         with pytest.raises(ValueError, match="B_0"):
-            StarProduct(so3(), 1, [b0, b1], {"kind": "exact"})
+            StarProduct(so3(), [b0, b1], {"kind": "exact"})
     with pytest.raises(ValueError, match="B_0"):
-        StarProduct(so3(), 0, [], {"kind": "exact"})
-    assert StarProduct(so3(), 1, [D.multiplication(3), b1], {"kind": "exact"}).levels[1] == b1
+        StarProduct(so3(), [], {"kind": "exact"})
+    assert StarProduct(so3(), [D.multiplication(3), b1], {"kind": "exact"}).levels[1] == b1
+
+
+def test_star_product_order_is_read_off_its_levels():
+    levels = assemble_star(so3(), TABLE, order=1).levels
+    s = StarProduct(so3(), levels, True)
+    assert s.order == 1 and check_cyclic(s, VolumeForm.constant(3))["order"] == 1
+    with pytest.raises(TypeError):
+        StarProduct(so3(), 5, levels, True)
+    with pytest.raises(AttributeError):
+        s.order = 5
 
 
 def test_check_associative_corrupted_table_fails():

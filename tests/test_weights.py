@@ -837,6 +837,15 @@ def test_nonpositive_samples_raise_before_the_certificate(monkeypatch):
             compute_weight(g.add_boundary_vertex(), CTX, samples, 1)
 
 
+def test_one_sample_is_refused_not_reported_with_a_zero_error():
+    # a std_error of 0.0 is what a certified zero reports; one sample has no error bar
+    g = AdmissibleGraph.from_key("1;2;b1,b2")
+    for weigh in (lambda: halfplane_weight(g, 1, 3),
+                  lambda: compute_weight(g.add_boundary_vertex(), CTX, 1, 3)):
+        with pytest.raises(ValueError, match="^samples must be at least 2: one sample has no error bar$"):
+            weigh()
+
+
 def test_non_star_zero_forms_are_certified_and_not_drawn(monkeypatch):
     # in both graphs vertex 2 has three edges and the wedge vanishes at
     # every point.  "2;3;|1,b1,b2,b3": three forms on the 2-dimensional
