@@ -5,23 +5,22 @@ provides the Hochschild differential d, insertion into a slot, and the
 cyclic shift C, which moves all derivatives off slot 1 by integration by
 parts against exp(rho); that slot-1 normal form faithfully represents
 local functionals modulo total derivatives.  d and insertion expand each
-derivative of a product by one Leibniz rule, _leibniz.  They, the normal
-form and the cyclic residual C(B) - B add int numerators into one
-{key: {exponents: int}} table over one denominator (_d_into, _insert_into,
-_ibp_into, _cyclic_residual); _operator forms its Polynomials once, at the end.
+derivative of a product by one Leibniz rule, _leibniz.  An operator is
+stored as one {key: {exponents: int}} numerator table over one denominator
+(poly._Table), and d, insertion, the normal form and the cyclic residual
+C(B) - B read that table and add into a new one (_d_into, _insert_into,
+_ibp_into, _cyclic_residual): no Polynomial is formed on the way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import add, sub
 
-from ._record import Frozen
-from .poly import Polynomial, _accumulate, _add, _derive_num, _render_sum, _times
-from .polyvector import VolumeForm
+from .poly import Polynomial, _accumulate, _add, _derive_num, _Table, _times
+from .polyvector import PolyVector, VolumeForm
 
 
 def _mi_zero(dim):
@@ -44,19 +43,19 @@ def _leibniz(a, parts):
     return tuple(out)
 
 
-class PolyDiffOperator(Frozen):
+class PolyDiffOperator(_Table):
     """Multilinear operator sum c(x) d^{I_1}f_1 ... d^{I_k}f_k.
 
-    terms maps tuples of k exponent multi-indices to Polynomial
-    coefficients.  Arity 0 is allowed (a plain polynomial, the result of
-    integrating all slots away).  The constructor validates; _trusted,
-    like Polynomial._trusted, only wraps the package's own results (+, -,
-    *, extended_by_slot, and the numerator tables of _operator: insert, d,
-    ibp_normal_form, star's contractions and defects), whose keys are valid
-    and whose coefficients are nonzero Polynomials.
+    terms is a read-only view {key: Polynomial coefficient}, a key being a
+    tuple of k exponent multi-indices; poly._Table stores it and gives the
+    linear structure.  Arity 0 is allowed (a plain polynomial, the result
+    of integrating all slots away).  The constructor validates; _trusted
+    only wraps the package's own numerator tables (extended_by_slot,
+    insert, d, ibp_normal_form, star's contractions and defects), whose
+    keys are valid.
     """
 
-    __slots__ = ("dim", "arity", "terms")
+    __slots__ = ("dim", "arity", "_num", "_den")
 
     def __init__(self, dim: int, arity: int, terms=None):
         if dim < 1:
@@ -76,16 +75,7 @@ class PolyDiffOperator(Frozen):
             if coeff.dim != dim:
                 raise ValueError("coefficient dim mismatch")
             _accumulate(clean, key, coeff)
-        self._assign(dim, arity, clean)
-
-    @classmethod
-    def _trusted(cls, dim: int, arity: int, terms: dict) -> "PolyDiffOperator":
-        """Wrap valid, unshared terms as they are (see the class docstring)."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "arity", arity)
-        object.__setattr__(op, "terms", terms)
-        return op
+        self._assign_polys(dim, arity, clean)
 
     # -- constructors -----------------------------------------------------
 
@@ -101,45 +91,16 @@ class PolyDiffOperator(Frozen):
 
     # -- basics -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    terms = property(_Table._view)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        return (self.dim, self.arity) == (other.dim, other.arity) and self.terms == other.terms
+    @staticmethod
+    def _basis(key):
+        return "*".join("D[%s]" % ",".join(map(str, mi)) for mi in key)
 
-    def __hash__(self):
-        return hash((self.dim, self.arity, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
+    def _sum_grade(self, other):
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("dim/arity mismatch in operator sum")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return PolyDiffOperator._trusted(self.dim, self.arity, out)
-
-    def __neg__(self):
-        return PolyDiffOperator._trusted(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyDiffOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, Polynomial)):
-            if isinstance(scalar, Polynomial) and scalar.dim != self.dim:
-                raise ValueError("dimension mismatch: %d vs %d" % (self.dim, scalar.dim))
-            terms = {k: c * scalar for k, c in self.terms.items()}
-            # Q[x] has no zero divisors, so only a zero scalar empties a term
-            return PolyDiffOperator._trusted(self.dim, self.arity, terms if scalar else {})
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return self.arity
 
     def apply(self, args) -> Polynomial:
         """Evaluate on arity Polynomials, on int numerators over one denominator."""
@@ -148,18 +109,16 @@ class PolyDiffOperator(Frozen):
             raise ValueError("expected %d arguments, got %d" % (self.arity, len(args)))
         if any(f.dim != self.dim for f in args):
             raise ValueError("argument dim mismatch")
-        den = _den(self)
         derived = {}
         total = {}
-        for key, c in self.terms.items():
-            num = c._num
+        for key, num in self._num.items():
             for slot, mi in enumerate(key):
                 d = derived.get((slot, mi))
                 if d is None:
                     d = derived[slot, mi] = _derive_num(args[slot]._num, mi)
                 num = _times(num, d)
-            _add(total, num, den // c._den)
-        return Polynomial._trusted(self.dim, total, den * prod(f._den for f in args))
+            _add(total, num, 1)
+        return Polynomial._trusted(self.dim, total, self._den * prod(f._den for f in args))
 
     # -- integration by parts ---------------------------------------------
 
@@ -172,17 +131,18 @@ class PolyDiffOperator(Frozen):
         minus the Leibniz spill of d_a onto every other slot.  A step lowers
         |I1| by one, so terms are stepped level by level of |I1|, highest
         first, each level summed in place; the normal form is unique.  Sums
-        run on int numerators: with D and R the lcm of the denominators of
-        the coefficients and of the d_a rho, level l is held over D R^(top-l).
+        run on int numerators: with D the operator's denominator and R the
+        lcm of the denominators of the d_a rho, level l is held over D R^(top-l).
         """
         if self.arity < 1:
             raise ValueError("ibp_normal_form needs arity >= 1")
-        return _operator(self.dim, self.arity - 1, *_ibp_into(self, vol, 1))
+        return PolyDiffOperator._trusted(self.dim, self.arity - 1, *_ibp_into(self, vol, 1))
 
     def extended_by_slot(self) -> "PolyDiffOperator":
         """D(f1,..,f_{k+1}) = self(f1,..,fk) * f_{k+1}."""
         z = (_mi_zero(self.dim),)
-        return PolyDiffOperator._trusted(self.dim, self.arity + 1, {k + z: c for k, c in self.terms.items()})
+        return PolyDiffOperator._trusted(self.dim, self.arity + 1,
+                                         {k + z: m for k, m in self._num.items()}, self._den)
 
     def cyclic_shift(self, vol: VolumeForm) -> "PolyDiffOperator":
         """C with  int psi(f1..fk) f_{k+1} Omega = (-1)^k int C(psi)(f2..f_{k+1}) f1 Omega."""
@@ -193,7 +153,7 @@ class PolyDiffOperator(Frozen):
     def hochschild_differential(self) -> "PolyDiffOperator":
         """(d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
         + (-1)^{k+1} psi(..fk) f_{k+1}."""
-        return _operator(self.dim, self.arity + 1, _d_into(self, {}, 1), _den(self))
+        return PolyDiffOperator._trusted(self.dim, self.arity + 1, _d_into(self, {}, 1), self._den)
 
     def insert(self, other: "PolyDiffOperator", slot: int) -> "PolyDiffOperator":
         """Composition inserting `other` into argument slot `slot` (1-based)."""
@@ -202,62 +162,39 @@ class PolyDiffOperator(Frozen):
         if not 1 <= slot <= self.arity:
             raise ValueError("slot out of range")
         out = _insert_into(self, other, slot, {}, 1)
-        return _operator(self.dim, self.arity + other.arity - 1, out, _den(self) * _den(other))
-
-    # -- serialization ---------------------------------------------------------
-
-    def render(self) -> str:
-        return _render_sum(self.terms,
-                           lambda key: "*".join("D[%s]" % ",".join(map(str, mi)) for mi in key))
-
-    def __repr__(self):
-        return "PolyDiffOperator(%d, %d, %s)" % (self.dim, self.arity, self.render())
-
-
-def _den(op: PolyDiffOperator) -> int:
-    """The lcm of the denominators of op's coefficients."""
-    return lcm(*(c._den for c in op.terms.values()))
-
-
-def _operator(dim: int, arity: int, out: dict, den: int) -> PolyDiffOperator:
-    """The operator of the numerator table out {key: {exponents: int}} over den."""
-    return PolyDiffOperator._trusted(dim, arity, {key: Polynomial._trusted(dim, num, den)
-                                                  for key, num in out.items() if num})
+        return PolyDiffOperator._trusted(self.dim, self.arity + other.arity - 1, out, self._den * other._den)
 
 
 def _d_into(op: PolyDiffOperator, out: dict, m: int):
-    """out += m * _den(op) * (d op) on int numerators; returns out."""
-    k, z, den = op.arity, _mi_zero(op.dim), _den(op)
-    for key, c in op.terms.items():
-        s = m * (den // c._den)  # the sign of slot i is (-1)^(i+1)
-        _add(out.setdefault((z,) + key, {}), c._num, s)
-        _add(out.setdefault(key + (z,), {}), c._num, s if k % 2 else -s)
+    """out += m * op._den * (d op) on int numerators; returns out."""
+    k, z = op.arity, _mi_zero(op.dim)
+    for key, num in op._num.items():  # the sign of slot i is (-1)^(i+1)
+        _add(out.setdefault((z,) + key, {}), num, m)
+        _add(out.setdefault(key + (z,), {}), num, m if k % 2 else -m)
         for i in range(k):
             for split, b in _leibniz(key[i], 2):
-                _add(out.setdefault(key[:i] + split + key[i + 1:], {}), c._num, b * s if i % 2 else -b * s)
+                _add(out.setdefault(key[:i] + split + key[i + 1:], {}), num, b * m if i % 2 else -b * m)
     return out
 
 
 def _insert_into(a: PolyDiffOperator, b: PolyDiffOperator, slot: int, out: dict, m: int):
-    """out += m * _den(a) * _den(b) * (a o_slot b) on int numerators; returns out.
+    """out += m * a._den * b._den * (a o_slot b) on int numerators; returns out.
     d^I of c2 * prod d^{J_l} g_l splits I over c2 and the J's."""
-    da, db = _den(a), _den(b)
     derived = {}
-    for key1, c1 in a.terms.items():
+    for key1, n1 in a._num.items():
         I = key1[slot - 1]
         pre, post = key1[:slot - 1], key1[slot:]
-        for key2, c2 in b.terms.items():
-            s = m * (da // c1._den) * (db // c2._den)
+        for key2, n2 in b._num.items():
             for (s0, left), c in _leibniz(I, 2):
                 dn2 = derived.get((key2, s0))
                 if dn2 is None:
-                    dn2 = derived[key2, s0] = _derive_num(c2._num, s0)
+                    dn2 = derived[key2, s0] = _derive_num(n2, s0)
                 if not dn2:
                     continue
-                num = _times(c1._num, dn2)
+                num = _times(n1, dn2)
                 for rest, mult in _leibniz(left, b.arity):
                     mid = tuple(tuple(map(add, j, t)) for j, t in zip(key2, rest))
-                    _add(out.setdefault(pre + mid + post, {}), num, s * c * mult)
+                    _add(out.setdefault(pre + mid + post, {}), num, m * c * mult)
     return out
 
 
@@ -265,15 +202,14 @@ def _ibp_into(op: PolyDiffOperator, vol: VolumeForm, s: int):
     """(out, den): s * op.ibp_normal_form(vol) as the numerator table out over den (see there)."""
     if op.dim != vol.dim:
         raise ValueError("dimension mismatch with volume form")
-    drho = [vol.log_density.partial(a + 1) for a in range(op.dim)]
-    r = lcm(*(p._den for p in drho))
-    drho = [{f: w * (r // p._den) for f, w in p._num.items()} for p in drho]
-    d = _den(op)
-    top = max((sum(key[0]) for key in op.terms), default=0)
+    # the gradient of rho as a vector field: its numerators over one denominator r
+    grad = PolyVector(op.dim, 0, {(a,): vol.log_density.partial(a) for a in range(1, op.dim + 1)})
+    r, drho = grad._den, [grad._num.get((a,), {}) for a in range(1, op.dim + 1)]
+    top = max((sum(key[0]) for key in op._num), default=0)
     levels = {}
-    for key, c in op.terms.items():
-        m = s * (d // c._den) * r ** (top - sum(key[0]))
-        levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in c._num.items()}
+    for key, num in op._num.items():
+        m = s * r ** (top - sum(key[0]))
+        levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in num.items()}
     for level in range(top, 0, -1):
         below = levels.setdefault(level - 1, {})
         for key, c in levels.pop(level, {}).items():
@@ -290,7 +226,7 @@ def _ibp_into(op: PolyDiffOperator, vol: VolumeForm, s: int):
                 ij = key[j]
                 spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
                 _add(below.setdefault(spill, {}), c, -r)
-    return {key[1:]: c for key, c in levels.get(0, {}).items()}, d * r ** top
+    return {key[1:]: c for key, c in levels.get(0, {}).items()}, op._den * r ** top
 
 
 def _cyclic_residual(op: PolyDiffOperator, vol: VolumeForm, m: int = 1) -> PolyDiffOperator:
@@ -299,6 +235,7 @@ def _cyclic_residual(op: PolyDiffOperator, vol: VolumeForm, m: int = 1) -> PolyD
     if op.arity < 1:
         raise ValueError("cyclic_shift needs arity >= 1")
     out, den = _ibp_into(op.extended_by_slot(), vol, -1 if op.arity % 2 else 1)
-    for key, c in op.terms.items() if m else ():
-        _add(out.setdefault(key, {}), c._num, -m * (den // c._den))
-    return _operator(op.dim, op.arity, out, den)
+    s = -m * (den // op._den)
+    for key, num in op._num.items() if m else ():
+        _add(out.setdefault(key, {}), num, s)
+    return PolyDiffOperator._trusted(op.dim, op.arity, out, den)

@@ -1,4 +1,5 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact multivariate polynomials over the rationals, and the linear
+structure of operators and multivectors with polynomial coefficients.
 
 Variables are fixed as x1..xd.  A Polynomial holds int numerators over one
 positive denominator, in lowest terms (their gcd is 1).  So every identity
@@ -6,6 +7,8 @@ checked downstream (brackets, integration by parts, star products) is exact
 rather than floating-point, and its sums run on ints.  The view terms reads
 each coefficient as a canonical rational: an int when integral, otherwise a
 Fraction with a denominator above 1.  Equal values compare, hash and render alike.
+_Table stores a sum of basis elements with Polynomial coefficients the
+same way, as one table of numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -64,18 +67,6 @@ def _times(num1, num2):
     return {e: c for e, c in out.items() if c} if 0 in out.values() else out
 
 
-def _render_sum(terms, basis):
-    """'(c) basis(key) + ...' over terms sorted by key, with '(c)' alone
-    where basis(key) is empty: the text form of operators and multivectors."""
-    if not terms:
-        return "0"
-    parts = []
-    for key, c in sorted(terms.items()):
-        b = basis(key)
-        parts.append("(%s) %s" % (c.render(), b) if b else "(%s)" % c.render())
-    return " + ".join(parts)
-
-
 class Polynomial(Frozen):
     """Polynomial in x1..x{dim} with rational coefficients.
 
@@ -107,7 +98,7 @@ class Polynomial(Frozen):
     def _trusted(cls, dim: int, num: dict, den: int = 1) -> "Polynomial":
         """num/den in lowest terms, for the package's own results only: num
         maps dim-tuples of non-negative ints to nonzero int numerators and
-        is held by no one else, and den > 0.  Outside input goes through
+        is changed by no one later, and den > 0.  Outside input goes through
         the constructor or parse, which checks its text first."""
         if den != 1:
             g = gcd(den, *num.values())
@@ -333,3 +324,104 @@ class Polynomial(Frozen):
 
     def __repr__(self):
         return "Polynomial(%d, %s)" % (self.dim, self.render())
+
+
+class _Table(Frozen):
+    """A sum of basis elements with Polynomial coefficients in x1..x{dim}:
+    the linear structure of PolyDiffOperator and PolyVector.  _num maps each
+    basis key to the numerators {exponents: int} of its coefficient, no map
+    empty, all over one positive denominator _den, in lowest terms, so equal
+    values have equal fields.  The package's routines read _num and _den
+    directly; _view forms Polynomials, which share the stored maps, on each
+    read, and nothing changes a stored map.  A subclass sets __slots__ to
+    (dim, its grade, _num, _den), publishes _view under its own name, and
+    gives _basis, the text of a key, and _sum_grade, its rule for sums.
+    """
+
+    __slots__ = ()
+
+    def _assign_polys(self, dim, grade, polys):
+        """Set the fields from {key: nonzero Polynomial}: the last step of a validating constructor."""
+        den = lcm(*(p._den for p in polys.values()))
+        self._assign(dim, grade, {key: {e: n * (den // p._den) for e, n in p._num.items()}
+                                  for key, p in polys.items()}, den)
+
+    @classmethod
+    def _trusted(cls, dim: int, grade: int, num: dict, den: int = 1):
+        """The value num/den, for the package's own results only: num maps
+        valid keys to numerator maps that no one changes later, and den > 0.
+        Empty maps are dropped and the common gcd is taken out."""
+        g = gcd(den, *(n for m in num.values() for n in m.values())) if den != 1 else 1
+        t = object.__new__(cls)
+        t._assign(dim, grade, {key: m if g == 1 else {e: n // g for e, n in m.items()}
+                               for key, m in num.items() if m}, den // g)
+        return t
+
+    @property
+    def _grade(self):
+        return getattr(self, self.__slots__[1])
+
+    def _view(self):
+        """Read-only {key: Polynomial coefficient}."""
+        dim, den = self.dim, self._den
+        return MappingProxyType({key: Polynomial._trusted(dim, m, den) for key, m in self._num.items()})
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def _label(self):
+        """What equality and hash read besides the coefficients."""
+        return self.dim, self._grade
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._den == other._den and self._label() == other._label() and self._num == other._num
+
+    def __hash__(self):
+        return hash((self._label(), self._den,
+                     frozenset((key, frozenset(m.items())) for key, m in self._num.items())))
+
+    _check_dim = Polynomial._check_dim
+
+    def _merge(self, other, sign):
+        """self + sign * other, on numerators over the lcm of the two denominators."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        grade = self._sum_grade(other)
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, sign * den // other._den
+        out = {key: {e: n * m1 for e, n in m.items()} for key, m in self._num.items()}
+        for key, m in other._num.items():
+            _add(out.setdefault(key, {}), m, m2)
+        return self._trusted(self.dim, grade, out, den)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, scalar):
+        """self times a rational or a Polynomial of the same dim."""
+        if isinstance(scalar, (int, Fraction)):
+            scalar = Polynomial.constant(self.dim, scalar)
+        if not isinstance(scalar, Polynomial):
+            return NotImplemented
+        self._check_dim(scalar)
+        num = {key: _times(m, scalar._num) for key, m in self._num.items()}
+        return self._trusted(self.dim, self._grade, num, self._den * scalar._den)
+
+    __rmul__ = __mul__
+
+    def render(self) -> str:
+        """'(c) basis(key) + ...' over the keys in order, '(c)' alone where
+        the basis text is empty, or '0': the text form of the sum."""
+        return " + ".join(("(%s) %s" % (p.render(), self._basis(key))).rstrip()
+                          for key, p in sorted(self._view().items())) or "0"
+
+    def __repr__(self):
+        return "%s(%d, %d, %s)" % (type(self).__name__, self.dim, self._grade, self.render())

@@ -4,19 +4,17 @@ A k-vector field is stored through its strictly increasing basis keys,
 i.e. as an element of the odd polynomial algebra in theta_1..theta_d
 with Polynomial coefficients.  The Lie grading of the bracket is
 degree = arity - 1, so functions sit in degree -1 and bivectors in
-degree 1.  The wedge and the bracket put each side over the lcm of its
-denominators, take each d_x_i of a component once, and sum int numerators
-in one {key: {exponents: int}} table; its Polynomials are formed once.
+degree 1.  A multivector is stored as one {key: {exponents: int}}
+numerator table over one denominator (poly._Table).  The wedge, the
+bracket and the divergence read those tables, take each d_x_i of a
+component once, and add int numerators into a new table.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import lcm
-
-from ._record import Frozen, Record, _json_int
-from .poly import Polynomial, _accumulate, _add, _derive_num, _render_sum, _times
+from ._record import Record, _json_int
+from .poly import Polynomial, _accumulate, _add, _derive_num, _Table, _times
 
 
 def _normalize_key(key):
@@ -48,23 +46,16 @@ def _wedge_into(out, ka, kb, num1, num2, m):
         _add(out.setdefault(key, {}), _times(num1, num2), sign * m)
 
 
-def _numerators(v):
-    """(den, {key: numerators over den}) of v's components, den the lcm of their denominators."""
-    den = lcm(*(p._den for p in v.components.values()))
-    return den, {k: p._num if p._den == den else {e: n * (den // p._den) for e, n in p._num.items()}
-                 for k, p in v.components.items()}
+class PolyVector(_Table):
+    """Skew multivector field with Polynomial coefficients.
 
+    components is a read-only view {strictly increasing axes: Polynomial};
+    poly._Table stores it and gives the linear structure.  The zero
+    multivector may carry any degree label (wedge overflow returns such a
+    zero): zeros of any degree are equal and add as the identity.
+    """
 
-def _vector(dim, degree, out, den):
-    """The multivector of the numerator table out {key: {exponents: int}} over den."""
-    return PolyVector(dim, degree, {key: Polynomial._trusted(dim, num, den)
-                                    for key, num in out.items() if num})
-
-
-class PolyVector(Frozen):
-    """Skew multivector field with Polynomial coefficients."""
-
-    __slots__ = ("dim", "degree", "components")
+    __slots__ = ("dim", "degree", "_num", "_den")
 
     def __init__(self, dim: int, degree: int, components=None):
         if dim < 1:
@@ -88,11 +79,7 @@ class PolyVector(Frozen):
             if poly.dim != dim:
                 raise ValueError("component polynomial dim %d != %d" % (poly.dim, dim))
             _accumulate(clean, skey, sign * poly)
-        # a nonzero multivector cannot exceed top degree; the zero one may
-        # carry any degree label (wedge overflow returns such a zero)
-        if clean and arity > dim:
-            raise ValueError("degree %d exceeds dim-1=%d" % (degree, dim - 1))
-        self._assign(dim, degree, clean)
+        self._assign_polys(dim, degree, clean)
 
     # -- constructors -----------------------------------------------------
 
@@ -106,21 +93,21 @@ class PolyVector(Frozen):
     def arity(self) -> int:
         return self.degree + 1
 
-    def is_zero(self) -> bool:
-        return not self.components
+    components = property(_Table._view)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.components != other.components:
-            return False
-        # zero vectors of any degree are equal, so __hash__ leaves out the degree
-        return self.is_zero() or self.degree == other.degree
+    @staticmethod
+    def _basis(key):
+        return "^".join("d%d" % i for i in key)
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.components.items())))
+    def _label(self):
+        # zero vectors of any degree are equal, so they hash alike
+        return self.dim, self.degree if self._num else None
+
+    def _sum_grade(self, other):
+        self._check_dim(other)
+        if self._num and other._num and self.degree != other.degree:
+            raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
+        return self.degree if self._num else other.degree
 
     def coefficient(self, indices) -> Polynomial:
         """Full skew tensor component for an arbitrary index tuple."""
@@ -128,60 +115,21 @@ class PolyVector(Frozen):
         if norm is None:
             return Polynomial.zero(self.dim)
         skey, sign = norm
-        p = self.components.get(skey)
-        if p is None:
+        num = self._num.get(skey)
+        if num is None:
             return Polynomial.zero(self.dim)
-        return sign * p
-
-    # -- linear structure ---------------------------------------------------
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-
-    def __add__(self, other):
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        self._check(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-        out = dict(self.components)
-        for key, p in other.components.items():
-            _accumulate(out, key, p)
-        return PolyVector(self.dim, self.degree, out)
-
-    def __neg__(self):
-        return PolyVector(self.dim, self.degree, {k: -p for k, p in self.components.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyVector):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction, Polynomial)):
-            if isinstance(scalar, Polynomial):
-                self._check(scalar)
-            return PolyVector(self.dim, self.degree, {k: p * scalar for k, p in self.components.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return sign * Polynomial._trusted(self.dim, num, self._den)
 
     # -- odd calculus --------------------------------------------------------
 
     def wedge(self, other: "PolyVector") -> "PolyVector":
         """Exterior product; returns a zero multivector on degree overflow."""
-        self._check(other)
-        (da, a), (db, b) = _numerators(self), _numerators(other)
+        self._check_dim(other)
         out = {}
-        for ka, na in a.items():
-            for kb, nb in b.items():
+        for ka, na in self._num.items():
+            for kb, nb in other._num.items():
                 _wedge_into(out, ka, kb, na, nb, 1)
-        return _vector(self.dim, self.degree + other.degree + 1, out, da * db)
+        return PolyVector._trusted(self.dim, self.degree + other.degree + 1, out, self._den * other._den)
 
     def schouten(self, other: "PolyVector") -> "PolyVector":
         """Schouten-Nijenhuis bracket.
@@ -194,8 +142,10 @@ class PolyVector(Frozen):
         bracket; on a vector field and a function it is the directional
         derivative.
         """
-        self._check(other)
-        (da, a), (db, b) = _numerators(self), _numerators(other)
+        self._check_dim(other)
+        if self.degree + other.degree < -1:
+            raise ValueError("degree must be >= -1")
+        a, b = self._num, other._num
         units = [tuple(int(x == i) for x in range(self.dim)) for i in range(self.dim)]
         grad_a = {k: [_derive_num(n, u) for u in units] for k, n in a.items()}
         grad_b = {k: [_derive_num(n, u) for u in units] for k, n in b.items()}
@@ -208,7 +158,7 @@ class PolyVector(Frozen):
                                 -sign_a if pos % 2 else sign_a)
                 for pos, i in enumerate(kb):
                     _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], grad_a[ka][i - 1], nb, 1 if pos % 2 else -1)
-        return _vector(self.dim, self.degree + other.degree, out, da * db)
+        return PolyVector._trusted(self.dim, self.degree + other.degree, out, self._den * other._den)
 
     def divergence(self, vol: "VolumeForm") -> "PolyVector":
         """Divergence with respect to vol; degree drops by one.
@@ -247,12 +197,6 @@ class PolyVector(Frozen):
                                  % key)
             comps[indices] = Polynomial.parse(text, dim)
         return cls(dim, degree, comps)
-
-    def render(self) -> str:
-        return _render_sum(self.components, lambda key: "^".join("d%d" % i for i in key))
-
-    def __repr__(self):
-        return "PolyVector(%d, %d, %s)" % (self.dim, self.degree, self.render())
 
 
 class VolumeForm(Record):

@@ -25,8 +25,9 @@ One assembly builds one table of pi's nonzero ordered components
 every orbit of every level contracts against that table (_contract), since
 the same pi sits at every vertex.  A level's signed weights, its
 contractions and its sum run on int numerators over one denominator, and
-the level's Polynomials are formed once, at the end.  graph_to_operator
-builds one table per distinct multivector and calls the same contraction.
+the level keeps that numerator table: its Polynomials are formed only when
+it is read or rendered.  graph_to_operator builds one table per distinct
+multivector and calls the same contraction.
 
 Assembly first requires [pi, pi] = 0, which PolyVector.schouten sums on int
 numerators.  Associativity at order n is d B_n = sum_{0<k<n} B_k o B_{n-k}
@@ -42,10 +43,10 @@ from fractions import Fraction
 from operator import add
 
 from ._record import Frozen
-from .diffops import PolyDiffOperator, _cyclic_residual, _d_into, _den, _insert_into, _operator
+from .diffops import PolyDiffOperator, _cyclic_residual, _d_into, _insert_into
 from .graphs import AdmissibleGraph, star_orbits
 from .poly import Polynomial, _accumulate, _derive_num
-from .polyvector import PolyVector, VolumeForm
+from .polyvector import PolyVector, VolumeForm, _normalize_key
 from .table import WeightTable
 
 
@@ -55,16 +56,18 @@ def _level_prefactor(n: int) -> Fraction:
 
 def _component_table(gamma: PolyVector):
     """gamma's nonzero ordered components, built once for many contractions:
-    (dim, den, [(idx, base, derivs)]), with den the lcm of the components'
-    denominators and base a component times den, so with denominator 1.
-    derivs is its derivative cache: it maps a multi-index to the int
-    numerators {exponents: numerator} of that derivative of base.  The
-    nonzero components are the permutations of the stored keys, in index
-    order."""
-    idxs = sorted(idx for key in gamma.components for idx in itertools.permutations(key))
-    comps = [(idx, gamma.coefficient(idx)) for idx in idxs]
-    den = math.lcm(*(f._den for _, f in comps))
-    return gamma.dim, den, [(idx, f * den, {}) for idx, f in comps]
+    (dim, den, [(idx, num, derivs)]), with den gamma's denominator and num
+    the numerators of the component at idx over den: the stored map of the
+    sorted idx, signed by the sort.  derivs is its derivative cache: it
+    maps a multi-index to the numerators {exponents: int} of that
+    derivative.  The nonzero components are the permutations of the stored
+    keys, in index order."""
+    comps = []
+    for idx in sorted(idx for key in gamma._num for idx in itertools.permutations(key)):
+        key, sign = _normalize_key(idx)
+        num = gamma._num[key]
+        comps.append((idx, num if sign > 0 else {e: -n for e, n in num.items()}, {}))
+    return gamma.dim, gamma._den, comps
 
 
 def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
@@ -85,11 +88,11 @@ def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
     choices = []
     for star, (_, _, comps) in zip(graph.stars, tables):
         opts = []
-        for idx, base, derivs in comps:
+        for idx, num, derivs in comps:
             flat = [0] * ((n + m) * dim)
             for tgt, i in zip(star, idx):
                 flat[(tgt - 1) * dim + i - 1] += 1
-            opts.append((flat, base, derivs))
+            opts.append((flat, num, derivs))
         choices.append(opts)
     cuts = [(k * dim, (k + 1) * dim) for k in range(n + m)]
     for assign in itertools.product(*choices):
@@ -100,11 +103,11 @@ def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
             # the process (0.25 MiB more peak RSS on checks-exact)
             flat = list(map(add, flat, other))
         prod = None
-        for (a, b), (_, base, derivs) in zip(cuts, assign):
+        for (a, b), (_, num, derivs) in zip(cuts, assign):
             key = tuple(flat[a:b])
             f = derivs.get(key)
             if f is None:
-                f = derivs[key] = _derive_num(base._num, key)
+                f = derivs[key] = _derive_num(num, key)
             if not f:
                 break
             prod = ([(e, c * scale) for e, c in f.items()] if prod is None else
@@ -142,7 +145,7 @@ def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:
     tables = [by_id[id(g)] for g in gammas]
     out = {}
     _contract(graph, tables, out, 1)
-    return _operator(dim, graph.m, out, math.prod(den for _, den, _ in tables))
+    return PolyDiffOperator._trusted(dim, graph.m, out, math.prod(den for _, den, _ in tables))
 
 
 def _entry(table: WeightTable, graph: AdmissibleGraph, alphas=None):
@@ -178,7 +181,7 @@ def _orbit_sum(pi_table, table: WeightTable, n: int):
             _contract(rep, [pi_table] * n, out, s)
     dim, pi_den, _ = pi_table
     den *= _level_prefactor(n).denominator * pi_den ** n
-    return _operator(dim, 2, out, den), all(entry.exact is not None for _, _, entry in entries)
+    return PolyDiffOperator._trusted(dim, 2, out, den), all(e.exact is not None for _, _, e in entries)
 
 
 class StarProduct(Frozen):
@@ -246,9 +249,9 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
     terms are B_n(f,g)h - f B_n(g,h) + B_n(fg,h) - B_n(f,gh) = -(d B_n)(f,g,h)
     for (d psi)(f,g,h) = f psi(g,h) - psi(fg,h) + psi(f,gh) - psi(f,g)h, so
     the defect is -d B_n + sum_{0<k<n}, and -d B_0 = 0 at n = 0.  It is summed
-    as int numerators in one table, and each of its Polynomials formed once.
+    as int numerators in one table, and it forms no Polynomial.
     """
-    levels, dens = s.levels, [_den(b) for b in s.levels]
+    levels, dens = s.levels, [b._den for b in s.levels]
     den = math.lcm(dens[n], *(dens[k] * dens[n - k] for k in range(1, n)))
     out = {}
     _d_into(levels[n], out, -(den // dens[n]))
@@ -256,7 +259,7 @@ def assoc_defect(s: StarProduct, n: int) -> PolyDiffOperator:
         m = den // (dens[k] * dens[n - k])
         _insert_into(levels[k], levels[n - k], 1, out, m)
         _insert_into(levels[k], levels[n - k], 2, out, -m)
-    return _operator(s.pi.dim, 3, out, den)
+    return PolyDiffOperator._trusted(s.pi.dim, 3, out, den)
 
 
 def _order_report(check: str, s: StarProduct, residuals) -> dict:
@@ -329,8 +332,11 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
     _check_alpha_sums(a1, a2)
     pref = _level_prefactor(order)
     orbits = star_orbits(order, 3)
-    nfs = {rep: graph_to_operator(rep, [pi] * order).ibp_normal_form(vol)
-           for rep in dict.fromkeys(rep for rep, sign in orbits.values() if sign)}
+    cells = {}  # per orbit: the ((slots, monomial), coefficient) of its normal form
+    for rep in dict.fromkeys(rep for rep, sign in orbits.values() if sign):
+        nf = graph_to_operator(rep, [pi] * order).ibp_normal_form(vol)
+        cells[rep] = [((opkey, exps), c) for opkey, cpoly in nf.terms.items()
+                      for exps, c in cpoly.terms.items()]
 
     def side(al):
         acc = {}
@@ -339,11 +345,10 @@ def check_alpha_independence(pi: PolyVector, alphas, alphas2, table: WeightTable
             if not sign:
                 continue
             w, sig = _entry_weight(entry), entry.std_error
-            for opkey, cpoly in nfs[rep].terms.items():
-                for exps, c in cpoly.terms.items():
-                    cell = acc.setdefault((opkey, exps), [Fraction(0), 0.0])
-                    cell[0] += sign * w * c
-                    cell[1] += (float(c) * sig) ** 2
+            for cell_key, c in cells[rep]:
+                cell = acc.setdefault(cell_key, [Fraction(0), 0.0])
+                cell[0] += sign * w * c
+                cell[1] += (float(c) * sig) ** 2
         return acc
 
     s1, s2 = side(a1), side(a2)

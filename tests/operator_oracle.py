@@ -108,7 +108,7 @@ def hochschild_differential(self: PolyDiffOperator) -> PolyDiffOperator:
             sc = signed[i % 2]
             for split, b in _leibniz(key[i], 2):
                 _accumulate(out, key[:i] + split + key[i + 1:], sc if b == 1 else b * sc)
-    return PolyDiffOperator._trusted(self.dim, k + 1, out)
+    return PolyDiffOperator(self.dim, k + 1, out)
 
 
 def insert(self: PolyDiffOperator, other: PolyDiffOperator, slot: int) -> PolyDiffOperator:
@@ -137,7 +137,7 @@ def insert(self: PolyDiffOperator, other: PolyDiffOperator, slot: int) -> PolyDi
                     mult = b * m
                     mid = tuple(tuple(map(add, j, s)) for j, s in zip(key2, rest))
                     _accumulate(out, pre + mid + post, prod if mult == 1 else mult * prod)
-    return PolyDiffOperator._trusted(self.dim, self.arity + k2 - 1, out)
+    return PolyDiffOperator(self.dim, self.arity + k2 - 1, out)
 
 
 def assoc_defect(s, n: int) -> PolyDiffOperator:
@@ -161,7 +161,7 @@ def _wedge_into(out, ka, kb, p):
 
 def wedge(self: PolyVector, other: PolyVector) -> PolyVector:
     """Exterior product; returns a zero multivector on degree overflow."""
-    self._check(other)
+    self._check_dim(other)
     out = {}
     for ka, pa in self.components.items():
         for kb, pb in other.components.items():
@@ -172,7 +172,7 @@ def wedge(self: PolyVector, other: PolyVector) -> PolyVector:
 def schouten(self: PolyVector, other: PolyVector) -> PolyVector:
     """Schouten-Nijenhuis bracket, with the sign convention of
     PolyVector.schouten."""
-    self._check(other)
+    self._check_dim(other)
     sign_a = 1 if self.arity % 2 else -1
     out = {}
     for ka, pa in self.components.items():

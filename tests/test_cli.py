@@ -530,6 +530,34 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text, argv):
     assert out == ""
 
 
+_DEGREE_0 = {"dim": 3, "degree": 0, "components": {"1": "x2"}}
+_DEGREE_2 = {"dim": 3, "degree": 2, "components": {"1,2,3": "1"}}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (("check", "cyclic", "--pi", "{tmp}/pi.json"), {"pi.json": _DEGREE_0},
+     "'{tmp}/pi.json' is not a bivector (degree 0)"),
+    (("check", "cyclic", "--pi", "{tmp}/pi.json"), {"pi.json": _DEGREE_2},
+     "'{tmp}/pi.json' is not a bivector (degree 2)"),
+    (("star", "apply", "--pi", "{tmp}/pi.json", "--f", "x1", "--g", "x2"), {"pi.json": _DEGREE_0},
+     "'{tmp}/pi.json' is not a bivector (degree 0)"),
+    (("star", "apply", "--pi", "{tmp}/pi.json", "--f", "x1", "--g", "x2"), {"pi.json": _DEGREE_2},
+     "'{tmp}/pi.json' is not a bivector (degree 2)"),
+    (("check", "cyclic", "--pi", "so3", "--vol", "{tmp}/vol.json"), {"vol.json": {"dim": 2}},
+     "volume form dim 2 does not match bivector dim 3"),
+    (("weights", "compute", "--n", "1", "--m", "3", "--alpha", "0,x,1", "--samples", "16", "--seed", "1"),
+     {}, "bad alpha list '0,x,1'"),
+    (("weights", "compute", "--n", "1", "--m", "3", "--samples", "16", "--seed", "1"),
+     {}, "--alpha is required for m = 3"),
+], ids=["cyclic-pi-degree-0", "cyclic-pi-degree-2", "apply-pi-degree-0", "apply-pi-degree-2",
+        "vol-dim", "alpha-not-a-number", "alpha-missing-at-m-3"])
+def test_refused_input_exits_2_with_one_error_line(capsys, tmp_path, argv, files, message):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out, err) == (2, "", "error: %s\n" % message.format(tmp=tmp_path))
+
+
 def test_sampled_tables_load(capsys, tmp_path):
     # the well-typed table of the malformed cases above, and the tables that
     # weights compute writes on both routes, are read by star apply

@@ -247,7 +247,7 @@ def test_int_and_fraction_coefficients_are_interchangeable():
     assert a == b and hash(a) == hash(b)
     assert a.render() == b.render() == "3*x1"
     z = ((0, 0),)
-    assert PolyDiffOperator(2, 1, {z: a}).render() == PolyDiffOperator._trusted(2, 1, {z: b}).render()
+    assert PolyDiffOperator(2, 1, {z: a}).render() == PolyDiffOperator(2, 1, {z: b}).render()
 
 
 def so3():
@@ -379,3 +379,84 @@ def test_arithmetic_matches_a_fraction_reference(data):
     for r, ref in cases:
         assert_matches(r, ref, dim)
         assert_stored(r)
+
+
+# -- operators and multivectors ---------------------------------------------
+
+def _so3_vector():
+    return PolyVector(3, 1, {(1, 2): P.parse("x3", 3), (1, 3): P.parse("-1/2*x2", 3),
+                             (2, 3): P.parse("x1", 3)})
+
+
+_VOL2, _VOL3 = VolumeForm.constant(2), VolumeForm.constant(3)
+_M2 = PolyDiffOperator.multiplication(2)
+
+# each refusal of the operator and multivector classes, with its exact message
+REFUSALS = {
+    "op dim": (lambda: PolyDiffOperator(0, 1), "dim must be >= 1"),
+    "op arity": (lambda: PolyDiffOperator(2, -1), "arity must be >= 0"),
+    "op key slots": (lambda: PolyDiffOperator(2, 1, {((0, 0), (0, 0)): 1}),
+                     "term key ((0, 0), (0, 0)) has 2 slots, expected 1"),
+    "op multi-index length": (lambda: PolyDiffOperator(2, 1, {((0, 0, 0),): 1}),
+                              "bad multi-index (0, 0, 0) for dim 2"),
+    "op multi-index sign": (lambda: PolyDiffOperator(2, 1, {((0, -1),): 1}),
+                            "bad multi-index (0, -1) for dim 2"),
+    "op coefficient dim": (lambda: PolyDiffOperator(2, 1, {((0, 0),): P.one(3)}),
+                           "coefficient dim mismatch"),
+    "op sum arity": (lambda: _M2 + PolyDiffOperator.zero(2, 1), "dim/arity mismatch in operator sum"),
+    "op sum dim": (lambda: _M2 - PolyDiffOperator.multiplication(3), "dim/arity mismatch in operator sum"),
+    "op scalar dim": (lambda: _M2 * P.one(3), "dimension mismatch: 2 vs 3"),
+    "op argument count": (lambda: _M2.apply((P.one(2),)), "expected 2 arguments, got 1"),
+    "op argument dim": (lambda: _M2.apply((P.one(2), P.one(3))), "argument dim mismatch"),
+    "op ibp arity": (lambda: PolyDiffOperator(2, 0, {(): 1}).ibp_normal_form(_VOL2),
+                     "ibp_normal_form needs arity >= 1"),
+    "op ibp dim": (lambda: _M2.ibp_normal_form(_VOL3), "dimension mismatch with volume form"),
+    "op insert dim": (lambda: _M2.insert(PolyDiffOperator.multiplication(3), 1), "dimension mismatch"),
+    "op insert slot": (lambda: _M2.insert(_M2, 3), "slot out of range"),
+    "op cyclic arity": (lambda: PolyDiffOperator(2, 0, {(): 1}).cyclic_shift(_VOL2),
+                        "cyclic_shift needs arity >= 1"),
+    "op cyclic dim": (lambda: _M2.cyclic_shift(_VOL3), "dimension mismatch with volume form"),
+    "vector dim": (lambda: PolyVector(0, 1), "dim must be >= 1"),
+    "vector degree": (lambda: PolyVector(2, -2), "degree must be >= -1"),
+    "vector key arity": (lambda: PolyVector(2, 1, {(1,): 1}), "key (1,) has arity 1, expected 2"),
+    "vector key axis": (lambda: PolyVector(2, 1, {(1, 3): 1}), "axis out of range in key (1, 3) (dim=2)"),
+    "vector component dim": (lambda: PolyVector(2, 0, {(1,): P.one(3)}), "component polynomial dim 3 != 2"),
+    "vector sum dim": (lambda: _so3_vector() + PolyVector(2, 1, {(1, 2): 1}), "dimension mismatch: 3 vs 2"),
+    "vector sum degree": (lambda: _so3_vector() - PolyVector(3, 0, {(1,): 1}), "degree mismatch: 1 vs 0"),
+    "vector scalar dim": (lambda: _so3_vector() * P.one(2), "dimension mismatch: 3 vs 2"),
+    "vector bracket of functions": (lambda: PolyVector(2, -1, {(): 1}).schouten(PolyVector(2, -1, {(): 1})),
+                                    "degree must be >= -1"),
+    "vector divergence dim": (lambda: _so3_vector().divergence(_VOL2), "dimension mismatch with volume form"),
+    "vector divergence degree": (lambda: PolyVector(3, -1, {(): 1}).divergence(_VOL3),
+                                 "divergence of a function (degree -1) is undefined"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_operator_and_multivector_refusals_keep_their_messages(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as refusal:
+        call()
+    assert str(refusal.value) == message
+
+
+def test_operators_and_multivectors_are_read_only_values():
+    pi, m = _so3_vector(), PolyDiffOperator.multiplication(3)
+    hashes = hash(pi), hash(m)
+    for view, key in ((pi.components, (1, 2)), (m.terms, ((0, 0, 0), (0, 0, 0)))):
+        with pytest.raises(TypeError):
+            view[key] = P.variable(3, 1)
+        with pytest.raises(TypeError):
+            del view[key]
+        with pytest.raises(AttributeError):  # a read-only view has no clear()
+            view.clear()
+    assert pi == _so3_vector() and m == PolyDiffOperator.multiplication(3)
+    assert (hash(pi), hash(m)) == hashes and not m.is_zero()
+    # equal values built two ways hash alike and dedupe in a set
+    a = PolyDiffOperator(3, 1, {((1, 0, 0),): P.parse("1/2*x1", 3)})
+    b = PolyDiffOperator(3, 1, {((1, 0, 0),): P.parse("1/3*x2", 3), ((0, 0, 1),): Fraction(2, 3)})
+    both = PolyDiffOperator(3, 1, {((1, 0, 0),): P.parse("1/2*x1 + 1/3*x2", 3),
+                                   ((0, 0, 1),): Fraction(2, 3)})
+    assert a + b == both and hash(a + b) == hash(both) and len({a + b, both}) == 1
+    assert (both - b) * 2 == a * 2 and hash((both - b) * 2) == hash(a * 2)
+    assert len({pi, pi + PolyVector.zero(3, 1), PolyVector(3, 1, dict(pi.components))}) == 1
