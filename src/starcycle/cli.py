@@ -16,9 +16,11 @@ usage or input error.  Bad input is a ValueError, whether the CLI or the
 library raises it: main() alone turns one into exit 2 and a single
 `error: <message>` line on stderr; any other exception is a traceback.
 
-Reports embed the sha256 of each bivector and volume-form file.  A
-weight table is named by WeightTable.fingerprint(), the sha256 of its
-canonical JSON, and its provenance; that is not the sha256 of the
+Reports embed the sha256 of each bivector and volume-form file, so
+every command loads hashlib (and OpenSSL) when this module is imported,
+while `import starcycle` alone does not.  A weight table is named by
+WeightTable.fingerprint(), the sha256 of its canonical JSON, and its
+provenance; that is not the sha256 of the
 file's bytes (the bundled table reports 844069..., while sha256sum of
 its file gives 5f2c63...).  Reports contain no timestamps and are
 dumped canonically, so identical invocations produce byte-identical

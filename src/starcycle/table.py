@@ -1,13 +1,15 @@
 """Graph weight tables, with no numpy: entries keyed by graph and alphas,
 their JSON form and sha256, and the table bundled with the package.
 
+hashlib, and OpenSSL with it, loads at the first fingerprint(): reading
+a table, the bundled one included, does not load it.
+
 Stored table values carry no symmetry prefactors: the 1/n! and
 1/(#Star(k))! factors are applied at operator assembly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -133,6 +135,8 @@ class WeightTable:
 
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON serialization."""
+        import hashlib
+
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -1,6 +1,7 @@
 """Operator calculus that only the tests use: the cyclic projector and the
 Gerstenhaber bracket of polydifferential operators, vector fields from a
-list of components, and exact Gaussian integrals of polynomials.
+list of components, exact Gaussian integrals of polynomials, and damped
+arguments p e^q whose products those integrals reach.
 
 The package decides cyclicity through PolyDiffOperator.cyclic_shift and
 builds every operator it needs from insert and hochschild_differential;
@@ -42,6 +43,26 @@ def gauss_integral(poly) -> Fraction:
             moments = [Fraction(math.prod(range(e - 1, 0, -2)), 2 ** (e // 2)) for e in exps]
             total += c * math.prod(moments)
     return total
+
+
+class Damped:
+    """The argument p e^q, for Polynomials p and q, as apply takes it:
+    derive(mi) is the polynomial part of d^mi (p e^q), so an operator
+    applied to damped arguments gives a polynomial times e^(q1 + q2 + ..)."""
+
+    def __init__(self, p, q):
+        self.dim, self.q = p.dim, q
+        self._derived = {(0,) * p.dim: p}
+
+    def derive(self, mi) -> Polynomial:
+        mi = tuple(mi)
+        got = self._derived.get(mi)
+        if got is None:
+            # d_a (r e^q) = (d_a r + r d_a q) e^q, one axis of mi at a time
+            a = next(ax for ax, e in enumerate(mi) if e)
+            r = self.derive(mi[:a] + (mi[a] - 1,) + mi[a + 1:])
+            got = self._derived[mi] = r.partial(a + 1) + r * self.q.partial(a + 1)
+        return got
 
 
 def is_cyclic(op: PolyDiffOperator, vol: VolumeForm) -> bool:

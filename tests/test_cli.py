@@ -945,6 +945,19 @@ print(json.dumps([name for name in %r if name in sys.modules]))
     assert loaded == []
 
 
+def test_weight_table_loads_openssl_only_to_fingerprint(capsys):
+    got = _fresh("""
+import json, sys
+import starcycle
+table = starcycle.WeightTable.builtin()
+before = [name for name in ("hashlib", "_hashlib") if name in sys.modules]
+print(json.dumps({"before": before, "sha": table.fingerprint(), "after": "_hashlib" in sys.modules}))
+""", bare=True)
+    code, out, _ = run(capsys, "check", "cyclic", "--pi", "so3", "--format", "json")
+    assert code == 0
+    assert got == {"before": [], "sha": json.loads(out)["inputs"]["table"]["sha256"], "after": True}
+
+
 def test_exact_commands_load_only_what_they_use_on_every_exit_path():
     runs = [(["check", which, "--pi", "so3"], 0) for which in ("cyclic", "closed", "assoc", "jacobi")]
     runs += [(["check", "divergence", "--pi", "nondiv"], 1),

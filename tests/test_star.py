@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import operator_oracle
-from operator_oracle import is_cyclic, vector
+from operator_oracle import Damped, gauss_integral, is_cyclic, vector
 from starcycle import (
     AdmissibleGraph,
     AngleContext,
@@ -397,6 +397,61 @@ def test_check_closed():
     assert not rep["passed"]
 
 
+def damped_monomials(dim, scale):
+    """1, x1, .., xd, each times e^(-scale |x|^2)."""
+    q = P.parse(" ".join("- %s*x%d^2" % (scale, i) for i in range(1, dim + 1)), dim)
+    return [Damped(p, q) for p in [P.one(dim)] + [P.variable(dim, i) for i in range(1, dim + 1)]]
+
+
+def gaussian_failures(pi, table):
+    """The levels n at which the star product of pi fails, as exact
+    integrals with constant Omega: cyclicity, int B_n(f,g) h = int B_n(g,h) f
+    with every factor damped by e^(-|x|^2/3), and closedness (n >= 1),
+    int B_n(f,g) = 0 with both damped by e^(-|x|^2/2).  Each side is the
+    coefficient of pi^(d/2), over every triple (pair) of damped monomials."""
+    levels = assemble_star(pi, table, order=2).levels
+    cyclic, closed = [], []
+    args = damped_monomials(pi.dim, "1/3")
+    plain = [a.derive((0,) * pi.dim) for a in args]
+    for n, b in enumerate(levels):
+        val = {(i, j): operator_oracle.apply(b, [f, g])
+               for (i, f), (j, g) in itertools.product(enumerate(args), repeat=2)}
+        if any(gauss_integral(val[i, j] * plain[k]) != gauss_integral(val[j, k] * plain[i])
+               for i, j, k in itertools.product(range(len(args)), repeat=3)):
+            cyclic.append(n)
+    args = damped_monomials(pi.dim, "1/2")
+    for n, b in enumerate(levels[1:], start=1):
+        if any(gauss_integral(operator_oracle.apply(b, [f, g])) for f in args for g in args):
+            closed.append(n)
+    return cyclic, closed
+
+
+def shifted_orbit_table(key, shift):
+    """The bundled table with the weight of key's order-2 orbit moved by
+    shift: each graph of the orbit by its sign relative to key."""
+    table = WeightTable.from_json(TABLE.to_json())
+    orbits = star_orbits(2, 2)
+    rep0, sign0 = orbits[AdmissibleGraph.from_key(key)]
+    for g, (rep, sign) in orbits.items():
+        if rep == rep0 and sign:
+            e = table.lookup_star(g)
+            w = e.exact + sign * sign0 * shift
+            table.add(WeightEntry(e.graph_key, e.alphas, float(w), 0.0, 0, 0, exact=w))
+    return table
+
+
+def test_cyclic_and_closed_as_gaussian_integrals():
+    # the paper's identities as numbers, sharing no code with the package's
+    # integration by parts; a divergent pi and a shifted orbit weight fail
+    assert gaussian_failures(so3(), TABLE) == ([], [])
+    assert gaussian_failures(moyal(), TABLE) == ([], [])
+    assert gaussian_failures(nondiv(), TABLE) == ([1, 2], [1, 2])
+    key = "2;2;2,b1|1,b2"
+    shifted = shifted_orbit_table(key, Fraction(1, 7))
+    assert shifted.lookup_star(AdmissibleGraph.from_key(key)).exact == Fraction(-1, 24) + Fraction(1, 7)
+    assert gaussian_failures(so3(), shifted) == ([2], [2])
+
+
 def test_exact_checks_refuse_monte_carlo_tables():
     ctx = AngleContext.standard((0.0, 0.0, 1.0))
     t = WeightTable()
@@ -751,3 +806,14 @@ def test_pruned_contraction_equals_dense_loop_at_order_3():
     assert len(reps) == 38
     for rep in reps:
         assert graph_to_operator(rep, [pi] * 3).render() == dense_graph_to_operator(rep, [pi] * 3).render()
+    # the orbits of the order-3 cyclicity row, on components with unequal
+    # denominators: linear ones, where every one contracts to zero (a vertex
+    # with two in-edges), and quadratic ones, where three do not
+    reps = [star_orbits(3, 2)[AdmissibleGraph.from_key(key)][0] for key in (
+        "3;2;2,3|1,3|b1,b2", "3;2;2,3|1,b1|1,b2", "3;2;2,3|1,b2|2,b1", "3;2;2,3|3,b1|2,b2")]
+    quadratic = casimir(P.parse("1/2*x1^2*x2 - 1/3*x2^2*x3 + x3^2*x1", 3))
+    for pi, nonzero in ((rational_so3(), 0), (quadratic, 3)):
+        ops = [graph_to_operator(rep, [pi] * 3) for rep in reps]
+        dense = [dense_graph_to_operator(rep, [pi] * 3) for rep in reps]
+        assert [op.render() for op in ops] == [op.render() for op in dense]
+        assert sum(not op.is_zero() for op in ops) == nonzero
