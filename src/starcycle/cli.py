@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto library operations:
 
     starcycle graphs enumerate --n N --m M --edges E
-    starcycle weights compute --n N --m 2 --samples S --seed K [--out T.json]
-    starcycle weights compute --n N --m 3 --alpha a1,a2,a3 --samples S --seed K [--out T.json]
+    starcycle weights compute --n N --m 2 --samples S --seed K [--out-table T.json]
+    starcycle weights compute --n N --m 3 --alpha a1,a2,a3 --samples S --seed K [--out-table T.json]
     starcycle star apply --pi PI --f "<poly>" --g "<poly>" [--order N] [--table T.json]
     starcycle check {jacobi,divergence,cyclic,closed,assoc,alpha} --pi PI ...
 
@@ -213,7 +213,7 @@ def _check_sampling(args):
     if args.samples < 1:
         raise ValueError("--samples must be at least 1, got %d" % args.samples)
     if args.seed is None:
-        raise ValueError("--seed is required when --samples > 0")
+        raise ValueError("--seed is required")
     if args.seed < 0:
         raise ValueError("--seed must be at least 0, got %d" % args.seed)
 

@@ -227,15 +227,15 @@ class Polynomial(Frozen):
 
     # -- text form ----------------------------------------------------------
 
-    _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[\^\*\+\-])|(?P<bad>\S))")
+    _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>x[0-9]+)|(?P<op>[\^\*\+\-])|(?P<bad>\S))")
 
     @classmethod
     def parse(cls, text: str, dim: int) -> "Polynomial":
         """Polynomial from text.  Grammar: terms joined by + or - (the first
         may carry a sign); a term is factors joined by *; a factor is an
-        integer, a rational a/b, xK or xK^E; whitespace is ignored.  A
-        ValueError names a position; a character outside the grammar is
-        reported first, at the whitespace before it."""
+        integer, a rational a/b, xK or xK^E in ASCII digits; whitespace is
+        ignored.  A ValueError names a position; a character outside the
+        grammar is reported first, at the whitespace before it."""
         tokens = []
         for m in cls._TOKEN.finditer(text):
             kind, at = m.lastgroup, m.start()

@@ -5,9 +5,9 @@ i.e. as an element of the odd polynomial algebra in theta_1..theta_d
 with Polynomial coefficients.  The Lie grading of the bracket is
 degree = arity - 1, so functions sit in degree -1 and bivectors in
 degree 1.  A multivector is stored as one {key: {exponents: int}}
-numerator table over one denominator (poly._Table).  The wedge, the
-bracket and the divergence read those tables, take each d_x_i of a
-component once, and add int numerators into a new table.
+numerator table over one denominator (poly._Table).  The wedge and the
+bracket read those tables, take each d_x_i of a component once, and add
+int numerators into a new table; the divergence adds Polynomials.
 """
 
 from __future__ import annotations

@@ -102,15 +102,10 @@ class WeightTable:
         return self.entries.get((graph_key, _alpha_key(alphas)))
 
     def lookup_star(self, graph: AdmissibleGraph) -> WeightEntry | None:
-        """Weight of a 2-boundary star graph: the native half-plane entry
-        when present, else its 3-boundary embedding under alpha = (0, 0, 1)."""
+        """Weight of a star graph: that of its 3-boundary embedding at alpha
+        (0, 0, 1), whose key differs in m alone (b3 renames no target)."""
         key = graph.canonical_key()
-        if graph.m == 2:
-            native = self.entries.get((key, ()))
-            if native is not None:
-                return native
-            key = key.replace(";2;", ";3;", 1)  # an unused b3 renames no target
-        return self.entries.get((key, _STAR_ALPHAS))
+        return self.entries.get((key.replace(";2;", ";3;", 1) if graph.m == 2 else key, _STAR_ALPHAS))
 
     def to_json(self) -> dict:
         items = sorted(self.entries.values(), key=lambda e: (e.graph_key, e.alphas))
@@ -119,10 +114,14 @@ class WeightTable:
     @classmethod
     def from_json(cls, obj: dict) -> "WeightTable":
         """A second entry for one (graph, alphas) is an error: which one
-        counted would depend on the order of the entries."""
+        counted would depend on the order of the entries.  So is a
+        2-boundary key: a star weight is stored under its embedding."""
         table = cls()
         for item in obj.get("entries", []):
             entry = WeightEntry.from_json(item)
+            if entry.graph_key.split(";")[1:2] == ["2"]:
+                raise ValueError("entry %s is keyed by a 2-boundary graph; store it as %s at alphas "
+                                 "[0.0, 0.0, 1.0]" % (entry.graph_key, entry.graph_key.replace(";2;", ";3;", 1)))
             if table.get(entry.graph_key, entry.alphas) is not None:
                 raise ValueError("repeated entry for %s at alphas %s" % (entry.graph_key, list(entry.alphas)))
             table.add(entry)

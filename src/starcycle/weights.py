@@ -296,8 +296,8 @@ def _disk_chunk(graph, ctx, edge_alphas, seed, chunk_index, size):
         return s1, float(np.sum(np.multiply(dets, dets, out=dets)))
 
 
-def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
-    """WeightEntry from all chunks, reduced in chunk order."""
+def _sample(graph, ctx, edge_alphas, samples, seed, threads):
+    """WeightEntry at ctx.alphas from all chunks, reduced in chunk order."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     if samples == 1:
@@ -326,12 +326,12 @@ def _sample(graph, ctx, edge_alphas, alphas, samples, seed, threads):
         s2 += b
     if not math.isfinite(s2):  # inf or nan when any determinant is
         raise ValueError("graph %s at alpha=%s: the determinants overflow (their sum of squares is %r)"
-                         % (graph.canonical_key(), list(alphas), s2))
+                         % (graph.canonical_key(), list(ctx.alphas), s2))
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0) * (samples / (samples - 1))
     return WeightEntry(
         graph_key=graph.canonical_key(),
-        alphas=tuple(alphas),
+        alphas=tuple(ctx.alphas),
         value=norm * mean,
         std_error=norm * math.sqrt(var / samples),
         samples=samples,
@@ -357,20 +357,21 @@ def _disk_weight(graph, ctx, edge_alphas, samples, seed, threads):
     E = graph.edge_count
     if E != top_edge_count(graph.n, graph.m):
         raise ValueError("graph has %d edges; top degree needs %d" % (E, top_edge_count(graph.n, graph.m)))
-    return _sample(graph, ctx, edge_alphas, ctx.alphas, samples, seed, threads)
+    return _sample(graph, ctx, edge_alphas, samples, seed, threads)
 
 
 def halfplane_weight(graph: AdmissibleGraph, samples: int, seed: int,
                      threads: int | None = None) -> WeightEntry:
     """Classical 2-boundary weight over the half-plane slice (points at 0
-    and 1, plain harmonic angle).  Top degree here is 2n edges: the
-    quotient is by the 2-parameter affine group rather than PSL2(R)."""
+    and 1, plain harmonic angle), keyed as the alpha = (0, 0, 1) weight of
+    the graph with b3 added.  Top degree here is 2n edges: the quotient is
+    by the 2-parameter affine group rather than PSL2(R)."""
     if graph.m != 2:
         raise ValueError("halfplane_weight needs m == 2")
     if graph.edge_count != 2 * graph.n:
         raise ValueError("graph has %d edges; the half-plane slice needs %d" % (graph.edge_count, 2 * graph.n))
     edge_alphas = [_HALFPLANE.alphas] * graph.edge_count
-    return _sample(graph, _HALFPLANE, edge_alphas, (), samples, seed, threads)
+    return _sample(graph.add_boundary_vertex(), _HALFPLANE, edge_alphas, samples, seed, threads)
 
 
 def mixed_edge_integral(graph: AdmissibleGraph, ctx: AngleContext, replacement: AngleContext,

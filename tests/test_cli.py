@@ -165,8 +165,45 @@ def test_weights_compute_halfplane_route(capsys):
     assert code == 0
     entries = json.loads(out)["result"]["entries"]
     assert len(entries) == 2
+    # each half-plane weight is keyed by its 3-boundary embedding at alpha (0, 0, 1)
+    assert {e["graph"] for e in entries} == {"1;3;b1,b2", "1;3;b2,b1"}
+    assert all(e["alphas"] == [0.0, 0.0, 1.0] for e in entries)
     vals = {e["graph"]: e["value"] for e in entries}
-    assert abs(vals["1;2;b1,b2"] - 0.5) < 0.02
+    assert abs(vals["1;3;b1,b2"] - 0.5) < 0.02
+
+
+def test_halfplane_and_disk_runs_merge_into_one_entry_per_weight(capsys, tmp_path):
+    # a half-plane run and then a disk run at alpha (0, 0, 1) write the same
+    # keys, so the later run's weights replace the earlier ones and star apply
+    # reads them
+    merged, disk = str(tmp_path / "merged.json"), str(tmp_path / "disk.json")
+    runs = (("--m", "2", "--seed", "1", "--out-table", merged),
+            ("--m", "3", "--alpha", "0,0,1", "--seed", "50", "--out-table", merged),
+            ("--m", "3", "--alpha", "0,0,1", "--seed", "50", "--out-table", disk))
+    for args in runs:
+        code, _, _ = run(capsys, "weights", "compute", "--n", "1", "--samples", "4096", *args)
+        assert code == 0
+    reports = []
+    for path in (merged, disk):
+        code, out, _ = run(capsys, "star", "apply", "--pi", "moyal", "--f", "x1", "--g", "x2",
+                           "--order", "1", "--table", path, "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert [r["inputs"]["table"]["provenance"] for r in reports] == [{"exact": 0, "monte_carlo": 6}] * 2
+    assert reports[0]["inputs"]["table"]["sha256"] == reports[1]["inputs"]["table"]["sha256"]
+    assert reports[0]["result"] == reports[1]["result"]
+
+
+def test_a_table_keyed_by_2_boundary_graphs_exits_2(capsys, tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"entries": [
+        {"graph": key, "alphas": [], "value": value, "std_error": 0.01, "samples": 4096, "seed": 1}
+        for key, value in (("1;2;b1,b2", 0.5), ("1;2;b2,b1", -0.5))]}))
+    code, out, err = run(capsys, "star", "apply", "--pi", "moyal", "--f", "x1", "--g", "x2",
+                         "--order", "1", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "1;2;b1,b2 is keyed by a 2-boundary graph; store it as 1;3;b1,b2 at alphas [0.0, 0.0, 1.0]" in err
 
 
 def test_weights_compute_merges_out_table_and_feeds_star(capsys, tmp_path):
@@ -722,10 +759,12 @@ def test_failing_hypothesis_reports_are_pinned(capsys, tmp_path, monkeypatch, ca
 
 # sha256 of sampled reports, taken before the weighted graph sums walked
 # star_orbits: check alpha at orders 1 and 2, and star apply on a Monte Carlo
-# table, whose float weights take the other branch of the weight reader
+# table, whose float weights take the other branch of the weight reader.  The
+# last was taken again when half-plane entries moved to their 3-boundary keys,
+# which changed the table's sha256 and nothing in its levels
 _ALPHA_PINS = {1: "43132d4632484bcc3c590df10209b8274a703a45111069876b8b5ae296090910",
                2: "c49ab23e297d1bc566aceae10b31e28d27011d6ce33a7bc32bfab09b5b88bb11"}
-_MC_APPLY_PIN = "154d63c4ff438c42009f4f3b2b76af8143d43e8bf391ec64779a4a7976958811"
+_MC_APPLY_PIN = "cf9f64903023797e3760f921be56e2acdc4a397d3548fd5c968aa3033cd841d7"
 
 
 @pytest.mark.parametrize("order", sorted(_ALPHA_PINS))
@@ -753,10 +792,12 @@ def test_monte_carlo_apply_report_is_pinned(capsys, tmp_path, monkeypatch):
 
 # sha256 of weights compute reports, taken before each chunk streamed its
 # draws block by block: 70000 samples are a full chunk, then a tail chunk
-# that ends in a short block
+# that ends in a short block.  The --m 2 report was taken again when its
+# entries moved to their 3-boundary keys: only graph, alphas and the table's
+# sha256 changed
 _WEIGHTS_PINS = {
     ("--n", "2", "--m", "2", "--samples", "70000", "--seed", "4"):
-        "b49a4e019610274d052e201e5b82e948ca1356d38b755916a42e926bf3dec94c",
+        "eecd7b3c791f05279acd780cf425664296a4d41ce2d36c8b9855822bc46707c9",
     ("--n", "1", "--m", "3", "--alpha", "0.3,-0.7,1.1", "--samples", "70000", "--seed", "9"):
         "f102a9afb0e4687b3892c6fe355efbc94ea69f62cad03d97c0e1f93cda415507",
     # the order-2 disk route, 144 graphs: A != 1 with 2-cycles both ways, then A == 1

@@ -121,6 +121,12 @@ def test_parse_errors():
     ("   ", "empty polynomial text"),
     ("x3", "unknown variable x3 at position 0 (dim=2)"),
     ("x1^", "expected integer exponent after ^ at position 3"),
+    # digits are ASCII: int() would read these Arabic-Indic and fullwidth ones
+    ("\u0663*x1", "syntax error at position 0: '\u0663*x1'"),
+    ("\uff13*x1", "syntax error at position 0: '\uff13*x1'"),
+    ("x\u0661", "syntax error at position 0: 'x\u0661'"),
+    ("x1^\u0662", "syntax error at position 3: '\u0662'"),
+    ("x1 + \u0662", "syntax error at position 4: ' \u0662'"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(ValueError) as err:

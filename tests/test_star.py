@@ -30,6 +30,7 @@ from starcycle import (
 )
 from starcycle import star
 from starcycle.graphs import star_orbits
+from starcycle.polyvector import _normalize_key
 from starcycle.star import StarProduct, assoc_defect
 
 P = Polynomial
@@ -397,21 +398,39 @@ def test_check_closed():
     assert not rep["passed"]
 
 
-def damped_monomials(dim, scale):
-    """1, x1, .., xd, each times e^(-scale |x|^2)."""
+def damped_monomials(dim, scale, degree):
+    """Each monomial of degree at most `degree` in x1..xd, times e^(-scale |x|^2)."""
     q = P.parse(" ".join("- %s*x%d^2" % (scale, i) for i in range(1, dim + 1)), dim)
-    return [Damped(p, q) for p in [P.one(dim)] + [P.variable(dim, i) for i in range(1, dim + 1)]]
+    exps = [e for e in itertools.product(range(degree + 1), repeat=dim) if sum(e) <= degree]
+    return [Damped(P.monomial(dim, e), q) for e in exps]
 
 
-def gaussian_failures(pi, table):
+def jacobian_structure(c1, c2):
+    """pi^{ij} = eps_{ijkl} d_k C1 d_l C2 on R^4, summed over k and l: the
+    Jacobian (Nambu) structure of C1 and C2, Poisson and divergence-free."""
+    d1, d2 = ([c.partial(k) for k in range(1, 5)] for c in (c1, c2))
+    comps = {}
+    for i, j in itertools.combinations(range(1, 5), 2):
+        k, l = (a for a in range(1, 5) if a not in (i, j))
+        sign = _normalize_key((i, j, k, l))[1]
+        comps[i, j] = sign * (d1[k - 1] * d2[l - 1] - d1[l - 1] * d2[k - 1])
+    return PolyVector(4, 1, comps)
+
+
+def jq2():
+    return jacobian_structure(P.parse("x1^2 + x2*x3", 4), P.parse("x3*x4 + x1*x2", 4))
+
+
+def gaussian_failures(pi, table, degree):
     """The levels n at which the star product of pi fails, as exact
     integrals with constant Omega: cyclicity, int B_n(f,g) h = int B_n(g,h) f
     with every factor damped by e^(-|x|^2/3), and closedness (n >= 1),
     int B_n(f,g) = 0 with both damped by e^(-|x|^2/2).  Each side is the
-    coefficient of pi^(d/2), over every triple (pair) of damped monomials."""
+    coefficient of pi^(d/2), over every triple (pair) of damped monomials
+    of degree at most `degree`."""
     levels = assemble_star(pi, table, order=2).levels
     cyclic, closed = [], []
-    args = damped_monomials(pi.dim, "1/3")
+    args = damped_monomials(pi.dim, "1/3", degree)
     plain = [a.derive((0,) * pi.dim) for a in args]
     for n, b in enumerate(levels):
         val = {(i, j): operator_oracle.apply(b, [f, g])
@@ -419,7 +438,7 @@ def gaussian_failures(pi, table):
         if any(gauss_integral(val[i, j] * plain[k]) != gauss_integral(val[j, k] * plain[i])
                for i, j, k in itertools.product(range(len(args)), repeat=3)):
             cyclic.append(n)
-    args = damped_monomials(pi.dim, "1/2")
+    args = damped_monomials(pi.dim, "1/2", degree)
     for n, b in enumerate(levels[1:], start=1):
         if any(gauss_integral(operator_oracle.apply(b, [f, g])) for f in args for g in args):
             closed.append(n)
@@ -442,14 +461,19 @@ def shifted_orbit_table(key, shift):
 
 def test_cyclic_and_closed_as_gaussian_integrals():
     # the paper's identities as numbers, sharing no code with the package's
-    # integration by parts; a divergent pi and a shifted orbit weight fail
-    assert gaussian_failures(so3(), TABLE) == ([], [])
-    assert gaussian_failures(moyal(), TABLE) == ([], [])
-    assert gaussian_failures(nondiv(), TABLE) == ([1, 2], [1, 2])
+    # integration by parts; a divergent pi and a shifted orbit weight fail.
+    # jq2 stays at degree 1: degree 2 takes seconds in dimension 4
+    pi = jq2()
+    assert pi.schouten(pi).is_zero() and pi.divergence(VolumeForm.constant(4)).is_zero()
+    assert gaussian_failures(so3(), TABLE, 2) == ([], [])
+    assert gaussian_failures(moyal(), TABLE, 2) == ([], [])
+    assert gaussian_failures(pi, TABLE, 1) == ([], [])
+    assert gaussian_failures(nondiv(), TABLE, 2) == ([1, 2], [1, 2])
     key = "2;2;2,b1|1,b2"
     shifted = shifted_orbit_table(key, Fraction(1, 7))
     assert shifted.lookup_star(AdmissibleGraph.from_key(key)).exact == Fraction(-1, 24) + Fraction(1, 7)
-    assert gaussian_failures(so3(), shifted) == ([2], [2])
+    assert gaussian_failures(so3(), shifted, 2) == ([2], [2])
+    assert gaussian_failures(pi, shifted, 1) == ([2], [2])
 
 
 def test_exact_checks_refuse_monte_carlo_tables():

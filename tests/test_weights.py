@@ -122,23 +122,20 @@ def test_halfplane_route_matches():
     assert abs(w.value - 0.5) <= 3 * w.std_error
 
 
-def test_lookup_star_prefers_native_halfplane_entries():
+def test_a_halfplane_entry_is_its_embeddings_entry():
     g = AdmissibleGraph.from_key("1;2;b1,b2")
-    t = WeightTable()
-    t.add(halfplane_weight(g, 1 << 14, 3))
-    e = t.lookup_star(g)
-    assert e is not None and e.graph_key == "1;2;b1,b2"
-    # without a native entry the 3-boundary embedding is the fallback
-    b = WeightTable.builtin().lookup_star(g)
-    assert b is not None and b.graph_key == "1;3;b1,b2"
+    e = halfplane_weight(g, 1 << 14, 3)
+    assert (e.graph_key, e.alphas) == ("1;3;b1,b2", (0.0, 0.0, 1.0))
+    # added to the bundled table, it takes the place of the exact entry
+    t = WeightTable.from_json(WeightTable.builtin().to_json())
+    assert t.lookup_star(g).exact == Fraction(1, 2)
+    t.add(e)
+    assert t.lookup_star(g) is e and t.provenance() == {"exact": 41, "monte_carlo": 1}
 
 
 def graph_built_lookup_star(table, graph):
     """The reference lookup: the 3-boundary key from a graph with b3 added."""
     if graph.m == 2:
-        native = table.get(graph.canonical_key(), ())
-        if native is not None:
-            return native
         graph = graph.add_boundary_vertex()
     return table.get(graph.canonical_key(), (0.0, 0.0, 1.0))
 
@@ -156,14 +153,14 @@ def test_lookup_star_finds_the_entry_of_the_added_boundary_vertex():
 
 def test_lookup_star_matches_the_graph_built_lookup():
     builtin = WeightTable.builtin()
-    native = WeightTable.from_json(builtin.to_json())
-    for g in star_graphs(2, 2)[::3]:
-        native.add(WeightEntry(g.canonical_key(), (), 0.25, 0.01, 1 << 10, 7))
+    sampled = WeightTable.from_json(builtin.to_json())
+    for k, g in enumerate(star_graphs(2, 2)[::3]):
+        sampled.add(halfplane_weight(g, 1 << 10, 7 + k))
     graphs = [g for n in (1, 2, 3) for g in star_graphs(n, 2)]
     graphs += star_graphs(1, 3) + star_graphs(2, 3)
-    for t in (builtin, native):
+    for t in (builtin, sampled):
         assert [t.lookup_star(g) for g in graphs] == [graph_built_lookup_star(t, g) for g in graphs]
-    assert native.lookup_star(star_graphs(2, 2)[0]).graph_key == star_graphs(2, 2)[0].canonical_key()
+    assert sampled.lookup_star(star_graphs(2, 2)[0]).exact is None
 
 
 def test_top_degree_required():
