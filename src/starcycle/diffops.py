@@ -9,7 +9,10 @@ derivative of a product by one Leibniz rule, _leibniz.  An operator is
 stored as one {key: {exponents: int}} numerator table over one denominator
 (poly._Table), and d, insertion, the normal form and the cyclic residual
 C(B) - B read that table and add into a new one (_d_into, _insert_into,
-_ibp_into, _cyclic_residual): no Polynomial is formed on the way.
+_ibp_into, _cyclic_residual): no Polynomial is formed on the way.  A key
+is stored as a tuple of multi-indices packed as poly packs exponents, so a
+sum of orders is one int addition; an order of 2^31 or more, given or
+reached by insertion or integration by parts, is a ValueError (_checked).
 """
 
 from __future__ import annotations
@@ -17,29 +20,27 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb, prod
-from operator import add, sub
+from operator import add
 
-from .poly import Polynomial, _accumulate, _add, _derive_num, _Table, _times
+from .poly import (Polynomial, _accumulate, _add, _checked, _derive_into, _low_unit, _pack, _Table,
+                   _times_into, _unit, _unpack)
 from .polyvector import PolyVector, VolumeForm
 
 
-def _mi_zero(dim):
-    return (0,) * dim
-
-
 @functools.cache
-def _leibniz(a, parts):
+def _leibniz(a, parts, dim):
     """The pairs (split, multinomial) for each way to write the multi-index a
-    as an ordered sum of `parts` multi-indices, where the multinomial is
-    prod_axis a_axis! / prod_l split_l[axis]!: the coefficient of
-    prod_l d^{split_l} u_l in d^a (u_1 ... u_parts).  Zero parts split
-    only a zero a, as the empty split with coefficient 1.  Memoized: it reads no input data."""
+    in dim axes as an ordered sum of `parts` multi-indices, all packed, where
+    the multinomial is prod_axis a_axis! / prod_l split_l[axis]!: the coefficient
+    of prod_l d^{split_l} u_l in d^a (u_1 ... u_parts).  Zero parts split only
+    a zero a, as the empty split with coefficient 1.  Memoized: it reads no input data."""
     if parts < 2:
-        return (((a,) * parts, 1),) if parts or not any(a) else ()
+        return (((a,) * parts, 1),) if parts or not a else ()
     out = []
-    for first in itertools.product(*[range(x + 1) for x in a]):
-        b = prod(map(comb, a, first))
-        out += [((first,) + rest, b * m) for rest, m in _leibniz(tuple(map(sub, a, first)), parts - 1)]
+    orders = _unpack(a, dim)
+    for first in itertools.product(*[range(x + 1) for x in orders]):
+        b, first = prod(map(comb, orders, first)), _pack(first)
+        out += [((first,) + rest, b * m) for rest, m in _leibniz(a - first, parts - 1, dim)]
     return tuple(out)
 
 
@@ -74,7 +75,7 @@ class PolyDiffOperator(_Table):
                 coeff = Polynomial.constant(dim, coeff)
             if coeff.dim != dim:
                 raise ValueError("coefficient dim mismatch")
-            _accumulate(clean, key, coeff)
+            _accumulate(clean, tuple(map(_pack, key)), coeff)
         self._assign_polys(dim, arity, clean)
 
     # -- constructors -----------------------------------------------------
@@ -86,12 +87,13 @@ class PolyDiffOperator(_Table):
     @classmethod
     def multiplication(cls, dim: int) -> "PolyDiffOperator":
         """m(f, g) = f*g."""
-        z = _mi_zero(dim)
+        z = (0,) * dim
         return cls(dim, 2, {(z, z): Polynomial.one(dim)})
 
     # -- basics -------------------------------------------------------------
 
     terms = property(_Table._view)
+    _public = staticmethod(lambda key, dim: tuple([_unpack(mi, dim) for mi in key]))
 
     @staticmethod
     def _basis(key):
@@ -115,8 +117,8 @@ class PolyDiffOperator(_Table):
             for slot, mi in enumerate(key):
                 d = derived.get((slot, mi))
                 if d is None:
-                    d = derived[slot, mi] = _derive_num(args[slot]._num, mi)
-                num = _times(num, d)
+                    d = derived[slot, mi] = _derive_into({}, args[slot]._num, mi, 1)
+                num = _times_into({}, num, d, 1, self.dim)
             _add(total, num, 1)
         return Polynomial._trusted(self.dim, total, self._den * prod(f._den for f in args))
 
@@ -140,9 +142,8 @@ class PolyDiffOperator(_Table):
 
     def extended_by_slot(self) -> "PolyDiffOperator":
         """D(f1,..,f_{k+1}) = self(f1,..,fk) * f_{k+1}."""
-        z = (_mi_zero(self.dim),)
         return PolyDiffOperator._trusted(self.dim, self.arity + 1,
-                                         {k + z: m for k, m in self._num.items()}, self._den)
+                                         {k + (0,): m for k, m in self._num.items()}, self._den)
 
     def cyclic_shift(self, vol: VolumeForm) -> "PolyDiffOperator":
         """C with  int psi(f1..fk) f_{k+1} Omega = (-1)^k int C(psi)(f2..f_{k+1}) f1 Omega."""
@@ -167,12 +168,12 @@ class PolyDiffOperator(_Table):
 
 def _d_into(op: PolyDiffOperator, out: dict, m: int):
     """out += m * op._den * (d op) on int numerators; returns out."""
-    k, z = op.arity, _mi_zero(op.dim)
+    k = op.arity
     for key, num in op._num.items():  # the sign of slot i is (-1)^(i+1)
-        _add(out.setdefault((z,) + key, {}), num, m)
-        _add(out.setdefault(key + (z,), {}), num, m if k % 2 else -m)
+        _add(out.setdefault((0,) + key, {}), num, m)
+        _add(out.setdefault(key + (0,), {}), num, m if k % 2 else -m)
         for i in range(k):
-            for split, b in _leibniz(key[i], 2):
+            for split, b in _leibniz(key[i], 2, op.dim):
                 _add(out.setdefault(key[:i] + split + key[i + 1:], {}), num, b * m if i % 2 else -b * m)
     return out
 
@@ -185,16 +186,16 @@ def _insert_into(a: PolyDiffOperator, b: PolyDiffOperator, slot: int, out: dict,
         I = key1[slot - 1]
         pre, post = key1[:slot - 1], key1[slot:]
         for key2, n2 in b._num.items():
-            for (s0, left), c in _leibniz(I, 2):
+            _checked(a.dim, *(I + j for j in key2))  # a split sends at most all of I to a slot
+            for (s0, left), c in _leibniz(I, 2, a.dim):
                 dn2 = derived.get((key2, s0))
                 if dn2 is None:
-                    dn2 = derived[key2, s0] = _derive_num(n2, s0)
+                    dn2 = derived[key2, s0] = _derive_into({}, n2, s0, 1)
                 if not dn2:
                     continue
-                num = _times(n1, dn2)
-                for rest, mult in _leibniz(left, b.arity):
-                    mid = tuple(tuple(map(add, j, t)) for j, t in zip(key2, rest))
-                    _add(out.setdefault(pre + mid + post, {}), num, m * c * mult)
+                num = _times_into({}, n1, dn2, 1, a.dim)
+                for rest, mult in _leibniz(left, b.arity, a.dim):
+                    _add(out.setdefault(pre + tuple(map(add, key2, rest)) + post, {}), num, m * c * mult)
     return out
 
 
@@ -202,30 +203,27 @@ def _ibp_into(op: PolyDiffOperator, vol: VolumeForm, s: int):
     """(out, den): s * op.ibp_normal_form(vol) as the numerator table out over den (see there)."""
     if op.dim != vol.dim:
         raise ValueError("dimension mismatch with volume form")
-    # the gradient of rho as a vector field: its numerators over one denominator r
+    # the gradient of rho: numerators over one denominator r, keyed by each axis's unit multi-index
     grad = PolyVector(op.dim, 0, {(a,): vol.log_density.partial(a) for a in range(1, op.dim + 1)})
-    r, drho = grad._den, [grad._num.get((a,), {}) for a in range(1, op.dim + 1)]
-    top = max((sum(key[0]) for key in op._num), default=0)
+    r, drho = grad._den, {_unit(a): grad._num.get((a + 1,), {}) for a in range(op.dim)}
     levels = {}
     for key, num in op._num.items():
-        m = s * r ** (top - sum(key[0]))
-        levels.setdefault(sum(key[0]), {})[key] = {e: n * m for e, n in num.items()}
+        _checked(op.dim, *(j + key[0] for j in key[1:]))  # a slot gains at most slot 1's orders
+        levels.setdefault(sum(_unpack(key[0], op.dim)), {})[key] = num
+    top = max(levels, default=0)
+    for level, keys in levels.items():
+        m = s * r ** (top - level)
+        levels[level] = {key: {e: n * m for e, n in num.items()} for key, num in keys.items()}
     for level in range(top, 0, -1):
         below = levels.setdefault(level - 1, {})
         for key, c in levels.pop(level, {}).items():
-            i1 = key[0]
-            a = next(ax for ax in range(op.dim) if i1[ax])
-            head = (i1[:a] + (i1[a] - 1,) + i1[a + 1:],)
-            nc = below.setdefault(head + key[1:], {})
-            for e, v in c.items():
-                if e[a]:
-                    _accumulate(nc, e[:a] + (e[a] - 1,) + e[a + 1:], -v * e[a] * r)
-                for f, w in drho[a].items():
-                    _accumulate(nc, tuple(map(add, e, f)), -v * w)
+            u = _low_unit(key[0])  # the lowest axis a with a derivative on slot 1
+            head = (key[0] - u,)
+            nc = _derive_into(below.setdefault(head + key[1:], {}), c, u, -r)
+            if drho[u]:
+                _times_into(nc, c, drho[u], -1, op.dim)
             for j in range(1, len(key)):
-                ij = key[j]
-                spill = head + key[1:j] + (ij[:a] + (ij[a] + 1,) + ij[a + 1:],) + key[j + 1:]
-                _add(below.setdefault(spill, {}), c, -r)
+                _add(below.setdefault(head + key[1:j] + (key[j] + u,) + key[j + 1:], {}), c, -r)
     return {key[1:]: c for key, c in levels.get(0, {}).items()}, op._den * r ** top
 
 

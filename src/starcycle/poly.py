@@ -8,18 +8,61 @@ rather than floating-point, and its sums run on ints.  The view terms reads
 each coefficient as a canonical rational: an int when integral, otherwise a
 Fraction with a denominator above 1.  Equal values compare, hash and render alike.
 _Table stores a sum of basis elements with Polynomial coefficients the
-same way, as one table of numerators over one denominator.
+same way, as one table of numerators over one denominator.  An exponent
+vector or derivative multi-index is one int (_pack): axis a (0-based) in
+bits [32a, 32a + 32), each field below 2^31, so a monomial product or a sum
+of orders is one int addition; a field that reaches 2^31 sets its top bit
+(_guard) and raises ValueError, carrying into no other axis, and so does
+input of 2^31 or more (the CLI exits 2).  Only this module knows the
+layout: constructors, parse, derive, views and render use tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+import struct
 from fractions import Fraction
 from math import gcd, lcm, perm
-from operator import add, sub
 from types import MappingProxyType
 
 from ._record import Frozen
+
+_FIELD = (1 << 32) - 1
+_fields = functools.cache(lambda dim: struct.Struct("<%dI" % dim).unpack)  # dim little-endian uint32s
+
+
+def _pack(exps) -> int:
+    """The int of an exponent tuple; a shorter tuple packs as if padded with zeros."""
+    if not all(0 <= x < 1 << 31 for x in exps):
+        raise ValueError("exponents and derivative orders are ints in [0, 2^31): %r" % (exps,))
+    return sum(x << 32 * a for a, x in enumerate(exps))
+
+
+def _unit(axis: int) -> int:
+    """The packed multi-index of d/dx_{axis + 1}."""
+    return 1 << 32 * axis
+
+
+def _unpack(e: int, dim: int) -> tuple:
+    return _fields(dim)(e.to_bytes(4 * dim, "little"))
+
+
+@functools.cache
+def _guard(dim: int) -> int:
+    """The top bit of each of dim fields: set in a sum exactly where a field reached 2^31."""
+    return ((1 << 32 * dim) - 1) // _FIELD << 31
+
+
+def _checked(dim: int, *sums: int):
+    """Refuse sums of two packed ints in dim axes if a field of one reached 2^31."""
+    if any(e & _guard(dim) for e in sums):
+        raise ValueError("an exponent or derivative order reaches 2^31")
+
+
+def _low_unit(e: int) -> int:
+    """The packed unit multi-index of the lowest axis where e (> 0) is nonzero."""
+    return 1 << ((e & -e).bit_length() - 1) // 32 * 32
 
 
 def _accumulate(terms, key, c):
@@ -43,35 +86,48 @@ def _add(acc, num, m):
             acc.pop(e, None)
 
 
-def _derive_num(num, multi_index):
-    """d^multi_index of the numerators num, over num's denominator."""
-    out = {}
-    for exps, n in num.items():
-        for e, k in zip(exps, multi_index):
-            if e < k:
-                break
-            n *= perm(e, k)
-        else:
-            out[tuple(map(sub, exps, multi_index))] = n
-    return out
+@functools.cache
+def _axes(k: int):
+    """(guard bits, ((shift, order), ...)) of the nonzero axes of k.  Memoized: it reads no input data."""
+    axes = tuple((s, k >> s & _FIELD) for s in range(0, k.bit_length(), 32) if k >> s & _FIELD)
+    return sum(1 << s + 31 for s, _ in axes), axes
 
 
-def _times(num1, num2):
-    """The numerators of the product of two numerator maps."""
-    out = {}
-    get = out.get
+def _derive_into(acc, num, k, m):
+    """acc += m * d^k num in place, returned, for a packed k.  For G the guard bits of k's
+    axes, t = (e | G) - k borrows across no field, keeps G iff e >= k on each axis, and t ^ G = e - k."""
+    (g, axes), get = _axes(k), acc.get
+    for e, n in num.items():
+        if (t := (e | g) - k) & g == g:
+            for s, x in axes:
+                n *= perm(e >> s & _FIELD, x)
+            if v := get(t := t ^ g, 0) + n * m:
+                acc[t] = v
+            else:
+                acc.pop(t, None)
+    return acc
+
+
+def _times_into(acc, num1, num2, m, dim):
+    """acc += m * num1 * num2 in place, returned, on numerator maps in dim axes; a zero sum drops its key."""
+    get, g = acc.get, _guard(dim)
     for e1, c1 in num1.items():
+        c1 *= m
         for e2, c2 in num2.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c} if 0 in out.values() else out
+            if (e := e1 + e2) & g:
+                _checked(dim, e)
+            if s := get(e, 0) + c1 * c2:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return acc
 
 
 class Polynomial(Frozen):
     """Polynomial in x1..x{dim} with rational coefficients.
 
-    _num maps exponent tuples (length dim) to nonzero int numerators over
-    the denominator _den (see the module docstring for both and for terms).
+    _num maps packed exponents (_pack) to nonzero int numerators over the
+    denominator _den (see the module docstring for both and for terms).
     All operations return new instances.  The constructor validates and
     canonicalises; _trusted does not (see there).
     """
@@ -86,19 +142,17 @@ class Polynomial(Frozen):
             exps = tuple(int(e) for e in exps)
             if len(exps) != dim:
                 raise ValueError("exponent tuple %r does not have length %d" % (exps, dim))
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent in %r" % (exps,))
             c = Fraction(coeff)
             if c != 0:
-                clean[exps] = c
+                clean[_pack(exps)] = c
         den = lcm(*(c.denominator for c in clean.values()))
         self._assign(dim, {e: c.numerator * den // c.denominator for e, c in clean.items()}, den)
 
     @classmethod
     def _trusted(cls, dim: int, num: dict, den: int = 1) -> "Polynomial":
         """num/den in lowest terms, for the package's own results only: num
-        maps dim-tuples of non-negative ints to nonzero int numerators and
-        is changed by no one later, and den > 0.  Outside input goes through
+        maps packed exponents in dim axes to nonzero int numerators and is
+        changed by no one later, and den > 0.  Outside input goes through
         the constructor or parse, which checks its text first."""
         if den != 1:
             g = gcd(den, *num.values())
@@ -113,10 +167,10 @@ class Polynomial(Frozen):
 
     @property
     def terms(self):
-        """Read-only {exponents: canonical coefficient}."""
-        d = self._den
-        return MappingProxyType(self._num if d == 1 else
-                                {e: Fraction(n, d) if n % d else n // d for e, n in self._num.items()})
+        """Read-only {exponent tuple: canonical coefficient}."""
+        d, dim = self._den, self.dim
+        return MappingProxyType({_unpack(e, dim): n if d == 1 else Fraction(n, d) if n % d else n // d
+                                 for e, n in self._num.items()})
 
     # -- constructors ----------------------------------------------------
 
@@ -137,9 +191,7 @@ class Polynomial(Frozen):
         """x_i, 1-based."""
         if not 1 <= i <= dim:
             raise ValueError("variable index %d out of range for dim %d" % (i, dim))
-        exps = [0] * dim
-        exps[i - 1] = 1
-        return cls(dim, {tuple(exps): 1})
+        return cls(dim, {tuple(int(a == i) for a in range(1, dim + 1)): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Polynomial":
@@ -187,7 +239,8 @@ class Polynomial(Frozen):
             num = {e: n * p for e, n in self._num.items()} if p else {}
             return Polynomial._trusted(self.dim, num, self._den * other.denominator)
         self._check_dim(other)
-        return Polynomial._trusted(self.dim, _times(self._num, other._num), self._den * other._den)
+        num = _times_into({}, self._num, other._num, 1, self.dim)
+        return Polynomial._trusted(self.dim, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -200,10 +253,9 @@ class Polynomial(Frozen):
 
     def __hash__(self):
         # a constant hashes as its value, since it compares equal to it
-        one = (0,) * self.dim
-        if not self._num or (len(self._num) == 1 and one in self._num):
-            return hash(Fraction(self._num.get(one, 0), self._den))
-        return hash((self.dim, frozenset(self.terms.items())))
+        if not self._num or (len(self._num) == 1 and 0 in self._num):
+            return hash(Fraction(self._num.get(0, 0), self._den))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
         return bool(self._num)
@@ -217,13 +269,13 @@ class Polynomial(Frozen):
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.dim:
             raise ValueError("axis %d out of range for dim %d" % (i, self.dim))
-        return self.derive(tuple(int(a == i) for a in range(1, self.dim + 1)))
+        return Polynomial._trusted(self.dim, _derive_into({}, self._num, _unit(i - 1), 1), self._den)
 
     def derive(self, multi_index) -> "Polynomial":
         """Iterated partial derivative for an exponent multi-index."""
         if len(multi_index) != self.dim:
             raise ValueError(f"multi-index length {len(multi_index)} != dim {self.dim}")
-        return Polynomial._trusted(self.dim, _derive_num(self._num, multi_index), self._den)
+        return Polynomial._trusted(self.dim, _derive_into({}, self._num, _pack(multi_index), 1), self._den)
 
     # -- text form ----------------------------------------------------------
 
@@ -235,7 +287,7 @@ class Polynomial(Frozen):
         may carry a sign); a term is factors joined by *; a factor is an
         integer, a rational a/b, xK or xK^E in ASCII digits; whitespace is
         ignored.  A ValueError names a position; a character outside the
-        grammar is reported first, at the whitespace before it."""
+        grammar is reported first, at the whitespace before it.  Exponents stop below 2^31."""
         tokens = []
         for m in cls._TOKEN.finditer(text):
             kind, at = m.lastgroup, m.start()
@@ -247,8 +299,8 @@ class Polynomial(Frozen):
         tokens.append(("end", "", len(text)))
 
         terms = {}
-        i = 1 if tokens[0][1] in ("+", "-") else 0
-        coeff, exps = (-1 if tokens[0][1] == "-" else 1), [0] * dim
+        i, g = (1 if tokens[0][1] in ("+", "-") else 0), _guard(dim)
+        coeff, exps = (-1 if tokens[0][1] == "-" else 1), 0
         while True:
             kind, val, at = tokens[i]
             if kind == "num":
@@ -275,7 +327,8 @@ class Polynomial(Frozen):
                         power = int(val)
                     except ValueError:
                         raise ValueError("too many digits at position %d" % at) from None
-                exps[k - 1] += power
+                if power >> 31 or (exps := exps + (power << 32 * (k - 1))) & g:
+                    raise ValueError("exponent of x%d reaches 2^31 at position %d" % (k, at))
             else:
                 raise ValueError("expected a term at position %d" % at)
             i += 1
@@ -285,7 +338,7 @@ class Polynomial(Frozen):
                 if tokens[i][0] not in ("num", "var"):
                     raise ValueError("dangling * in term at position %d" % tokens[i][2])
                 continue
-            _accumulate(terms, tuple(exps), coeff)
+            _accumulate(terms, exps, coeff)
             if kind == "end":  # the grammar made terms' keys valid and its values nonzero
                 den = lcm(*(c.denominator for c in terms.values()))
                 num = {e: c.numerator * den // c.denominator for e, c in terms.items()}
@@ -295,14 +348,14 @@ class Polynomial(Frozen):
             i += 1
             if tokens[i][0] == "end":
                 raise ValueError("dangling %r at end of input" % val)
-            coeff, exps = (-1 if val == "-" else 1), [0] * dim
+            coeff, exps = (-1 if val == "-" else 1), 0
 
     def render(self) -> str:
         """Inverse of parse: parse(p.render(), p.dim) == p."""
         terms = self.terms
         if not terms:
             return "0"
-        keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        keys = sorted(terms, key=lambda e: (sum(e), e), reverse=True)  # by degree, then exponents, descending
         parts = []
         for idx, exps in enumerate(keys):
             c = terms[exps]
@@ -328,14 +381,14 @@ class Polynomial(Frozen):
 
 class _Table(Frozen):
     """A sum of basis elements with Polynomial coefficients in x1..x{dim}:
-    the linear structure of PolyDiffOperator and PolyVector.  _num maps each
-    basis key to the numerators {exponents: int} of its coefficient, no map
-    empty, all over one positive denominator _den, in lowest terms, so equal
-    values have equal fields.  The package's routines read _num and _den
-    directly; _view forms Polynomials, which share the stored maps, on each
-    read, and nothing changes a stored map.  A subclass sets __slots__ to
-    (dim, its grade, _num, _den), publishes _view under its own name, and
-    gives _basis, the text of a key, and _sum_grade, its rule for sums.
+    the linear structure of PolyDiffOperator and PolyVector.  _num maps each basis
+    key to the numerators {exponents: int} of its coefficient, no map empty, all
+    over one positive denominator _den, in lowest terms, so equal values have
+    equal fields.  The package's routines read _num and _den directly; _view
+    forms Polynomials, which share the stored maps, on each read, and nothing
+    changes a stored map.  A subclass sets __slots__ to (dim, its grade, _num,
+    _den), publishes _view under its own name, and gives _basis, the text of a
+    key, _sum_grade, its rule for sums, and _public, a key's public form.
     """
 
     __slots__ = ()
@@ -362,9 +415,12 @@ class _Table(Frozen):
         return getattr(self, self.__slots__[1])
 
     def _view(self):
-        """Read-only {key: Polynomial coefficient}."""
-        dim, den = self.dim, self._den
-        return MappingProxyType({key: Polynomial._trusted(dim, m, den) for key, m in self._num.items()})
+        """Read-only {public key: Polynomial coefficient}."""
+        dim, den, public = self.dim, self._den, self._public
+        return MappingProxyType({public(key, dim): Polynomial._trusted(dim, m, den)
+                                 for key, m in self._num.items()})
+
+    _public = staticmethod(lambda key, dim: key)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -412,7 +468,7 @@ class _Table(Frozen):
         if not isinstance(scalar, Polynomial):
             return NotImplemented
         self._check_dim(scalar)
-        num = {key: _times(m, scalar._num) for key, m in self._num.items()}
+        num = {key: _times_into({}, m, scalar._num, 1, self.dim) for key, m in self._num.items()}
         return self._trusted(self.dim, self._grade, num, self._den * scalar._den)
 
     __rmul__ = __mul__

@@ -5,16 +5,16 @@ i.e. as an element of the odd polynomial algebra in theta_1..theta_d
 with Polynomial coefficients.  The Lie grading of the bracket is
 degree = arity - 1, so functions sit in degree -1 and bivectors in
 degree 1.  A multivector is stored as one {key: {exponents: int}}
-numerator table over one denominator (poly._Table).  The wedge and the
-bracket read those tables, take each d_x_i of a component once, and add
-int numerators into a new table; the divergence adds Polynomials.
+numerator table over one denominator (poly._Table), exponents packed.  The
+wedge and the bracket read those tables, take each d_x_i of a component
+once, and add int numerators into a new table; the divergence adds Polynomials.
 """
 
 from __future__ import annotations
 
 import re
 from ._record import Record, _json_int
-from .poly import Polynomial, _accumulate, _add, _derive_num, _Table, _times
+from .poly import Polynomial, _accumulate, _derive_into, _Table, _times_into, _unit
 
 
 def _normalize_key(key):
@@ -37,13 +37,13 @@ def _normalize_key(key):
 _AXIS = re.compile(r"[1-9][0-9]*")
 
 
-def _wedge_into(out, ka, kb, num1, num2, m):
-    """out[ka ^ kb] += m * num1 * num2 in place, on numerator maps, signed
-    by the sort of ka + kb; nothing when the keys share an axis."""
+def _wedge_into(out, ka, kb, num1, num2, m, dim):
+    """out[ka ^ kb] += m * num1 * num2 in place, on numerator maps in dim
+    axes, signed by the sort of ka + kb; nothing when the keys share an axis."""
     norm = _normalize_key(ka + kb)
     if norm is not None and num1 and num2:
         key, sign = norm
-        _add(out.setdefault(key, {}), _times(num1, num2), sign * m)
+        _times_into(out.setdefault(key, {}), num1, num2, sign * m, dim)
 
 
 class PolyVector(_Table):
@@ -128,7 +128,7 @@ class PolyVector(_Table):
         out = {}
         for ka, na in self._num.items():
             for kb, nb in other._num.items():
-                _wedge_into(out, ka, kb, na, nb, 1)
+                _wedge_into(out, ka, kb, na, nb, 1, self.dim)
         return PolyVector._trusted(self.dim, self.degree + other.degree + 1, out, self._den * other._den)
 
     def schouten(self, other: "PolyVector") -> "PolyVector":
@@ -146,18 +146,19 @@ class PolyVector(_Table):
         if self.degree + other.degree < -1:
             raise ValueError("degree must be >= -1")
         a, b = self._num, other._num
-        units = [tuple(int(x == i) for x in range(self.dim)) for i in range(self.dim)]
-        grad_a = {k: [_derive_num(n, u) for u in units] for k, n in a.items()}
-        grad_b = {k: [_derive_num(n, u) for u in units] for k, n in b.items()}
+        units = [_unit(i) for i in range(self.dim)]
+        grad_a = {k: [_derive_into({}, n, u, 1) for u in units] for k, n in a.items()}
+        grad_b = {k: [_derive_into({}, n, u, 1) for u in units] for k, n in b.items()}
         sign_a = 1 if self.arity % 2 else -1
-        out = {}
+        out, dim = {}, self.dim
         for ka, na in a.items():
             for kb, nb in b.items():
                 for pos, i in enumerate(ka):
                     _wedge_into(out, ka[:pos] + ka[pos + 1:], kb, na, grad_b[kb][i - 1],
-                                -sign_a if pos % 2 else sign_a)
+                                -sign_a if pos % 2 else sign_a, dim)
                 for pos, i in enumerate(kb):
-                    _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], grad_a[ka][i - 1], nb, 1 if pos % 2 else -1)
+                    _wedge_into(out, ka, kb[:pos] + kb[pos + 1:], grad_a[ka][i - 1], nb,
+                                1 if pos % 2 else -1, dim)
         return PolyVector._trusted(self.dim, self.degree + other.degree, out, self._den * other._den)
 
     def divergence(self, vol: "VolumeForm") -> "PolyVector":

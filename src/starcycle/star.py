@@ -45,7 +45,7 @@ from operator import add
 from ._record import Frozen
 from .diffops import PolyDiffOperator, _cyclic_residual, _d_into, _insert_into
 from .graphs import AdmissibleGraph, star_orbits
-from .poly import Polynomial, _accumulate, _derive_num
+from .poly import Polynomial, _derive_into, _times_into, _unit
 from .polyvector import PolyVector, VolumeForm, _normalize_key
 from .table import WeightTable
 
@@ -59,7 +59,7 @@ def _component_table(gamma: PolyVector):
     (dim, den, [(idx, num, derivs)]), with den gamma's denominator and num
     the numerators of the component at idx over den: the stored map of the
     sorted idx, signed by the sort.  derivs is its derivative cache: it
-    maps a multi-index to the numerators {exponents: int} of that
+    maps a packed multi-index to the numerators {exponents: int} of that
     derivative.  The nonzero components are the permutations of the stored
     keys, in index order."""
     comps = []
@@ -80,43 +80,38 @@ def _contract(graph: AdmissibleGraph, tables, out: dict, scale: int):
     star; every edge pointing at k differentiates that factor; edges into
     boundary vertices become derivatives on the argument slots.  Only
     assignments that give every vertex a nonzero component are visited, and
-    one whose derivative at some vertex vanishes adds nothing.  The
-    multi-indices of all n + m vertices are held as one flat list, the sum
-    of each vertex's chosen component's edges.
+    one whose derivative at some vertex vanishes adds nothing.  The packed
+    multi-indices of all n + m vertices, each the sum of its chosen in-edges
+    (at most 2n, so far below 2^31), are held as one list.
     """
     n, m, dim = graph.n, graph.m, tables[0][0]
     choices = []
     for star, (_, _, comps) in zip(graph.stars, tables):
         opts = []
         for idx, num, derivs in comps:
-            flat = [0] * ((n + m) * dim)
+            orders = [0] * (n + m)
             for tgt, i in zip(star, idx):
-                flat[(tgt - 1) * dim + i - 1] += 1
-            opts.append((flat, num, derivs))
+                orders[tgt - 1] += _unit(i - 1)
+            opts.append((orders, num, derivs))
         choices.append(opts)
-    cuts = [(k * dim, (k + 1) * dim) for k in range(n + m)]
     for assign in itertools.product(*choices):
-        flat = assign[0][0]
+        orders = assign[0][0]
         for other, _, _ in assign[1:]:
-            # a list: tuples this long would fill CPython's free list for
-            # their length, which keeps up to 2000 of them for the life of
-            # the process (0.25 MiB more peak RSS on checks-exact)
-            flat = list(map(add, flat, other))
-        prod = None
-        for (a, b), (_, num, derivs) in zip(cuts, assign):
-            key = tuple(flat[a:b])
-            f = derivs.get(key)
+            orders = list(map(add, orders, other))
+        factors = []
+        for k, (_, num, derivs) in zip(orders, assign):
+            f = derivs.get(k)
             if f is None:
-                f = derivs[key] = _derive_num(num, key)
+                f = derivs[k] = _derive_into({}, num, k, 1)
             if not f:
                 break
-            prod = ([(e, c * scale) for e, c in f.items()] if prod is None else
-                    [(tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in prod for e2, c2 in f.items()])
+            factors.append(f)
         else:
-            slots = tuple([tuple(flat[a:b]) for a, b in cuts[n:]])
-            acc = out.setdefault(slots, {})
-            for e, c in prod:
-                _accumulate(acc, e, c)
+            *head, last = factors  # the last product adds into out
+            prod = head[0] if head else {0: 1}
+            for f in head[1:]:
+                prod = _times_into({}, prod, f, 1, dim)
+            _times_into(out.setdefault(tuple(orders[n:]), {}), prod, last, scale, dim)
 
 
 def graph_to_operator(graph: AdmissibleGraph, gammas) -> PolyDiffOperator:

@@ -96,6 +96,9 @@ class WeightTable:
         self.entries = {} if entries is None else entries
 
     def add(self, entry: WeightEntry):
+        if entry.graph_key.split(";")[1:2] == ["2"]:
+            raise ValueError("entry %s is keyed by a 2-boundary graph; store it as %s at alphas "
+                             "[0.0, 0.0, 1.0]" % (entry.graph_key, entry.graph_key.replace(";2;", ";3;", 1)))
         self.entries[(entry.graph_key, _alpha_key(entry.alphas))] = entry
 
     def get(self, graph_key: str, alphas) -> WeightEntry | None:
@@ -115,13 +118,10 @@ class WeightTable:
     def from_json(cls, obj: dict) -> "WeightTable":
         """A second entry for one (graph, alphas) is an error: which one
         counted would depend on the order of the entries.  So is a
-        2-boundary key: a star weight is stored under its embedding."""
+        2-boundary key, which add refuses: lookup_star reads a star weight's embedding."""
         table = cls()
         for item in obj.get("entries", []):
             entry = WeightEntry.from_json(item)
-            if entry.graph_key.split(";")[1:2] == ["2"]:
-                raise ValueError("entry %s is keyed by a 2-boundary graph; store it as %s at alphas "
-                                 "[0.0, 0.0, 1.0]" % (entry.graph_key, entry.graph_key.replace(";2;", ";3;", 1)))
             if table.get(entry.graph_key, entry.alphas) is not None:
                 raise ValueError("repeated entry for %s at alphas %s" % (entry.graph_key, list(entry.alphas)))
             table.add(entry)

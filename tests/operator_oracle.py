@@ -13,17 +13,37 @@ on whole Polynomials, one Polynomial sum per term: the package's methods
 of those names sum int numerators over one denominator instead, and are
 checked against these.  ibp_by_min_key steps one key at a time, on whole
 Polynomials, and cyclic_shift and cyclic_residual are built on it, so they
-share no code with the package's integration by parts.
+share no code with the package's integration by parts.  They read keys and
+exponents as the tuples of the public views, and _leibniz below splits
+tuple multi-indices, so the oracle shares no exponent encoding with the
+package, which packs each multi-index into one int.
 """
 
+import functools
+import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from starcycle import Polynomial, PolyDiffOperator, PolyVector, VolumeForm
-from starcycle.diffops import _leibniz, _mi_zero
 from starcycle.poly import _accumulate
 from starcycle.polyvector import _normalize_key
+
+
+@functools.cache
+def _leibniz(a, parts):
+    """The pairs (split, multinomial) for each way to write the multi-index
+    tuple a as an ordered sum of `parts` multi-indices, where the multinomial
+    is prod_axis a_axis! / prod_l split_l[axis]!: the coefficient of
+    prod_l d^{split_l} u_l in d^a (u_1 ... u_parts).  Zero parts split only
+    a zero a, as the empty split with coefficient 1."""
+    if parts < 2:
+        return (((a,) * parts, 1),) if parts or not any(a) else ()
+    out = []
+    for first in itertools.product(*[range(x + 1) for x in a]):
+        b = math.prod(map(math.comb, a, first))
+        out += [((first,) + rest, b * m) for rest, m in _leibniz(tuple(map(sub, a, first)), parts - 1)]
+    return tuple(out)
 
 
 def vector(dim: int, components) -> PolyVector:
@@ -118,7 +138,7 @@ def hochschild_differential(self: PolyDiffOperator) -> PolyDiffOperator:
     """(d psi)(f1..f_{k+1}) = f1 psi(f2..) + sum_i (-1)^i psi(..f_i f_{i+1}..)
     + (-1)^{k+1} psi(..fk) f_{k+1}."""
     k = self.arity
-    z = _mi_zero(self.dim)
+    z = (0,) * self.dim
     out = {}
 
     for key, c in self.terms.items():

@@ -11,6 +11,7 @@ import operator_oracle
 from operator_oracle import cyclic_projector, gauss_integral, gerstenhaber, ibp_by_min_key, is_cyclic, vector
 from starcycle import Polynomial, PolyDiffOperator, VolumeForm
 from starcycle.diffops import _cyclic_residual, _leibniz
+from starcycle.poly import _pack, _unpack
 
 P = Polynomial
 D = PolyDiffOperator
@@ -168,7 +169,11 @@ def test_leibniz_yields_every_split_once_with_its_multinomial(dim):
     for a in itertools.product(range(3), repeat=dim):
         below = list(itertools.product(*[range(x + 1) for x in a]))
         for parts in range(4):
-            got = list(_leibniz(a, parts))
+            # the package splits packed multi-indices; read back as tuples,
+            # its splits are the oracle's, in the oracle's order
+            got = [(tuple(_unpack(p, dim) for p in split), coeff)
+                   for split, coeff in _leibniz(_pack(a), parts, dim)]
+            assert got == list(operator_oracle._leibniz(a, parts))
             splits = [split for split, _ in got]
             assert len(splits) == len(set(splits))
             brute = {split for split in itertools.product(below, repeat=parts)

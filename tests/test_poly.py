@@ -156,6 +156,40 @@ def test_parse_accepts_leading_zeros_and_spaces_around_every_token():
     assert f.render() == "-2*x1^3 + 2/3"
 
 
+def test_exponents_stop_below_2_to_the_31():
+    top = 2 ** 31 - 1
+    assert P.parse("x1^%d" % top, 2) == P(2, {(top, 0): 1}) == P.monomial(2, (top, 0))
+    assert P.parse("x1^%d" % top, 2).terms == {(top, 0): 1}
+    for text, at in (("x1^%d" % (top + 1), 3), ("x2 - x1^%d*x1" % top, 19), ("x1^%d" % 2 ** 64, 3)):
+        with pytest.raises(ValueError) as err:
+            P.parse(text, 2)
+        assert str(err.value) == "exponent of x1 reaches 2^31 at position %d" % at
+    for exps in ((top + 1, 0), (0, 2 ** 40)):
+        with pytest.raises(ValueError):
+            P(2, {exps: 1})
+    # a product that reaches 2^31 in one variable is refused, and carries
+    # into no other variable
+    half = P.monomial(2, (2 ** 30, 0))
+    with pytest.raises(ValueError):
+        half * half
+    assert (half * P.monomial(2, (0, 2 ** 30))).terms == {(2 ** 30, 2 ** 30): 1}
+    assert P.monomial(2, (top, 0)).partial(1).terms == {(top - 1, 0): top}
+    assert P.monomial(2, (top, 1)).derive((2, 1)).terms == {(top - 2, 0): top * (top - 1)}
+    assert P.monomial(2, (top, 1)).derive((0, 2)).is_zero()
+
+
+def test_derivative_orders_stop_below_2_to_the_31():
+    top = 2 ** 31 - 1
+    with pytest.raises(ValueError):
+        PolyDiffOperator(2, 1, {((top + 1, 0),): 1})
+    deep = PolyDiffOperator(2, 1, {((top, 0),): 1})
+    assert deep.terms == {((top, 0),): 1}
+    with pytest.raises(ValueError):  # d^top d_1 f, refused before I is split
+        deep.insert(PolyDiffOperator(2, 1, {((1, 0),): 1}), 1)
+    with pytest.raises(ValueError):  # integrating d_1 off slot 1 puts it on slot 2
+        PolyDiffOperator(2, 2, {((1, 0), (top, 0)): 1}).ibp_normal_form(VolumeForm.constant(2))
+
+
 def test_render_canonical():
     assert P.parse("x1^2 - 1/2*x2", 2).render() == "x1^2 - 1/2*x2"
     assert P.zero(3).render() == "0"

@@ -832,11 +832,12 @@ def test_pruned_contraction_equals_dense_loop_at_order_3():
         assert graph_to_operator(rep, [pi] * 3).render() == dense_graph_to_operator(rep, [pi] * 3).render()
     # the orbits of the order-3 cyclicity row, on components with unequal
     # denominators: linear ones, where every one contracts to zero (a vertex
-    # with two in-edges), and quadratic ones, where three do not
+    # with two in-edges), and quadratic ones, where three do not; and on
+    # jq2's quadratic components in dimension 4
     reps = [star_orbits(3, 2)[AdmissibleGraph.from_key(key)][0] for key in (
         "3;2;2,3|1,3|b1,b2", "3;2;2,3|1,b1|1,b2", "3;2;2,3|1,b2|2,b1", "3;2;2,3|3,b1|2,b2")]
     quadratic = casimir(P.parse("1/2*x1^2*x2 - 1/3*x2^2*x3 + x3^2*x1", 3))
-    for pi, nonzero in ((rational_so3(), 0), (quadratic, 3)):
+    for pi, nonzero in ((rational_so3(), 0), (quadratic, 3), (jq2(), 4)):
         ops = [graph_to_operator(rep, [pi] * 3) for rep in reps]
         dense = [dense_graph_to_operator(rep, [pi] * 3) for rep in reps]
         assert [op.render() for op in ops] == [op.render() for op in dense]

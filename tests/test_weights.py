@@ -133,6 +133,17 @@ def test_a_halfplane_entry_is_its_embeddings_entry():
     assert t.lookup_star(g) is e and t.provenance() == {"exact": 41, "monte_carlo": 1}
 
 
+def test_add_refuses_a_2_boundary_key_and_stores_nothing():
+    # lookup_star would never read such an entry, and a saved table holding
+    # it would not load
+    t = WeightTable()
+    with pytest.raises(ValueError) as refusal:
+        t.add(WeightEntry("1;2;b1,b2", (), 0.5, 0.0, 0, 0, exact=Fraction(1, 2)))
+    assert str(refusal.value) == ("entry 1;2;b1,b2 is keyed by a 2-boundary graph; "
+                                  "store it as 1;3;b1,b2 at alphas [0.0, 0.0, 1.0]")
+    assert t.entries == {}
+
+
 def graph_built_lookup_star(table, graph):
     """The reference lookup: the 3-boundary key from a graph with b3 added."""
     if graph.m == 2:
